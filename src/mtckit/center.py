@@ -42,7 +42,6 @@ class CenterData:
     def __post_init__(self):
         self._md = None
         self._gfs_cache: dict[tuple[int, int], object] = {}
-        self._pvalue_cache: dict = {}
 
     @property
     def rank(self) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import dataio, fusion_ring, indicators, modular_data, spectra
+from . import cyclo, dataio, fusion_ring, indicators, spectra
 from .center import ConsistencyError, center_for
 from .cyclo import CycloDomainError, DescentError
 from .dataio import ExprSyntaxError, FileFormatError, ValidationFailedError
@@ -63,7 +63,7 @@ def _format_multiset(md: ModularData, ms: dict[int, int]) -> str:
 
 def _cmd_validate(args) -> int:
     md, _ = _load_source(args.source)
-    report = modular_data.validate(md)
+    report = dataio.validation_report(md)
     if args.format == "structured":
         _emit(dataio.serialize_report(report), args.out)
     else:
@@ -236,6 +236,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        cyclo.get_order_limit()  # reports a bad MTCKIT_MAX_ORDER as a usage error
         return args.func(args)
     except (ExprSyntaxError, FileFormatError, CycloDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -35,6 +35,7 @@ __all__ = [
     "root_of_unity",
     "zeta",
     "from_rational",
+    "zero",
     "inverse",
     "galois_apply",
     "descend",
@@ -50,7 +51,23 @@ __all__ = [
 
 DEFAULT_ORDER_LIMIT = 10_000
 
-_order_limit = int(os.environ.get("MTCKIT_MAX_ORDER", DEFAULT_ORDER_LIMIT))
+
+def _order_limit_from_env() -> tuple[int, str | None]:
+    # (limit, error); a bad setting is reported when the limit is first
+    # needed, so importing the package never fails on it
+    raw = os.environ.get("MTCKIT_MAX_ORDER")
+    if raw is None:
+        return DEFAULT_ORDER_LIMIT, None
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        return 0, f"MTCKIT_MAX_ORDER must be a positive integer, got {raw!r}"
+    return limit, None
+
+
+_order_limit, _order_limit_error = _order_limit_from_env()
 
 
 class CycloDomainError(ValueError):
@@ -76,13 +93,17 @@ class DescentError(ArithmeticError):
 
 def set_order_limit(limit: int) -> None:
     """Set the largest permitted cyclotomic order (cost grows like phi(n)^2)."""
-    global _order_limit
+    global _order_limit, _order_limit_error
     if limit < 1:
         raise CycloDomainError("order limit must be positive")
     _order_limit = limit
+    _order_limit_error = None
 
 
 def get_order_limit() -> int:
+    """The largest permitted order; CycloDomainError if MTCKIT_MAX_ORDER is invalid."""
+    if _order_limit_error is not None:
+        raise CycloDomainError(_order_limit_error)
     return _order_limit
 
 
@@ -90,6 +111,8 @@ def _check_order(n: int) -> None:
     if n < 1:
         raise CycloDomainError(f"cyclotomic order must be >= 1, got {n}")
     if n > _order_limit:
+        if _order_limit_error is not None:
+            raise CycloDomainError(_order_limit_error)
         raise CycloDomainError(
             f"cyclotomic order {n} exceeds the configured limit {_order_limit}"
         )
@@ -403,6 +426,11 @@ def poly_mulmod_lists(a: list[int], b: list[int], order: int) -> list[int]:
 
 ZERO = Cyclotomic(1, (0,), 1)
 ONE = Cyclotomic(1, (1,), 1)
+
+
+def zero(order: int) -> Cyclotomic:
+    """Zero represented at the given order, to start a sum that stays there."""
+    return Cyclotomic(order, (0,) * (len(cyclotomic_polynomial(order)) - 1), 1)
 
 
 def from_rational(q) -> Cyclotomic:

@@ -36,6 +36,7 @@ __all__ = [
     "format_modular_data",
     "catalog",
     "catalog_ring",
+    "validation_report",
     "CATALOG_NAMES",
     "serialize_report",
 ]
@@ -172,6 +173,7 @@ def parse_file(text: str) -> ModularData:
     Raises FileFormatError (structure), ExprSyntaxError (entries),
     ModularDataError (construction), or ValidationFailedError (relations).
     """
+    global _last_parsed
     rank: int | None = None
     labels: list[str] | None = None
     unit_token: str | None = None
@@ -261,6 +263,7 @@ def parse_file(text: str) -> ModularData:
     report = modular_data.validate(md)
     if not report.ok:
         raise ValidationFailedError(report)
+    _last_parsed = (md, report)
     return md
 
 
@@ -281,7 +284,9 @@ def format_modular_data(md: ModularData) -> str:
 
 CATALOG_NAMES = ("vec", "semion", "toric-code", "fibonacci", "haagerup-center")
 
-_catalog_cache: dict[str, tuple[ModularData, FusionRing]] = {}
+_catalog_cache: dict[str, tuple[ModularData, FusionRing, ValidationReport]] = {}
+# the most recent parse_file result with its report (see validation_report)
+_last_parsed: tuple[ModularData, ValidationReport] | None = None
 
 
 def _legendre(k: int, p: int) -> int:
@@ -380,7 +385,7 @@ _BUILDERS = {
 }
 
 
-def _load(name: str) -> tuple[ModularData, FusionRing]:
+def _load(name: str) -> tuple[ModularData, FusionRing, ValidationReport]:
     cached = _catalog_cache.get(name)
     if cached is not None:
         return cached
@@ -394,8 +399,9 @@ def _load(name: str) -> tuple[ModularData, FusionRing]:
     if not report.ok:
         raise ValidationFailedError(report)
     ring = verlinde(md)  # integrality is part of the load-time contract
-    _catalog_cache[name] = (md, ring)
-    return md, ring
+    entry = (md, ring, report)
+    _catalog_cache[name] = entry
+    return entry
 
 
 def catalog(name: str) -> ModularData:
@@ -406,6 +412,18 @@ def catalog(name: str) -> ModularData:
 def catalog_ring(name: str) -> FusionRing:
     """The fusion ring of a built-in fixture (cached with the fixture)."""
     return _load(name)[1]
+
+
+def validation_report(md: ModularData) -> ValidationReport:
+    """The validation report of md, reusing the one its loader produced.
+
+    Catalog fixtures and the most recent parse_file result were validated
+    when loaded; any other data is validated now.
+    """
+    for entry in (*_catalog_cache.values(), _last_parsed):
+        if entry is not None and entry[0] is md:
+            return entry[-1]
+    return modular_data.validate(md)
 
 
 # ---------------------------------------------------------------------------

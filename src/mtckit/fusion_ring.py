@@ -7,6 +7,7 @@ representing a semisimple object as a sum of simples.
 from __future__ import annotations
 
 import dataclasses
+from operator import mul
 
 from . import cyclo
 from .modular_data import ModularData, derive_invariants
@@ -40,25 +41,41 @@ class FusionRing:
         return self.table[c][a][b]
 
     def check_invariants(self) -> None:
+        """The unit, duality, dual-transpose and associativity laws.
+
+        Raises ModularityError naming the first law that fails and the
+        indices where it fails.
+        """
         r = self.rank
         u = self.unit
         t = self.table
+        dual = self.dual
+
+        def fail(law: str, idx: tuple[int, ...]) -> None:
+            raise ModularityError(f"fusion ring violates the {law} at {idx}")
+
         for a in range(r):
             for c in range(r):
-                assert t[c][a][u] == t[c][u][a] == (1 if a == c else 0), "unit law"
+                if not t[c][a][u] == t[c][u][a] == (1 if a == c else 0):
+                    fail("unit law", (a, c))
             for b in range(r):
-                assert t[u][a][b] == (1 if b == self.dual[a] else 0), "duality law"
+                if t[u][a][b] != (1 if b == dual[a] else 0):
+                    fail("duality law", (a, b))
                 for c in range(r):
-                    assert t[c][a][b] == t[self.dual[c]][self.dual[b]][self.dual[a]], (
-                        "dual transpose law"
-                    )
+                    if t[c][a][b] != t[dual[c]][dual[b]][dual[a]]:
+                        fail("dual transpose law", (a, b, c))
+        # both sides of associativity are dot products over the middle
+        # simple e: N^e_{b,c} and N^d_{e,c} as vectors in e, built once
+        over_e = [[tuple(t[e][b][c] for e in range(r)) for c in range(r)] for b in range(r)]
+        into = [[tuple(t[d][e][c] for e in range(r)) for c in range(r)] for d in range(r)]
         for a in range(r):
             for b in range(r):
+                ab = over_e[a][b]
                 for c in range(r):
+                    bc = over_e[b][c]
                     for d in range(r):
-                        lhs = sum(t[d][a][e] * t[e][b][c] for e in range(r))
-                        rhs = sum(t[e][a][b] * t[d][e][c] for e in range(r))
-                        assert lhs == rhs, f"associativity fails at {(a, b, c, d)}"
+                        if sum(map(mul, t[d][a], bc)) != sum(map(mul, ab, into[d][c])):
+                            fail("associativity law", (a, b, c, d))
 
 
 def verlinde(md: ModularData) -> FusionRing:

@@ -15,7 +15,7 @@ import math
 
 from . import cyclo
 from .center import CenterData
-from .cyclo import Cyclotomic
+from .cyclo import Cyclotomic, RootOfUnity
 from .fusion_ring import FusionRing, ObjectMultiset, power_decompose
 from .modular_data import ModularData
 
@@ -197,13 +197,13 @@ def hom_dim_under_forgetful(cd: CenterData, b: int, a: int | ObjectMultiset, n: 
     return sum(arow[c] * mult for c, mult in powers.items())
 
 
-def _theta_root(cd: CenterData, b: int, n: int, shift: int) -> Cyclotomic:
+def _theta_root(cd: CenterData, b: int, n: int, shift: int) -> RootOfUnity:
     # theta_b = zeta_M^t with M the center conductor; the pinned n-th root is
     # zeta_{Mn}^t (shift selects the alternative root for independence tests)
     m_cond = cd.conductor
     t = cd.theta[b]
     exp = t.exponent * (m_cond // t.order) + shift * m_cond
-    return cyclo.root_of_unity(m_cond * n, exp)
+    return RootOfUnity.make(m_cond * n, exp)
 
 
 def nu_general(
@@ -221,15 +221,19 @@ def nu_general(
     g = gcd(k, n), the value is theta_b^{-k/n} applied to the Galois image
     alpha_{k/g, n/g} of theta_b^{g/n} nu^b_{n/g,1}(a^g), the inner indicator
     expanding additively over the decomposition of a^g.
+
+    The root-of-unity factors (theta_b^-q, the pinned root's powers) are
+    exponent arithmetic on RootOfUnity; each enters the field once, as the
+    exact value of a single root, so no field inverse is ever taken.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
     q, k0 = divmod(k, n)
-    prefactor = (cd.theta[b].inverse() ** q).value() if q else None
+    prefactor = cd.theta[b].inverse() ** q
 
     if k0 == 0:
         base = cyclo.from_rational(hom_dim_under_forgetful(cd, b, a, n))
-        return base if prefactor is None else prefactor * base
+        return base if prefactor.is_one() else prefactor.value() * base
 
     g = math.gcd(k0, n)
     n1, k1 = n // g, k0 // g
@@ -242,27 +246,31 @@ def nu_general(
 
     if k1 == 1:
         # theta^{-k0/n} * theta^{g/n} = 1 when k0 == g
-        result = nu1
+        factor, result = prefactor, nu1
     else:
         root = _theta_root(cd, b, n, root_shift)
-        image = cyclo.galois_apply((root**g) * nu1, k1, n1)
-        result = (root ** (-k0)) * image
-    return result if prefactor is None else prefactor * result
+        result = cyclo.galois_apply((root**g).value() * nu1, k1, n1)
+        factor = prefactor * root ** (-k0)
+    return result if factor.is_one() else factor.value() * result
 
 
 def nu2_direct(md: ModularData, fr: FusionRing, c: int, b: int, a: int) -> Cyclotomic:
     """nu^{c (x) b~}_{2,1}(a) as the closed double sum over the base data.
 
     sum_{d,e} (theta_d / theta_e)^2 S_{c,d} S_{b-bar,e} N^a_{d,e}; exact,
-    and independent of the center machinery.
+    and independent of the center machinery. The twist factors are roots
+    built by exponent, and both rows are embedded once into one field so
+    the sums never change order.
     """
     r = md.rank
-    u_row = [md.theta[d].value() ** 2 * md.s[c][d] for d in range(r)]
-    v_row = [
-        (md.theta[e].inverse() ** 2).value() * md.s[md.dual[b]][e] for e in range(r)
-    ]
+    u_row = [(md.theta[d] ** 2).value() * md.s[c][d] for d in range(r)]
+    v_row = [(md.theta[e] ** -2).value() * md.s[md.dual[b]][e] for e in range(r)]
+    order = math.lcm(*(x.order for x in u_row + v_row))
+    u_row = [x.embedded(order) for x in u_row]
+    v_row = [x.embedded(order) for x in v_row]
+    zero = cyclo.zero(order)
     n_a = fr.table[a]
-    z = [cyclo.ZERO] * r
+    z = [zero] * r
     for d in range(r):
         ud = u_row[d]
         if ud.is_zero():
@@ -271,7 +279,7 @@ def nu2_direct(md: ModularData, fr: FusionRing, c: int, b: int, a: int) -> Cyclo
         for e in range(r):
             if row[e]:
                 z[e] = z[e] + row[e] * ud
-    total = cyclo.ZERO
+    total = zero
     for e in range(r):
         if not z[e].is_zero():
             total = total + z[e] * v_row[e]

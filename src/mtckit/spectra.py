@@ -6,6 +6,11 @@ with P built from the indicator sequence. Braid spectra for the
 one-strand-wrapping elements reduce to rotations on the center: the braid
 value theta_a^-1 omega occurs with multiplicity K^{a-bar^(l+m) (x) b~}(omega).
 
+Roots of unity (twists, candidate eigenvalues, omega) are handled by
+exponent as RootOfUnity and enter the field only as exact values; each
+multiplicity polynomial is evaluated at one field order, so no inverse is
+taken and no order changes inside a row.
+
 Every multiplicity must recognize as a non-negative integer; anything else
 raises IntegralityError, which doubles as an end-to-end data check.
 """
@@ -13,6 +18,7 @@ raises IntegralityError, which doubles as an end-to-end data check.
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction
 
 from . import cyclo
@@ -56,10 +62,24 @@ class MultiplicityPolynomial:
 
     n: int
     coeffs: tuple[Cyclotomic, ...]
+    _at_order: dict[int, tuple[Cyclotomic, ...]] = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def evaluate(self, x: Cyclotomic) -> Cyclotomic:
-        acc = cyclo.ZERO
-        for c in reversed(self.coeffs):
+        """P(x), by Horner at the common field order of x and the coefficients.
+
+        The coefficients are embedded once per order (and remembered), so
+        every multiply and add of the recurrence stays at that order.
+        """
+        order = math.lcm(x.order, *(c.order for c in self.coeffs))
+        coeffs = self._at_order.get(order)
+        if coeffs is None:
+            coeffs = tuple(c.embedded(order) for c in self.coeffs)
+            self._at_order[order] = coeffs
+        x = x.embedded(order)
+        acc = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
             acc = acc * x + c
         return acc
 
@@ -206,11 +226,12 @@ def braid_jm_spectrum(
         raise ValueError("need l, m >= 0 and l + m < n")
     if sign not in ("over", "under"):
         raise ValueError(f"sign must be 'over' or 'under', got {sign!r}")
-    if sign == "under":
-        md = reverse(md)
-        fr = None
     if fr is None:
         fr = verlinde(md)
+    if sign == "under":
+        # N is integral, hence fixed by complex conjugation: the reversed
+        # braiding has the same fusion rules, so only md changes
+        md = reverse(md)
     cd = center_for(md, fr)
     n1 = n - (l + m)
     theta_a_inv = md.theta[a].inverse()

@@ -1,8 +1,10 @@
 """Independent oracles used by the test suite.
 
-Everything here is derived from first principles (finite group theory,
-Legendre symbols, float evaluation) without touching the library's field
-arithmetic or spectral formulas, so agreement is meaningful.
+Everything here but the last section is derived from first principles
+(finite group theory, Legendre symbols, float evaluation) without touching
+the library's field arithmetic or spectral formulas, so agreement is
+meaningful. The last section is a reference formula in the library's own
+field arithmetic; see its header.
 """
 
 from __future__ import annotations
@@ -136,3 +138,40 @@ HAAGERUP_SIGMA_X6_TABLE = {
     "x11": {(39, 4): 0, (78, 47): 1},
     "x12": {(78, 11): 1, (39, 25): 0},
 }
+
+
+# ---------------------------------------------------------------------------
+# the field-arithmetic formula for nu_general
+#
+# Unlike the oracles above, this one does use the library's field
+# arithmetic: it is the straightforward formula that nu_general used
+# before its root-of-unity factors became exponent arithmetic. Every root
+# is a Cyclotomic raised with ``**`` (negative powers through the field
+# inverse), so agreement checks the exponent bookkeeping of nu_general.
+
+
+def nu_general_by_field_powers(cd, b, n, k, a, root_shift=0):
+    from mtckit import cyclo
+    from mtckit.fusion_ring import power_decompose
+    from mtckit.indicators import gfs_matrix, hom_dim_under_forgetful
+
+    q, k0 = divmod(k, n)
+    theta = cd.theta[b].value()
+    prefactor = cyclo.inverse(theta) ** q
+    if k0 == 0:
+        return prefactor * hom_dim_under_forgetful(cd, b, a, n)
+    g = math.gcd(k0, n)
+    n1, k1 = n // g, k0 // g
+    table = gfs_matrix(cd, n1, 1)
+    nu1 = cyclo.ZERO
+    for c, mult in power_decompose(cd.base_ring, a, g).items():
+        nu1 = nu1 + mult * table.values[b][c]
+    if k1 == 1:
+        return prefactor * nu1
+    m_cond = cd.conductor
+    t = cd.theta[b]
+    root = cyclo.root_of_unity(
+        m_cond * n, t.exponent * (m_cond // t.order) + root_shift * m_cond
+    )
+    image = cyclo.galois_apply(root**g * nu1, k1, n1)
+    return prefactor * root ** (-k0) * image

@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from mtckit import cli
 
@@ -176,3 +181,41 @@ def test_bad_braid_params(capsys):
 def test_unknown_object(capsys):
     code, _, err = run(capsys, "report", "catalog:vec", "--braid-sigma", "--object", "zz")
     assert code == 1 or code == 2  # ModularDataError maps to validation class
+
+
+def test_bad_max_order_setting_is_usage_error():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, MTCKIT_MAX_ORDER="abc")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mtckit.cli", "validate", "catalog:semion"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: MTCKIT_MAX_ORDER must be a positive integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize("from_file", (False, True))
+def test_validate_reuses_the_load_report(tmp_path, capsys, monkeypatch, from_file):
+    from mtckit import dataio, modular_data
+
+    source = "catalog:fibonacci"
+    if from_file:
+        source = str(tmp_path / "fib.mtc")
+        Path(source).write_text(dataio.format_modular_data(dataio.catalog("fibonacci")))
+    else:
+        # load the fixture inside the query
+        monkeypatch.delitem(dataio._catalog_cache, "fibonacci", raising=False)
+    calls = []
+    original = modular_data.validate
+
+    def counting(md):
+        calls.append(md)
+        return original(md)
+
+    monkeypatch.setattr(modular_data, "validate", counting)
+    code, out, _ = run(capsys, "validate", source)
+    assert code == 0
+    assert "pass  S unitary" in out
+    assert len(calls) == 1

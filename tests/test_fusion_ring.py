@@ -1,7 +1,9 @@
 import pytest
 
 import oracles
+from mtckit import dataio
 from mtckit.fusion_ring import (
+    FusionRing,
     ModularityError,
     dims_check,
     fuse,
@@ -9,7 +11,7 @@ from mtckit.fusion_ring import (
     power_decompose,
     verlinde,
 )
-from mtckit.modular_data import ModularData
+from mtckit.modular_data import ModularData, reverse
 
 
 def test_vec(fixture_data):
@@ -104,3 +106,46 @@ def test_verlinde_rejects_non_modular(fixture_data):
     )
     with pytest.raises(ModularityError):
         verlinde(bad)
+
+
+def test_reversed_braiding_has_the_same_ring(fixture_data):
+    # braid_jm_spectrum(sign="under") reuses the ring of the unreversed data
+    for name, (md, _) in fixture_data.items():
+        assert verlinde(reverse(md)) == dataio.catalog_ring(name), name
+
+
+def _ring(rank, products):
+    # products: {(a, b): {c: N^c_{a,b}}} for a <= b, filled in symmetrically
+    table = [[[0] * rank for _ in range(rank)] for _ in range(rank)]
+    for (a, b), out in products.items():
+        for c, n in out.items():
+            table[c][a][b] = table[c][b][a] = n
+    return FusionRing(
+        rank=rank,
+        unit=0,
+        dual=tuple(range(rank)),
+        table=tuple(tuple(tuple(row) for row in mat) for mat in table),
+    )
+
+
+def test_check_invariants_names_unit_law(fixture_data):
+    _, fr = fixture_data["fibonacci"]
+    table = [[list(row) for row in mat] for mat in fr.table]
+    table[1][1][0] = table[1][0][1] = 0  # tau (x) 1 no longer contains tau
+    bad = FusionRing(
+        rank=fr.rank, unit=fr.unit, dual=fr.dual,
+        table=tuple(tuple(tuple(row) for row in mat) for mat in table),
+    )
+    with pytest.raises(ModularityError, match=r"unit law at \(1, 1\)"):
+        bad.check_invariants()
+
+
+def test_check_invariants_names_associativity_law():
+    # x (x) x = 1 + y, x (x) y = x, y (x) y = 1 + y: commutative and rigid
+    # on the nose, but (x x) y = 1 + 2y while x (x y) = 1 + y
+    bad = _ring(3, {
+        (0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1},
+        (1, 1): {0: 1, 2: 1}, (1, 2): {1: 1}, (2, 2): {0: 1, 2: 1},
+    })
+    with pytest.raises(ModularityError, match="associativity law at"):
+        bad.check_invariants()

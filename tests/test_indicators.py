@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import oracles
 from mtckit import cyclo
 from mtckit.fusion_ring import power_decompose
 from mtckit.indicators import (
@@ -200,3 +201,34 @@ class TestNuGeneral:
     def test_rejects_bad_n(self, fixture_centers):
         with pytest.raises(ValueError):
             nu_general(fixture_centers["vec"], 0, 0, 1, 0)
+
+
+@pytest.mark.parametrize("name", ("semion", "toric-code", "fibonacci"))
+def test_nu_general_matches_field_power_formula(name, fixture_centers):
+    # every (b, n <= 4, k, a), k over two full periods so that the theta^-q
+    # prefactor is exercised, with both pinned roots
+    cd = fixture_centers[name]
+    for shift in (0, 1):
+        for n in range(1, 5):
+            for k in range(-n, n + 1):
+                for b in range(cd.rank):
+                    for a in range(cd.base_rank):
+                        want = oracles.nu_general_by_field_powers(cd, b, n, k, a, shift)
+                        got = nu_general(cd, b, n, k, a, root_shift=shift)
+                        assert got == want, (name, shift, n, k, b, a)
+
+
+def test_nu_general_takes_no_field_inverse_or_power(fixture_centers, monkeypatch):
+    cd = fixture_centers["fibonacci"]
+    for n in range(1, 5):
+        gfs_matrix(cd, n, 1)  # built before the patch: tables may use the field freely
+
+    def forbidden(*args):
+        raise AssertionError("field inverse or power reached from nu_general")
+
+    monkeypatch.setattr(cyclo, "inverse", forbidden)
+    monkeypatch.setattr(cyclo.Cyclotomic, "__pow__", forbidden)
+    for n in range(1, 5):
+        for k in range(-n, 2 * n):
+            for b in range(cd.rank):
+                nu_general(cd, b, n, k, 1, root_shift=1)

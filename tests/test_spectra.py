@@ -311,3 +311,19 @@ class TestRendering:
         assert len(rep.rows) == cd.rank
         text = render_report(rep)
         assert text.count("\n") == cd.rank + 3
+
+
+def test_polynomial_evaluates_mixed_orders_exactly():
+    # coefficients and points of different field orders; each evaluation
+    # runs at the common order, and the embedded coefficients are reused
+    coeffs = (
+        cyclo.from_rational(Fraction(2, 3)),
+        cyclo.root_of_unity(3, 1) + 1,
+        cyclo.root_of_unity(13, 5) * Fraction(-1, 2),
+        cyclo.ZERO,
+    )
+    poly = MultiplicityPolynomial(n=4, coeffs=coeffs)
+    for x in (cyclo.ONE, cyclo.root_of_unity(4, 1), cyclo.root_of_unity(39, 7),
+              cyclo.root_of_unity(4, 3), cyclo.from_rational(-2)):
+        want = sum((c * x**k for k, c in enumerate(coeffs)), cyclo.ZERO)
+        assert poly.evaluate(x) == want, x
