@@ -5,7 +5,6 @@ generalized Frobenius-Schur indicators, and exact eigenvalue/multiplicity
 data for rotation operators and braid-group elements.
 """
 
-from ._poly import BACKEND as kernel_backend
 from .center import center_for, deligne_square
 from .dataio import catalog, catalog_ring, parse_expr, parse_file
 from .fusion_ring import fuse, hom_dim, power_decompose, verlinde
@@ -23,7 +22,6 @@ from .spectra import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "kernel_backend",
     "__version__",
     "catalog",
     "catalog_ring",

@@ -17,15 +17,11 @@ import dataclasses
 import math
 
 from . import cyclo
-from .cyclo import Cyclotomic, RootOfUnity
+from .cyclo import ConsistencyError, Cyclotomic, RootOfUnity
 from .fusion_ring import FusionRing, verlinde
 from .modular_data import ModularData, derive_invariants
 
-__all__ = ["CenterData", "ConsistencyError", "deligne_square", "product_fusion_ring"]
-
-
-class ConsistencyError(ArithmeticError):
-    """An internal identity that holds for genuine modular input failed."""
+__all__ = ["CenterData", "ConsistencyError", "deligne_square"]
 
 
 @dataclasses.dataclass
@@ -182,36 +178,6 @@ def deligne_square(md: ModularData, fr: FusionRing) -> CenterData:
         dual=dual,
         a_matrix=a_matrix,
         conductor=conductor,
-    )
-
-
-def product_fusion_ring(fr: FusionRing) -> FusionRing:
-    """The fusion ring of the Deligne square: the tensor square of the base ring.
-
-    N^{(c,d)}_{(a,b),(a',b')} = N^c_{a,a'} N^d_{b,b'}. Used to cross-check
-    the center against an independent Verlinde computation on small
-    fixtures; invariants are inherited from the factors.
-    """
-    r = fr.rank
-    t = fr.table
-    table = tuple(
-        tuple(
-            tuple(
-                t[c][a][a2] * t[d][b][b2]
-                for a2 in range(r)
-                for b2 in range(r)
-            )
-            for a in range(r)
-            for b in range(r)
-        )
-        for c in range(r)
-        for d in range(r)
-    )
-    return FusionRing(
-        rank=r * r,
-        unit=fr.unit * r + fr.unit,
-        dual=tuple(fr.dual[a] * r + fr.dual[b] for a in range(r) for b in range(r)),
-        table=table,
     )
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "Cyclotomic",
     "RootOfUnity",
     "Classification",
+    "ConsistencyError",
     "CycloDomainError",
     "DescentError",
     "cyclotomic_polynomial",
@@ -72,6 +73,10 @@ _order_limit, _order_limit_error = _order_limit_from_env()
 
 class CycloDomainError(ValueError):
     """Invalid parameters for a cyclotomic operation (bad order, bad Galois index)."""
+
+
+class ConsistencyError(ArithmeticError):
+    """An internal identity that holds for genuine modular input failed."""
 
 
 class DescentError(ArithmeticError):
@@ -160,7 +165,8 @@ def _poly_divexact(num: list[int], den: tuple[int, ...]) -> list[int]:
         if c:
             for j in range(dd + 1):
                 r[i + j] -= c * den[j]
-    assert all(c == 0 for c in r), "non-exact polynomial division"
+    if any(r):
+        raise ConsistencyError("non-exact polynomial division")
     return q
 
 
@@ -182,7 +188,8 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
         if d < n:
             poly = _poly_divexact(poly, cyclotomic_polynomial(d))
     result = tuple(poly)
-    assert len(result) == euler_phi(n) + 1 and result[-1] == 1
+    if len(result) != euler_phi(n) + 1 or result[-1] != 1:
+        raise ConsistencyError(f"cyclotomic polynomial {n} is not monic of degree phi({n})")
     _cyclo_poly_cache[n] = result
     return result
 
@@ -339,7 +346,7 @@ class Cyclotomic:
         if self.order == 1:
             return o * self
         a, b = self._common(o)
-        num = poly_mulmod_lists(list(a._num), list(b._num), a.order)
+        num = poly_mulmod(a._num, b._num, cyclotomic_polynomial(a.order))
         return Cyclotomic._make(a.order, num, a._den * b._den)
 
     __rmul__ = __mul__
@@ -418,10 +425,6 @@ class Cyclotomic:
 
     def __repr__(self):
         return f"Cyclotomic({format_expr(self)})"
-
-
-def poly_mulmod_lists(a: list[int], b: list[int], order: int) -> list[int]:
-    return poly_mulmod(a, b, cyclotomic_polynomial(order))
 
 
 ZERO = Cyclotomic(1, (0,), 1)
@@ -617,7 +620,8 @@ def inverse(x: Cyclotomic) -> Cyclotomic:
             prod = prod * _galois_same_order(r, k)
     norm = (r * prod).reduced()
     q = norm.as_rational()
-    assert q is not None and q != 0, "field norm must be a nonzero rational"
+    if not q:
+        raise ConsistencyError("field norm must be a nonzero rational")
     return prod * Fraction(q.denominator, q.numerator)
 
 
@@ -690,9 +694,6 @@ class Classification:
     scale: Fraction | None
     root: RootOfUnity | None
     approx: complex
-
-    def is_integer(self) -> bool:
-        return self.kind in ("zero", "integer")
 
     def integer_value(self) -> int:
         if self.kind == "zero":

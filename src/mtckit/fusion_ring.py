@@ -10,7 +10,7 @@ import dataclasses
 from operator import mul
 
 from . import cyclo
-from .modular_data import ModularData, derive_invariants
+from .modular_data import ModularData
 
 __all__ = [
     "FusionRing",
@@ -155,18 +155,3 @@ def power_decompose(fr: FusionRing, a: int | ObjectMultiset, n: int) -> ObjectMu
 def hom_dim(fr: FusionRing, b: int, a: int | ObjectMultiset, n: int) -> int:
     """dim Hom(b, a^(tensor n)), the multiplicity of b in the power decomposition."""
     return power_decompose(fr, a, n).get(b, 0)
-
-
-def dims_check(fr: FusionRing, md: ModularData) -> bool:
-    """The dimension homomorphism: sum_c N^c_{a,b} d_c = d_a d_b, exactly."""
-    dims = derive_invariants(md).dims
-    r = fr.rank
-    for a in range(r):
-        for b in range(r):
-            lhs = sum(
-                (dims[c] * fr.table[c][a][b] for c in range(r) if fr.table[c][a][b]),
-                cyclo.ZERO,
-            )
-            if lhs != dims[a] * dims[b]:
-                return False
-    return True

@@ -3,7 +3,7 @@
 Everything here but the last section is derived from first principles
 (finite group theory, Legendre symbols, float evaluation) without touching
 the library's field arithmetic or spectral formulas, so agreement is
-meaningful. The last section is a reference formula in the library's own
+meaningful. The last section holds reference formulas in the library's own
 field arithmetic; see its header.
 """
 
@@ -141,13 +141,69 @@ HAAGERUP_SIGMA_X6_TABLE = {
 
 
 # ---------------------------------------------------------------------------
-# the field-arithmetic formula for nu_general
+# the fusion ring of a Deligne square, by integer products
+
+
+def product_fusion_ring(fr):
+    """The fusion ring of the Deligne square: the tensor square of the base ring.
+
+    N^{(c,d)}_{(a,b),(a',b')} = N^c_{a,a'} N^d_{b,b'}. Cross-checks the
+    center against an independent Verlinde computation on small fixtures;
+    invariants are inherited from the factors.
+    """
+    from mtckit.fusion_ring import FusionRing
+
+    r = fr.rank
+    t = fr.table
+    table = tuple(
+        tuple(
+            tuple(
+                t[c][a][a2] * t[d][b][b2]
+                for a2 in range(r)
+                for b2 in range(r)
+            )
+            for a in range(r)
+            for b in range(r)
+        )
+        for c in range(r)
+        for d in range(r)
+    )
+    return FusionRing(
+        rank=r * r,
+        unit=fr.unit * r + fr.unit,
+        dual=tuple(fr.dual[a] * r + fr.dual[b] for a in range(r) for b in range(r)),
+        table=table,
+    )
+
+
+# ---------------------------------------------------------------------------
+# reference formulas in the library's field arithmetic
 #
-# Unlike the oracles above, this one does use the library's field
-# arithmetic: it is the straightforward formula that nu_general used
-# before its root-of-unity factors became exponent arithmetic. Every root
-# is a Cyclotomic raised with ``**`` (negative powers through the field
-# inverse), so agreement checks the exponent bookkeeping of nu_general.
+# Unlike the oracles above, these use the library's field arithmetic.
+# dims_check evaluates the dimension homomorphism directly.
+# nu_general_by_field_powers is the straightforward formula that
+# nu_general used before its root-of-unity factors became exponent
+# arithmetic. Every root is a Cyclotomic raised with ``**`` (negative
+# powers through the field inverse), so agreement checks the exponent
+# bookkeeping of nu_general.
+
+
+def dims_check(fr, md):
+    """The dimension homomorphism: sum_c N^c_{a,b} d_c = d_a d_b, exactly."""
+    from mtckit import cyclo
+    from mtckit.modular_data import derive_invariants
+
+    dims = derive_invariants(md).dims
+    r = fr.rank
+    for a in range(r):
+        for b in range(r):
+            lhs = sum(
+                (dims[c] * fr.table[c][a][b] for c in range(r) if fr.table[c][a][b]),
+                cyclo.ZERO,
+            )
+            if lhs != dims[a] * dims[b]:
+                return False
+    return True
 
 
 def nu_general_by_field_powers(cd, b, n, k, a, root_shift=0):

@@ -1,12 +1,16 @@
 import cmath
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import oracles
-from mtckit import _poly_py, cyclo
+from mtckit import _poly, cyclo
 from mtckit.cyclo import (
     CycloDomainError,
     DescentError,
@@ -268,16 +272,75 @@ class TestOrderLimit:
             cyclo.set_order_limit(0)
 
 
-class TestKernels:
-    def test_backends_agree(self):
-        speedups = pytest.importorskip("mtckit._speedups")
+def _sympy_ascending(poly, length):
+    coeffs = [int(c) for c in reversed(poly.all_coeffs())]
+    return coeffs + [0] * (length - len(coeffs))
+
+
+def _rand_coeffs(rng, length):
+    # about a third zeros, and now and then the zero polynomial
+    if rng.random() < 0.05:
+        return [0] * length
+    return [rng.randint(-99, 99) if rng.random() < 0.7 else 0 for _ in range(length)]
+
+
+class TestKernel:
+    def test_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+
+        def as_poly(coeffs):
+            return sympy.Poly(list(reversed(coeffs)), x)
+
         rng = random.Random(13)
-        for _ in range(50):
-            la, lb = rng.randint(1, 30), rng.randint(1, 30)
-            a = [rng.randint(-99, 99) for _ in range(la)]
-            b = [rng.randint(-99, 99) for _ in range(lb)]
-            mod = [rng.randint(-5, 5) for _ in range(rng.randint(1, 12))] + [1]
-            assert speedups.poly_mul(list(a), list(b)) == _poly_py.poly_mul(list(a), list(b))
-            assert speedups.poly_mulmod(list(a), list(b), tuple(mod)) == _poly_py.poly_mulmod(
-                list(a), list(b), tuple(mod)
-            )
+        moduli = [cyclo.cyclotomic_polynomial(n) for n in (1, 12, 13, 24, 39)]
+        for _ in range(200):
+            a = _rand_coeffs(rng, rng.randint(1, 30))
+            b = _rand_coeffs(rng, rng.randint(1, 30))
+            if rng.random() < 0.5:
+                a, b = tuple(a), tuple(b)
+            if rng.random() < 0.5:
+                mod = tuple(rng.randint(-5, 5) for _ in range(rng.randint(1, 12))) + (1,)
+            else:
+                mod = rng.choice(moduli)
+            d = len(mod) - 1
+            a_before, b_before = list(a), list(b)
+
+            prod = as_poly(a) * as_poly(b)
+            assert _poly.poly_mul(a, b) == _sympy_ascending(prod, len(a) + len(b) - 1)
+            rem = prod.rem(as_poly(mod))
+            assert _poly.poly_mulmod(a, b, mod) == _sympy_ascending(rem, d)
+            assert (list(a), list(b)) == (a_before, b_before)
+
+            p = _rand_coeffs(rng, rng.randint(1, 40))
+            want = _sympy_ascending(as_poly(p).rem(as_poly(mod)), d)
+            assert _poly.poly_reduce(p, mod) == want
+
+
+class TestGuards:
+    def test_inexact_division_raises(self):
+        with pytest.raises(cyclo.ConsistencyError):
+            cyclo._poly_divexact([1, 0, 1], (1, 1))
+
+    def test_inexact_division_raises_under_optimize(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+        code = (
+            "from mtckit import cyclo\n"
+            "try:\n"
+            "    cyclo._poly_divexact([1, 0, 1], (1, 1))\n"
+            "except cyclo.ConsistencyError:\n"
+            "    print('raised')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "raised\n"
+
+    def test_center_reexports_the_error(self):
+        from mtckit.center import ConsistencyError
+
+        assert ConsistencyError is cyclo.ConsistencyError

@@ -1,0 +1,70 @@
+"""Source checks on the library: no guard that vanishes under ``python -O``
+and no environment knob beyond the documented one."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "mtckit"
+ALLOWED_ENV = {"MTCKIT_MAX_ORDER"}
+
+
+def _modules():
+    paths = sorted(SRC.rglob("*.py"))
+    assert paths, SRC
+    for path in paths:
+        yield path.relative_to(SRC.parent), ast.parse(path.read_text(), filename=str(path))
+
+
+def _is_environ(node):
+    # os.environ, or a bare environ imported from os
+    if isinstance(node, ast.Attribute):
+        return node.attr == "environ" and isinstance(node.value, ast.Name) and node.value.id == "os"
+    return isinstance(node, ast.Name) and node.id == "environ"
+
+
+def _env_reads(tree):
+    """(line, key or None) for each use of os.environ or os.getenv.
+
+    The key is the literal variable name when there is one; any other use,
+    such as iterating the mapping or a computed key, reads as None.
+    """
+    keyed = set()
+    for node in ast.walk(tree):
+        key = None
+        if isinstance(node, ast.Call) and node.args:
+            func = node.func
+            if isinstance(func, ast.Attribute) and (
+                (func.attr in ("get", "pop", "setdefault") and _is_environ(func.value))
+                or (func.attr == "getenv" and isinstance(func.value, ast.Name) and func.value.id == "os")
+            ):
+                key = node.args[0]
+                keyed.add(id(func.value))
+        elif isinstance(node, ast.Subscript) and _is_environ(node.value):
+            key = node.slice
+            keyed.add(id(node.value))
+        if key is not None:
+            name = key.value if isinstance(key, ast.Constant) else None
+            yield node.lineno, name
+    for node in ast.walk(tree):
+        if _is_environ(node) and id(node) not in keyed:
+            yield node.lineno, None
+
+
+def test_no_assert_statements():
+    found = [
+        f"{path}:{node.lineno}"
+        for path, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, f"assert is removed under python -O; raise instead: {found}"
+
+
+def test_only_documented_environment_reads():
+    found = [
+        f"{path}:{line} {name}"
+        for path, tree in _modules()
+        for line, name in _env_reads(tree)
+        if name not in ALLOWED_ENV
+    ]
+    assert not found, f"environment reads other than {sorted(ALLOWED_ENV)}: {found}"
