@@ -5,7 +5,7 @@ S_{(a,b),(c,d)} = S_{a,c} S_{b-bar,d} and twist theta_a / theta_b. The
 forgetful functor sends (a, b) to a (x) b, so its multiplicity matrix A is
 read off the base fusion ring.
 
-The full rank^2 x rank^2 S-matrix is only materialized on demand; the
+The full rank^2 x rank^2 S-matrix is never materialized; the
 SL2(Z)-representation machinery goes through apply_s / apply_t, which use
 the Kronecker structure (two rank-sized contractions instead of one
 rank^2-sized one).
@@ -17,7 +17,7 @@ import dataclasses
 import math
 
 from . import cyclo
-from .cyclo import ConsistencyError, Cyclotomic, RootOfUnity
+from .cyclo import ConsistencyError, RootOfUnity
 from .fusion_ring import FusionRing, verlinde
 from .modular_data import ModularData, derive_invariants
 
@@ -36,7 +36,6 @@ class CenterData:
     conductor: int
 
     def __post_init__(self):
-        self._md = None
         self._gfs_cache: dict[tuple[int, int], object] = {}
 
     @property
@@ -62,11 +61,6 @@ class CenterData:
             return self.labels.index(obj)
         raise ValueError(f"unknown center object {obj!r}")
 
-    def s_entry(self, i: int, j: int) -> Cyclotomic:
-        a, b = self.pair_of(i)
-        c, d = self.pair_of(j)
-        return self.base.s[a][c] * self.base.s[self.base.dual[b]][d]
-
     # -- SL2(Z) generator action on (rank x width) matrices ------------------
 
     def apply_t(self, x: list[list], inverse: bool = False) -> list[list]:
@@ -81,59 +75,19 @@ class CenterData:
         r = self.base.rank
         s = self.base.s
         sd = [s[self.base.dual[b]] for b in range(r)]
-        width = len(x[0])
         # first contraction: y[(a,d)][j] = sum_c s[a][c] x[(c,d)][j]
-        y = [[cyclo.ZERO] * width for _ in range(r * r)]
-        for a in range(r):
-            srow = s[a]
-            for c in range(r):
-                f = srow[c]
-                if f.is_zero():
-                    continue
-                for d in range(r):
-                    src = x[c * r + d]
-                    dst = y[a * r + d]
-                    for j in range(width):
-                        v = src[j]
-                        if isinstance(v, int):
-                            if v:
-                                dst[j] = dst[j] + f * v
-                        elif not v.is_zero():
-                            dst[j] = dst[j] + f * v
+        y = [None] * (r * r)
+        for d in range(r):
+            cols = list(zip(*x[d::r]))  # cols[j][c] = x[(c,d)][j]
+            for a in range(r):
+                y[a * r + d] = [cyclo.dot(s[a], col) for col in cols]
         # second contraction: z[(a,b)][j] = sum_d s[b-bar][d] y[(a,d)][j]
-        z = [[cyclo.ZERO] * width for _ in range(r * r)]
-        for b in range(r):
-            srow = sd[b]
-            for d in range(r):
-                f = srow[d]
-                if f.is_zero():
-                    continue
-                for a in range(r):
-                    src = y[a * r + d]
-                    dst = z[a * r + b]
-                    for j in range(width):
-                        v = src[j]
-                        if not v.is_zero():
-                            dst[j] = dst[j] + f * v
+        z = []
+        for a in range(r):
+            cols = list(zip(*y[a * r : (a + 1) * r]))  # cols[j][d] = y[(a,d)][j]
+            for b in range(r):
+                z.append([cyclo.dot(sd[b], col) for col in cols])
         return z
-
-    # -- full modular data, materialized on demand ---------------------------
-
-    @property
-    def md(self) -> ModularData:
-        if self._md is None:
-            n = self.rank
-            s = tuple(
-                tuple(self.s_entry(i, j) for j in range(n)) for i in range(n)
-            )
-            self._md = ModularData(
-                labels=self.labels,
-                s=s,
-                theta=self.theta,
-                unit=self.unit,
-                dual=self.dual,
-            )
-        return self._md
 
 
 def deligne_square(md: ModularData, fr: FusionRing) -> CenterData:
@@ -145,10 +99,9 @@ def deligne_square(md: ModularData, fr: FusionRing) -> CenterData:
     r = md.rank
     inv = derive_invariants(md)
     dims = inv.dims
-    tau_plus = sum((t.value() * d * d for t, d in zip(md.theta, dims)), cyclo.ZERO)
-    tau_minus = sum(
-        (t.inverse().value() * d * d for t, d in zip(md.theta, dims)), cyclo.ZERO
-    )
+    squares = [d * d for d in dims]
+    tau_plus = cyclo.dot((t.value() for t in md.theta), squares)
+    tau_minus = cyclo.dot((t.inverse().value() for t in md.theta), squares)
     if tau_plus * tau_minus != inv.global_dim:
         raise ConsistencyError(
             "Gauss-sum identity tau+ tau- = D fails; center charge would not be 1"

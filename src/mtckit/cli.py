@@ -9,6 +9,7 @@ consistency error. Identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import cyclo, dataio, fusion_ring, indicators, spectra
@@ -148,9 +149,7 @@ def _cmd_braid(args) -> int:
     a = md.index_of(args.object)
     sign = "under" if args.under else "over"
     report = spectra.braid_jm_spectrum(md, a, args.n, args.l, args.m, sign=sign, fr=fr)
-    report = spectra.SpectrumReport(
-        kind=report.kind, source=source, params=report.params, rows=report.rows
-    )
+    report = dataclasses.replace(report, source=source)
     _emit(spectra.render_report(report, args.format), args.out)
     return EXIT_OK
 
@@ -161,9 +160,7 @@ def _cmd_report(args) -> int:
     a = md.index_of(args.object)
     braid = "sigma" if args.braid_sigma else "sigma-triple"
     report = spectra.sigma_spectrum_n2(md, fr, a, braid=braid)
-    report = spectra.SpectrumReport(
-        kind=report.kind, source=source, params=report.params, rows=report.rows
-    )
+    report = dataclasses.replace(report, source=source)
     _emit(spectra.render_report(report, args.format), args.out)
     return EXIT_OK
 

@@ -36,7 +36,7 @@ __all__ = [
     "root_of_unity",
     "zeta",
     "from_rational",
-    "zero",
+    "dot",
     "inverse",
     "galois_apply",
     "descend",
@@ -243,7 +243,7 @@ class Cyclotomic:
         return tuple(Fraction(c, d) for c in self._num)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self._num)
+        return not any(self._num)
 
     def as_rational(self) -> Fraction | None:
         """The value as a Fraction if it is rational, else None."""
@@ -408,7 +408,7 @@ class Cyclotomic:
         return h
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self._num)
 
     # -- output --------------------------------------------------------------
 
@@ -431,9 +431,20 @@ ZERO = Cyclotomic(1, (0,), 1)
 ONE = Cyclotomic(1, (1,), 1)
 
 
-def zero(order: int) -> Cyclotomic:
-    """Zero represented at the given order, to start a sum that stays there."""
-    return Cyclotomic(order, (0,) * (len(cyclotomic_polynomial(order)) - 1), 1)
+def dot(coeffs, values) -> Cyclotomic:
+    """sum_i c_i v_i, exactly; the two iterables must have equal length.
+
+    Coefficients may be ints, Fractions or Cyclotomics; values are
+    Cyclotomics. A term with a zero factor costs nothing, and the sum starts
+    from the first nonzero term, so it stays at the order of its terms
+    instead of passing through order 1. ZERO if every term vanishes.
+    """
+    total = None
+    for c, v in zip(coeffs, values, strict=True):
+        if c and v:
+            term = c * v
+            total = term if total is None else total + term
+    return ZERO if total is None else total
 
 
 def from_rational(q) -> Cyclotomic:
@@ -673,9 +684,6 @@ class RootOfUnity:
         """The angle as a fraction of a full turn, in [0, 1)."""
         return Fraction(self.exponent, self.order)
 
-    def to_complex(self) -> complex:
-        return cmath.exp(2j * cmath.pi * self.exponent / self.order)
-
 
 ROOT_ONE = RootOfUnity(1, 0)
 ROOT_MINUS_ONE = RootOfUnity(2, 1)
@@ -829,27 +837,16 @@ def format_expr(x: Cyclotomic) -> str:
 def dft(xs: list) -> list[Cyclotomic]:
     """F(x)_k = sum_m x_m zeta_N^(m k) for k, m = 1..N (exact)."""
     n = len(xs)
-    vals = [from_rational(v) if not isinstance(v, Cyclotomic) else v for v in xs]
     powers = [root_of_unity(n, j) for j in range(n)]
-    out = []
-    for k in range(1, n + 1):
-        acc = ZERO
-        for m in range(1, n + 1):
-            acc = acc + vals[m - 1] * powers[(m * k) % n]
-        out.append(acc)
-    return out
+    return [dot(xs, (powers[(m * k) % n] for m in range(1, n + 1))) for k in range(1, n + 1)]
 
 
 def idft(xs: list) -> list[Cyclotomic]:
     """Inverse transform: F^-1(X)_k = (1/N) sum_m X_m zeta_N^(-m k) (exact)."""
     n = len(xs)
-    vals = [from_rational(v) if not isinstance(v, Cyclotomic) else v for v in xs]
     powers = [root_of_unity(n, j) for j in range(n)]
     scale = Fraction(1, n)
-    out = []
-    for k in range(1, n + 1):
-        acc = ZERO
-        for m in range(1, n + 1):
-            acc = acc + vals[m - 1] * powers[(-m * k) % n]
-        out.append(acc * scale)
-    return out
+    return [
+        dot(xs, (powers[(-m * k) % n] for m in range(1, n + 1))) * scale
+        for k in range(1, n + 1)
+    ]

@@ -296,10 +296,10 @@ def _legendre(k: int, p: int) -> int:
 
 def _sqrt13() -> Cyclotomic:
     # the quadratic Gauss sum: sum_k (k|13) zeta_13^k squares to 13
-    total = cyclo.ZERO
-    for k in range(1, 13):
-        total = total + _legendre(k, 13) * cyclo.root_of_unity(13, k)
-    return total
+    return cyclo.dot(
+        (_legendre(k, 13) for k in range(1, 13)),
+        (cyclo.root_of_unity(13, k) for k in range(1, 13)),
+    )
 
 
 def _build_vec() -> ModularData:

@@ -97,7 +97,7 @@ def verlinde(md: ModularData) -> FusionRing:
         for d in range(c, r):
             prod = [s[c][e] * s[d][e] for e in range(r)]
             for a in range(r):
-                val = sum((prod[e] * ratio[a][e] for e in range(r)), cyclo.ZERO)
+                val = cyclo.dot(prod, ratio[a])
                 n = cyclo.as_integer(val)
                 if n is None or n < 0:
                     raise ModularityError(

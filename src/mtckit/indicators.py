@@ -239,10 +239,7 @@ def nu_general(
     n1, k1 = n // g, k0 // g
     table = gfs_matrix(cd, n1, 1)
     a_pow = power_decompose(cd.base_ring, a, g)
-    nu1 = cyclo.ZERO
-    for c, mult in a_pow.items():
-        if mult:
-            nu1 = nu1 + mult * table.values[b][c]
+    nu1 = cyclo.dot(a_pow.values(), (table.values[b][c] for c in a_pow))
 
     if k1 == 1:
         # theta^{-k0/n} * theta^{g/n} = 1 when k0 == g
@@ -268,19 +265,6 @@ def nu2_direct(md: ModularData, fr: FusionRing, c: int, b: int, a: int) -> Cyclo
     order = math.lcm(*(x.order for x in u_row + v_row))
     u_row = [x.embedded(order) for x in u_row]
     v_row = [x.embedded(order) for x in v_row]
-    zero = cyclo.zero(order)
-    n_a = fr.table[a]
-    z = [zero] * r
-    for d in range(r):
-        ud = u_row[d]
-        if ud.is_zero():
-            continue
-        row = n_a[d]
-        for e in range(r):
-            if row[e]:
-                z[e] = z[e] + row[e] * ud
-    total = zero
-    for e in range(r):
-        if not z[e].is_zero():
-            total = total + z[e] * v_row[e]
-    return total
+    # z_e = sum_d N^a_{d,e} u_d
+    z = [cyclo.dot(col, u_row) for col in zip(*fr.table[a])]
+    return cyclo.dot(z, v_row)

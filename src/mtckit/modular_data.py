@@ -100,11 +100,8 @@ def _is_positive_real(x: Cyclotomic) -> bool:
 
 
 def _matmul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(n)), cyclo.ZERO) for j in range(n))
-        for i in range(n)
-    )
+    cols = list(zip(*b))
+    return tuple(tuple(cyclo.dot(row, col) for col in cols) for row in a)
 
 
 def _perm_from_square(s2) -> tuple[int, ...] | None:
@@ -185,12 +182,12 @@ def derive_invariants(md: ModularData) -> DerivedInvariants:
     u = md.unit
     inv_suu = cyclo.inverse(md.s[u][u])
     dims = tuple(md.s[u][a] * inv_suu for a in range(md.rank))
-    global_dim = sum((d * d for d in dims), cyclo.ZERO)
+    global_dim = cyclo.dot(dims, dims)
     conductor = 1
     for t in md.theta:
         conductor = math.lcm(conductor, t.order)
     # xi = sum_a theta_a d_a^2 / sqrt(D), with sqrt(D) = 1/S_{unit,unit}
-    gauss = sum((t.value() * d * d for t, d in zip(md.theta, dims)), cyclo.ZERO)
+    gauss = cyclo.dot((t.value() * d for t, d in zip(md.theta, dims)), dims)
     xi_val = gauss * md.s[u][u]
     xi = cyclo.as_root_of_unity(xi_val)
     if xi is None:

@@ -193,16 +193,16 @@ def semisimple_K(
     Sum over the simples occurring in b of the P-multiplicity, gated by
     omega^n = theta_c^-1 (exact root-of-unity comparison).
     """
-    total = cyclo.ZERO
     omega_inv = omega.inverse().value()
     gate = omega**n
-    for c, mult in b.items():
-        if not mult:
-            continue
-        if gate != cd.theta[c].inverse():
-            continue
-        poly = multiplicity_polynomial(cd, c, a, n, root_shift=root_shift)
-        total = total + mult * poly.evaluate(omega_inv)
+    gated = {c: mult for c, mult in b.items() if mult and gate == cd.theta[c].inverse()}
+    total = cyclo.dot(
+        gated.values(),
+        (
+            multiplicity_polynomial(cd, c, a, n, root_shift=root_shift).evaluate(omega_inv)
+            for c in gated
+        ),
+    )
     return _require_count(total, lambda: f"K at omega = {omega.value()}")
 
 

@@ -180,12 +180,34 @@ def product_fusion_ring(fr):
 # reference formulas in the library's field arithmetic
 #
 # Unlike the oracles above, these use the library's field arithmetic.
-# dims_check evaluates the dimension homomorphism directly.
+# center_modular_data builds the full S-matrix of a center entry by entry,
+# which the library never does (it applies S through two base-rank
+# contractions). dims_check evaluates the dimension homomorphism directly.
 # nu_general_by_field_powers is the straightforward formula that
 # nu_general used before its root-of-unity factors became exponent
 # arithmetic. Every root is a Cyclotomic raised with ``**`` (negative
 # powers through the field inverse), so agreement checks the exponent
 # bookkeeping of nu_general.
+
+
+def center_modular_data(cd):
+    """The center's full modular data, S_{(a,b),(c,d)} = S_{a,c} S_{b-bar,d}."""
+    from mtckit.modular_data import ModularData
+
+    s, dual = cd.base.s, cd.base.dual
+
+    def entry(i, j):
+        (a, b), (c, d) = cd.pair_of(i), cd.pair_of(j)
+        return s[a][c] * s[dual[b]][d]
+
+    n = cd.rank
+    return ModularData(
+        labels=cd.labels,
+        s=tuple(tuple(entry(i, j) for j in range(n)) for i in range(n)),
+        theta=cd.theta,
+        unit=cd.unit,
+        dual=cd.dual,
+    )
 
 
 def dims_check(fr, md):

@@ -3,8 +3,9 @@ import pytest
 import oracles
 from mtckit import cyclo
 from mtckit.center import ConsistencyError, deligne_square
-from mtckit.cyclo import RootOfUnity
+from mtckit.cyclo import Cyclotomic, RootOfUnity
 from mtckit.fusion_ring import verlinde
+from mtckit.indicators import gfs_matrix
 from mtckit.modular_data import ModularData, derive_invariants, validate
 
 SMALL = ("vec", "semion", "toric-code", "fibonacci")
@@ -12,10 +13,10 @@ SMALL = ("vec", "semion", "toric-code", "fibonacci")
 
 def test_center_modular_data_validates(fixture_data, fixture_centers):
     for name in SMALL:
-        cd = fixture_centers[name]
-        report = validate(cd.md)
+        cd_md = oracles.center_modular_data(fixture_centers[name])
+        report = validate(cd_md)
         assert report.ok, (name, report.failed())
-        inv = derive_invariants(cd.md)
+        inv = derive_invariants(cd_md)
         assert inv.central_charge.is_one(), name
 
 
@@ -75,7 +76,7 @@ def test_center_dims_and_column_sums(fixture_data, fixture_centers):
         md, _ = fixture_data[name]
         cd = fixture_centers[name]
         inv = derive_invariants(md)
-        inv_z = derive_invariants(cd.md)
+        inv_z = derive_invariants(oracles.center_modular_data(cd))
         r = md.rank
         # d_{(a,b)} = d_a d_b and D_Z = D^2, so sqrt(D_Z) = D inside the field
         for a in range(r):
@@ -98,7 +99,7 @@ def test_product_ring_matches_center_verlinde(fixture_data, fixture_centers):
         _, fr = fixture_data[name]
         cd = fixture_centers[name]
         pr = oracles.product_fusion_ring(fr)
-        vr = verlinde(cd.md)
+        vr = verlinde(oracles.center_modular_data(cd))
         assert pr.table == vr.table
         assert pr.unit == vr.unit and pr.dual == vr.dual, name
 
@@ -109,14 +110,33 @@ def test_apply_s_matches_matrix_product(fixture_data, fixture_centers):
         cd = fixture_centers[name]
         x = [list(row) for row in cd.a_matrix]
         got = cd.apply_s(x)
+        s = oracles.center_modular_data(cd).s
         n = cd.rank
         for i in range(n):
             for j in range(md.rank):
                 want = sum(
-                    (cd.s_entry(i, k) * cd.a_matrix[k][j] for k in range(n)),
+                    (s[i][k] * cd.a_matrix[k][j] for k in range(n)),
                     cyclo.ZERO,
                 )
                 assert got[i][j] == want, (name, i, j)
+
+
+def test_indicator_sums_never_embed_an_order_one_zero(fixture_data, monkeypatch):
+    # a cell sum started at the order-1 ZERO pays an embedding on its first add
+    md, fr = fixture_data["semion"]
+    cd = deligne_square(md, fr)
+    embedded = Cyclotomic.embedded
+    zero_embeds = []
+
+    def recording(self, target):
+        if self.order == 1 and self.is_zero():
+            zero_embeds.append(target)
+        return embedded(self, target)
+
+    monkeypatch.setattr(Cyclotomic, "embedded", recording)
+    for m, l in ((2, 1), (3, 1), (3, 2)):
+        gfs_matrix(cd, m, l)
+    assert not zero_embeds
 
 
 def test_apply_t_scales_rows(fixture_centers):

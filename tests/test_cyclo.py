@@ -1,5 +1,7 @@
 import cmath
+import functools
 import math
+import operator
 import os
 import random
 import subprocess
@@ -254,6 +256,52 @@ class TestDft:
                 for m in range(1, n + 1)
             )
             assert abs(out[k - 1].to_complex() - want) < 1e-9
+
+
+class TestDot:
+    ORDERS = (1, 3, 8, 13, 39)
+
+    def _coeff(self, rng):
+        kind = rng.randrange(4)
+        if kind == 0:
+            return 0
+        if kind == 1:
+            return rng.randint(-5, 5)
+        if kind == 2:
+            return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        return rand_cyclotomic(rng, rng.choice(self.ORDERS))
+
+    def _value(self, rng):
+        order = rng.choice(self.ORDERS)
+        if rng.random() < 0.2:
+            return zeta(order) - zeta(order)  # zero carried at order > 1
+        return rand_cyclotomic(rng, order)
+
+    def test_matches_pairwise_products(self):
+        rng = random.Random(59)
+        for _ in range(150):
+            k = rng.randint(1, 8)
+            coeffs = [self._coeff(rng) for _ in range(k)]
+            values = [self._value(rng) for _ in range(k)]
+            want = functools.reduce(operator.add, [c * v for c, v in zip(coeffs, values)])
+            got = cyclo.dot(coeffs, values)
+            assert isinstance(got, cyclo.Cyclotomic)
+            assert got == want, (coeffs, values)
+            assert cyclo.dot(iter(coeffs), (v for v in values)) == want
+            as_dict = dict(zip(range(k), coeffs))
+            assert cyclo.dot(as_dict.values(), (values[i] for i in as_dict)) == want
+
+    def test_all_zero_terms(self):
+        z13 = zeta(13) - zeta(13)
+        assert cyclo.dot([], []) == cyclo.ZERO
+        got = cyclo.dot([0, Fraction(0), 3, zeta(8)], [zeta(8), zeta(3), z13, cyclo.ZERO])
+        assert isinstance(got, cyclo.Cyclotomic) and got == cyclo.ZERO
+
+    def test_unequal_lengths_raise(self):
+        with pytest.raises(ValueError):
+            cyclo.dot([1, 2], [zeta(3)])
+        with pytest.raises(ValueError):
+            cyclo.dot([1], (zeta(3) for _ in range(2)))
 
 
 class TestOrderLimit:

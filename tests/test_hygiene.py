@@ -1,5 +1,6 @@
-"""Source checks on the library: no guard that vanishes under ``python -O``
-and no environment knob beyond the documented one."""
+"""Source checks on the library: no guard that vanishes under ``python -O``,
+no environment knob beyond the documented one, and no field sum started
+at the order-1 zero."""
 
 import ast
 from pathlib import Path
@@ -68,3 +69,35 @@ def test_only_documented_environment_reads():
         if name not in ALLOWED_ENV
     ]
     assert not found, f"environment reads other than {sorted(ALLOWED_ENV)}: {found}"
+
+
+def _is_zero_constant(node):
+    # ZERO, or cyclo.ZERO
+    if isinstance(node, ast.Attribute):
+        return node.attr == "ZERO" and isinstance(node.value, ast.Name) and node.value.id == "cyclo"
+    return isinstance(node, ast.Name) and node.id == "ZERO"
+
+
+def _zero_started_sums(tree):
+    """Lines that start a field sum at ZERO: sum(..., ZERO) or a bare
+    ``name = ZERO`` inside a function, the accumulator of a hand-written loop."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum":
+            start = node.args[1:2] + [k.value for k in node.keywords if k.arg == "start"]
+            if any(_is_zero_constant(v) for v in start):
+                yield node.lineno
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(node):
+                if (
+                    isinstance(inner, ast.Assign)
+                    and all(isinstance(t, ast.Name) for t in inner.targets)
+                    and _is_zero_constant(inner.value)
+                ):
+                    yield inner.lineno
+
+
+def test_no_sums_started_at_zero():
+    found = sorted(
+        {f"{path}:{line}" for path, tree in _modules() for line in _zero_started_sums(tree)}
+    )
+    assert not found, f"start exact sums with cyclo.dot, not at the order-1 ZERO: {found}"
