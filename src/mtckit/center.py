@@ -9,19 +9,37 @@ The full rank^2 x rank^2 S-matrix is never materialized; the
 SL2(Z)-representation machinery goes through apply_s / apply_t, which use
 the Kronecker structure (two rank-sized contractions instead of one
 rank^2-sized one).
+
+Both generators work in one field per center, Q(zeta_N) with N the lcm of
+the conductor and the orders of the base S entries (the semion S lies in
+Q(zeta_8) while its center twists have order 4). A matrix in transit is
+integer coefficient rows at order N over one common denominator: lift
+builds it, convert turns it back into Cyclotomic values. The base S is
+lifted once per center, on first use. apply_t multiplies a row by a root
+of unity as an index shift plus one reduction modulo Phi_N; apply_s
+computes every cell of both contractions as one dot product of rows packed
+into Python ints (mtckit._poly). The first contraction stays packed; each
+output cell is unpacked and reduced modulo Phi_N once.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+from operator import mul
 
 from . import cyclo
-from .cyclo import ConsistencyError, RootOfUnity
+from ._poly import poly_fold, poly_pack, poly_reduce, poly_unpack, slot_width
+from .cyclo import ConsistencyError, Cyclotomic, RootOfUnity
 from .fusion_ring import FusionRing, verlinde
 from .modular_data import ModularData, derive_invariants
 
 __all__ = ["CenterData", "ConsistencyError", "deligne_square"]
+
+# (cells, den): cells[i][j] holds the integer numerators of entry (i, j) at
+# the working order, and den is the denominator they share
+Working = tuple[list[list[list[int]]], int]
 
 
 @dataclasses.dataclass
@@ -63,31 +81,109 @@ class CenterData:
 
     # -- SL2(Z) generator action on (rank x width) matrices ------------------
 
-    def apply_t(self, x: list[list], inverse: bool = False) -> list[list]:
-        out = []
-        for i, row in enumerate(x):
-            t = self.theta[i].inverse() if inverse else self.theta[i]
-            tv = t.value()
-            out.append([tv * v for v in row])
-        return out
+    @functools.cached_property
+    def working_order(self) -> int:
+        """The order N that holds every twist and every base S entry."""
+        return math.lcm(self.conductor, *(v.order for row in self.base.s for v in row))
 
-    def apply_s(self, x: list[list]) -> list[list]:
+    @functools.cached_property
+    def _working_s(self) -> tuple[list[list[list[int]]], int, int]:
+        # the base S lifted to order N, with its largest |coefficient|
+        rows, den = self.lift(self.base.s)
+        return rows, den, _max_abs(c for row in rows for c in row)
+
+    @functools.cached_property
+    def _twist_exponents(self) -> tuple[int, ...]:
+        n = self.working_order
+        return tuple(t.exponent * (n // t.order) for t in self.theta)
+
+    def lift(self, matrix) -> Working:
+        """A matrix of ints, Fractions or Cyclotomics as (cells, den) at order N."""
+        cols = len(matrix[0])
+        flat, den = cyclo.integer_rows(
+            [v for row in matrix for v in row], self.working_order
+        )
+        return [flat[i : i + cols] for i in range(0, len(flat), cols)], den
+
+    def convert(self, x: Working) -> tuple[tuple[Cyclotomic, ...], ...]:
+        """The (cells, den) matrix as Cyclotomic entries at order N; zeros are ZERO."""
+        cells, den = x
+        n = self.working_order
+        return tuple(
+            tuple(Cyclotomic._make(n, c, den) if any(c) else cyclo.ZERO for c in row)
+            for row in cells
+        )
+
+    def apply_t(self, x: Working, power: int) -> Working:
+        """T^power: row i times theta_i^power, an index shift at order N."""
+        cells, den = x
+        n = self.working_order
+        mod = cyclo.cyclotomic_polynomial(n)
+        out = []
+        for row, t in zip(cells, self._twist_exponents):
+            e = power * t % n
+            if e:
+                # zeta^e c(zeta): shift the coefficients up by e, then reduce
+                row = [poly_reduce([0] * e + c, mod) for c in row]
+            out.append(row)
+        return out, den
+
+    def apply_s(self, x: Working) -> Working:
+        """S through two base-rank contractions of packed-integer dot products.
+
+        Both contractions work on packed rows modulo zeta^N = 1, so y stays
+        packed between them; each output cell is unpacked and reduced
+        modulo Phi_N once.
+        """
+        cells, den = x
         r = self.base.rank
-        s = self.base.s
-        sd = [s[self.base.dual[b]] for b in range(r)]
-        # first contraction: y[(a,d)][j] = sum_c s[a][c] x[(c,d)][j]
-        y = [None] * (r * r)
-        for d in range(r):
-            cols = list(zip(*x[d::r]))  # cols[j][c] = x[(c,d)][j]
-            for a in range(r):
-                y[a * r + d] = [cyclo.dot(s[a], col) for col in cols]
-        # second contraction: z[(a,b)][j] = sum_d s[b-bar][d] y[(a,d)][j]
-        z = []
-        for a in range(r):
-            cols = list(zip(*y[a * r : (a + 1) * r]))  # cols[j][d] = y[(a,d)][j]
-            for b in range(r):
-                z.append([cyclo.dot(sd[b], col) for col in cols])
-        return z
+        n = self.working_order
+        s_rows, s_den, s_max = self._working_s
+        mod = cyclo.cyclotomic_polynomial(n)
+        terms = r * (len(mod) - 1)  # coefficient products summed into one slot
+        # |y| <= terms * s_max * max|x| and |z| <= terms * s_max * max|y|
+        y_max = terms * s_max * _max_abs(c for row in cells for c in row)
+        width = slot_width(s_max, y_max, terms)
+        packed_s = [[poly_pack(v, width) for v in row] for row in s_rows]
+
+        def contract(rows, packed):
+            # out[(a,d)][j] = sum_c rows[a][c] packed[(c,d)][j], one dot product per cell
+            out = [None] * (r * r)
+            for d in range(r):
+                cols = list(zip(*packed[d::r]))  # cols[j][c] = packed[(c,d)][j]
+                for a in range(r):
+                    row = rows[a]
+                    out[a * r + d] = [poly_fold(sum(map(mul, row, col)), width, n) for col in cols]
+            return out
+
+        # y[(a,d)][j] = sum_c s[a][c] x[(c,d)][j]
+        y = contract(packed_s, [[poly_pack(c, width) for c in row] for row in cells])
+        # z[(a,b)][j] = sum_d s[b-bar][d] y[(a,d)][j]: the same contraction on
+        # the transposed pair index
+        y_t = [y[a * r + d] for d in range(r) for a in range(r)]
+        z_t = contract([packed_s[self.base.dual[b]] for b in range(r)], y_t)
+        del y, y_t  # only one packed matrix is alive while z is unpacked
+        z = [
+            [poly_reduce(poly_unpack(v, width, n), mod) for v in z_t[b * r + a]]
+            for a in range(r)
+            for b in range(r)
+        ]
+        # divide out the common content so widths do not grow with every s
+        den *= s_den * s_den
+        g = den
+        for row in z:
+            for c in row:
+                g = math.gcd(g, *c)
+        if g > 1:
+            for row in z:
+                for c in row:
+                    c[:] = [v // g for v in c]
+            den //= g
+        return z, den
+
+
+def _max_abs(rows) -> int:
+    return max((max(max(c), -min(c)) for c in rows), default=0)
 
 
 def deligne_square(md: ModularData, fr: FusionRing) -> CenterData:

@@ -37,6 +37,7 @@ __all__ = [
     "zeta",
     "from_rational",
     "dot",
+    "integer_rows",
     "inverse",
     "galois_apply",
     "descend",
@@ -261,13 +262,7 @@ class Cyclotomic:
         if target % n != 0:
             raise CycloDomainError(f"cannot embed order {n} into order {target}")
         _check_order(target)
-        s = target // n
-        p = [0] * target
-        for j, c in enumerate(self._num):
-            if c:
-                p[j * s] = c
-        poly_reduce(p, cyclotomic_polynomial(target))
-        return Cyclotomic(target, tuple(p), self._den)
+        return Cyclotomic(target, tuple(_spread(self._num, n, target)), self._den)
 
     def reduced(self) -> "Cyclotomic":
         """The value represented in its minimal cyclotomic field."""
@@ -429,6 +424,31 @@ class Cyclotomic:
 
 ZERO = Cyclotomic(1, (0,), 1)
 ONE = Cyclotomic(1, (1,), 1)
+
+
+def _spread(num, order: int, target: int) -> list[int]:
+    # numerators at order re-expressed at target, a multiple of order
+    s = target // order
+    p = [0] * target
+    for j, c in enumerate(num):
+        if c:
+            p[j * s] = c
+    return poly_reduce(p, cyclotomic_polynomial(target))
+
+
+def integer_rows(values, order: int) -> tuple[list[list[int]], int]:
+    """The values as integer numerator rows at one order over one denominator.
+
+    Each value must lie in Q(zeta_order) by its representation: its order
+    divides ``order``. Row i times 1/den is value i at order ``order``.
+    """
+    _check_order(order)
+    values = [from_rational(v) if not isinstance(v, Cyclotomic) else v for v in values]
+    for v in values:
+        if order % v.order:
+            raise CycloDomainError(f"cannot embed order {v.order} into order {order}")
+    den = math.lcm(*(v._den for v in values))
+    return [[den // v._den * c for c in _spread(v._num, v.order, order)] for v in values], den
 
 
 def dot(coeffs, values) -> Cyclotomic:

@@ -11,6 +11,7 @@ data (nu2_direct) to check against.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 from . import cyclo
@@ -169,24 +170,20 @@ def gfs_matrix(cd: CenterData, m: int, l: int, word: Sl2Word | None = None) -> I
 
 
 def _gfs_apply(cd: CenterData, m: int, l: int, word: Sl2Word) -> IndicatorTable:
-    x: list[list] = [list(row) for row in cd.a_matrix]
-    for tok in reversed(word.tokens):
-        if tok == "s":
-            x = cd.apply_s(x)
-        elif tok == "t":
-            x = cd.apply_t(x)
+    # pi(g) A, applied right to left; each run of t / t^-1 tokens is one power of T
+    x = cd.lift(cd.a_matrix)
+    for is_s, run in itertools.groupby(reversed(word.tokens), key=lambda tok: tok == "s"):
+        if is_s:
+            for _ in run:
+                x = cd.apply_s(x)
         else:
-            x = cd.apply_t(x, inverse=True)
-    values = tuple(
-        tuple(v if isinstance(v, Cyclotomic) else cyclo.from_rational(v) for v in row)
-        for row in x
-    )
+            x = cd.apply_t(x, sum(1 if tok == "t" else -1 for tok in run))
     return IndicatorTable(
         m=m,
         l=l,
         row_labels=cd.labels,
         col_labels=cd.base.labels,
-        values=values,
+        values=cd.convert(x),
     )
 
 

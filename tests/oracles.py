@@ -182,7 +182,10 @@ def product_fusion_ring(fr):
 # Unlike the oracles above, these use the library's field arithmetic.
 # center_modular_data builds the full S-matrix of a center entry by entry,
 # which the library never does (it applies S through two base-rank
-# contractions). dims_check evaluates the dimension homomorphism directly.
+# contractions). gfs_by_dot walks an SL2(Z) word with one Cyclotomic product
+# per term: each token is a pass of Cyclotomic products and cyclo.dot
+# sums, where the library works on packed integer rows at one field order.
+# dims_check evaluates the dimension homomorphism directly.
 # nu_general_by_field_powers is the straightforward formula that
 # nu_general used before its root-of-unity factors became exponent
 # arithmetic. Every root is a Cyclotomic raised with ``**`` (negative
@@ -208,6 +211,43 @@ def center_modular_data(cd):
         unit=cd.unit,
         dual=cd.dual,
     )
+
+
+def gfs_by_dot(cd, word):
+    """The indicator table values pi(g) A for the tokens of word, in field arithmetic."""
+    from mtckit import cyclo
+
+    r = cd.base.rank
+    s = cd.base.s
+    sd = [s[cd.base.dual[b]] for b in range(r)]
+
+    def apply_s(x):
+        # y[(a,d)][j] = sum_c s[a][c] x[(c,d)][j]
+        y = [None] * (r * r)
+        for d in range(r):
+            cols = list(zip(*x[d::r]))
+            for a in range(r):
+                y[a * r + d] = [cyclo.dot(s[a], col) for col in cols]
+        # z[(a,b)][j] = sum_d s[b-bar][d] y[(a,d)][j]
+        z = []
+        for a in range(r):
+            cols = list(zip(*y[a * r : (a + 1) * r]))
+            for b in range(r):
+                z.append([cyclo.dot(sd[b], col) for col in cols])
+        return z
+
+    def apply_t(x, inverse):
+        out = []
+        for i, row in enumerate(x):
+            t = cd.theta[i].inverse() if inverse else cd.theta[i]
+            tv = t.value()
+            out.append([tv * v for v in row])
+        return out
+
+    x = [[cyclo.from_rational(v) for v in row] for row in cd.a_matrix]
+    for tok in reversed(word.tokens):
+        x = apply_s(x) if tok == "s" else apply_t(x, inverse=tok == "T")
+    return tuple(tuple(row) for row in x)
 
 
 def dims_check(fr, md):

@@ -108,8 +108,7 @@ def test_apply_s_matches_matrix_product(fixture_data, fixture_centers):
     for name in ("semion", "toric-code"):
         md, _ = fixture_data[name]
         cd = fixture_centers[name]
-        x = [list(row) for row in cd.a_matrix]
-        got = cd.apply_s(x)
+        got = cd.convert(cd.apply_s(cd.lift(cd.a_matrix)))
         s = oracles.center_modular_data(cd).s
         n = cd.rank
         for i in range(n):
@@ -139,11 +138,35 @@ def test_indicator_sums_never_embed_an_order_one_zero(fixture_data, monkeypatch)
     assert not zero_embeds
 
 
+def test_indicator_table_makes_no_field_products(fixture_data, monkeypatch):
+    # S is lifted to the working order once per center, so building a table
+    # re-embeds no S entry and multiplies no Cyclotomic values
+    md, fr = fixture_data["haagerup-center"]
+    cd = deligne_square(md, fr)
+    embedded, times = Cyclotomic.embedded, Cyclotomic.__mul__
+    order_changes, products = [], []
+
+    def recording_embedded(self, target):
+        if target != self.order:
+            order_changes.append((self.order, target))
+        return embedded(self, target)
+
+    def recording_mul(self, other):
+        products.append(other)
+        return times(self, other)
+
+    monkeypatch.setattr(Cyclotomic, "embedded", recording_embedded)
+    monkeypatch.setattr(Cyclotomic, "__mul__", recording_mul)
+    gfs_matrix(cd, 3, 1)
+    assert not order_changes
+    assert not products
+
+
 def test_apply_t_scales_rows(fixture_centers):
     cd = fixture_centers["semion"]
-    x = [[cyclo.ONE] for _ in range(cd.rank)]
-    up = cd.apply_t(x)
-    down = cd.apply_t(x, inverse=True)
+    x = cd.lift([[cyclo.ONE] for _ in range(cd.rank)])
+    up = cd.convert(cd.apply_t(x, 1))
+    down = cd.convert(cd.apply_t(x, -1))
     for i in range(cd.rank):
         assert up[i][0] == cd.theta[i].value()
         assert down[i][0] == cd.theta[i].inverse().value()

@@ -365,6 +365,86 @@ class TestKernel:
             assert _poly.poly_reduce(p, mod) == want
 
 
+    def test_pack_round_trip(self):
+        # signed slots anywhere in [-2^(width-1), 2^(width-1)), the limits included
+        rng = random.Random(17)
+        for _ in range(300):
+            width = rng.randint(1, 70)
+            half = 1 << (width - 1)
+            row = [
+                rng.choice((-half, half - 1, 0, rng.randint(-half, half - 1)))
+                for _ in range(rng.randint(1, 30))
+            ]
+            packed = _poly.poly_pack(row, width)
+            assert _poly.poly_unpack(packed, width, len(row)) == row
+            assert packed == sum(c << (k * width) for k, c in enumerate(row))
+        assert _poly.poly_pack([0, 0, 0], 5) == 0
+        assert _poly.poly_unpack(0, 5, 3) == [0, 0, 0]
+        assert _poly.poly_pack([-8], 4) == -8
+        assert _poly.poly_unpack(-8, 4, 1) == [-8]
+        assert _poly.poly_unpack(7, 4, 1) == [7]
+
+    def test_packed_dot_against_sympy(self):
+        # sum_i a_i * b_i on packed rows, at the width slot_width gives
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(23)
+        for _ in range(200):
+            length = rng.randint(1, 12)
+            terms = rng.randint(1, 12)
+            a = [_rand_coeffs(rng, length) for _ in range(terms)]
+            b = [_rand_coeffs(rng, length) for _ in range(terms)]
+            want = [sum(col) for col in zip(*(_poly.poly_mul(u, v) for u, v in zip(a, b)))]
+            prod = sum(
+                (sympy.Poly(list(reversed(u)), x) * sympy.Poly(list(reversed(v)), x)
+                 for u, v in zip(a, b)),
+                sympy.Poly(0, x),
+            )
+            assert want == _sympy_ascending(prod, 2 * length - 1)
+            width = _poly.slot_width(
+                max(abs(c) for u in a for c in u),
+                max(abs(c) for v in b for c in v),
+                terms * length,
+            )
+            packed = sum(
+                _poly.poly_pack(u, width) * _poly.poly_pack(v, width) for u, v in zip(a, b)
+            )
+            assert _poly.poly_unpack(packed, width, 2 * length - 1) == want
+
+    def test_slot_width_is_tight(self):
+        # three products of all-15 rows of length 5: the middle slot is
+        # +-3 * 5 * 15 * 15 = +-3375, which needs 13 signed bits
+        width = _poly.slot_width(15, 15, 3 * 5)
+        assert width == 13
+        for sign in (1, -1):
+            a, b = [15] * 5, [sign * 15] * 5
+            want = [3 * c for c in _poly.poly_mul(a, b)]
+            assert want[4] == sign * 3375
+            for w in (width, width - 1):
+                packed = 3 * (_poly.poly_pack(a, w) * _poly.poly_pack(b, w))
+                got = _poly.poly_unpack(packed, w, 9)
+                assert (got == want) == (w == width)
+
+    def test_fold(self):
+        # x^k and x^(k+n) share a slot modulo x^n - 1
+        rng = random.Random(29)
+        for _ in range(200):
+            n = rng.randint(1, 20)
+            p = _rand_coeffs(rng, rng.randint(1, 2 * n - 1))
+            want = [0] * n
+            for k, c in enumerate(p):
+                want[k % n] += c
+            width = _poly.slot_width(max(map(abs, p)), 1, 2)
+            folded = _poly.poly_fold(_poly.poly_pack(p, width), width, n)
+            assert _poly.poly_unpack(folded, width, n) == want
+
+    def test_unpack_rejects_a_value_wider_than_its_slots(self):
+        with pytest.raises(ValueError):
+            _poly.poly_unpack(1 << 12, 4, 3)
+        with pytest.raises(ValueError):
+            _poly.poly_unpack(-(1 << 12), 4, 3)
+
+
 class TestGuards:
     def test_inexact_division_raises(self):
         with pytest.raises(cyclo.ConsistencyError):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,7 +6,8 @@ import pytest
 
 import oracles
 from mtckit import cyclo
-from mtckit.fusion_ring import power_decompose
+from mtckit.center import CenterData, deligne_square
+from mtckit.fusion_ring import FusionRing, power_decompose
 from mtckit.indicators import (
     Sl2Word,
     gfs_matrix,
@@ -14,6 +16,7 @@ from mtckit.indicators import (
     nu_general,
     sl2_word,
 )
+from mtckit.modular_data import ModularData, validate
 
 SMALL = ("vec", "semion", "toric-code", "fibonacci")
 
@@ -89,6 +92,65 @@ class TestGfsMatrix:
                 t2 = gfs_matrix(cd, m, l, word=w2)
                 assert t1.values == t2.values, (name, m, l)
 
+    @pytest.mark.parametrize("name", SMALL)
+    def test_matches_dot_oracle(self, name, fixture_data):
+        # (3, 2) is TsssTTT and (5, 3) TsTTssstt: t^-1 runs and an s^3
+        md, fr = fixture_data[name]
+        cd = deligne_square(md, fr)
+        for m, l in ((1, 0), (2, 1), (3, 1), (3, 2), (5, 3), (7, -2)):
+            _assert_table_matches_oracle(cd, m, l)
+
+    def test_matches_dot_oracle_on_haagerup_center(self, fixture_data):
+        md, fr = fixture_data["haagerup-center"]
+        _assert_table_matches_oracle(deligne_square(md, fr), 2, 1)
+
+    def test_custom_word_matches_dot_oracle(self, fixture_data):
+        # s^4 = 1 and t t^-1 = 1: a longer word for the same (m, l), with a
+        # t/T run that folds to the zero power
+        md, fr = fixture_data["fibonacci"]
+        cd = deligne_square(md, fr)
+        tokens = ("s", "s", "t", "T", "s", "s") + sl2_word(3, 2).tokens
+        word = Sl2Word(tokens=tokens, m=3, l=2)
+        got = gfs_matrix(cd, 3, 2, word=word)
+        want = oracles.gfs_by_dot(cd, word)
+        assert got.values == want
+        assert _texts(got.values) == _texts(want)
+
+    def test_working_order_above_conductor(self, fixture_data):
+        # the semion S lies in Q(zeta_8) while the center twists have order 4
+        md, fr = fixture_data["semion"]
+        cd = deligne_square(md, fr)
+        assert (cd.conductor, cd.working_order) == (4, 8)
+        _assert_table_matches_oracle(cd, 3, 2)
+
+    def test_deligne_product_matches_dot_oracle(self, fixture_data):
+        # semion x fibonacci: S at order 40, center twists at order 20
+        md, fr = _deligne_product(fixture_data["semion"], fixture_data["fibonacci"])
+        assert validate(md).ok
+        cd = deligne_square(md, fr)
+        assert (cd.conductor, cd.working_order) == (20, 40)
+        for m, l in ((2, 1), (3, 2)):
+            _assert_table_matches_oracle(cd, m, l)
+
+    def test_t_runs_fold_into_one_power(self, fixture_data, monkeypatch):
+        md, fr = fixture_data["fibonacci"]
+        cd = deligne_square(md, fr)
+        word = sl2_word(2001, 1)
+        runs = sum(1 for is_s, _ in itertools.groupby(word.tokens, key="s".__eq__) if not is_s)
+        apply_t = CenterData.apply_t
+        powers = []
+
+        def recording(self, x, power):
+            powers.append(power)
+            return apply_t(self, x, power)
+
+        monkeypatch.setattr(CenterData, "apply_t", recording)
+        got = gfs_matrix(cd, 2001, 1)
+        assert word.tokens.count("t") + word.tokens.count("T") == 2001
+        assert len(powers) == runs == 1
+        assert powers == [2001]
+        assert got.values == oracles.gfs_by_dot(cd, word)
+
     def test_mismatched_word_rejected(self, fixture_centers):
         cd = fixture_centers["semion"]
         with pytest.raises(ValueError):
@@ -97,6 +159,44 @@ class TestGfsMatrix:
     def test_gcd_requirement(self, fixture_centers):
         with pytest.raises(ValueError):
             gfs_matrix(fixture_centers["vec"], 4, 2)
+
+
+def _texts(values):
+    return [[str(v) for v in row] for row in values]
+
+
+def _assert_table_matches_oracle(cd, m, l):
+    got = gfs_matrix(cd, m, l)
+    want = oracles.gfs_by_dot(cd, sl2_word(m, l))
+    assert got.values == want, (m, l)
+    assert _texts(got.values) == _texts(want), (m, l)
+
+
+def _deligne_product(left, right):
+    """The Deligne product of two fixtures: S and T are tensor products."""
+    (m1, f1), (m2, f2) = left, right
+    pairs = [(a, b) for a in range(m1.rank) for b in range(m2.rank)]
+    index = {p: i for i, p in enumerate(pairs)}
+    md = ModularData(
+        labels=tuple(f"{m1.labels[a]}.{m2.labels[b]}" for a, b in pairs),
+        s=tuple(tuple(m1.s[a][c] * m2.s[b][d] for c, d in pairs) for a, b in pairs),
+        theta=tuple(m1.theta[a] * m2.theta[b] for a, b in pairs),
+        unit=index[(m1.unit, m2.unit)],
+        dual=tuple(index[(m1.dual[a], m2.dual[b])] for a, b in pairs),
+    )
+    fr = FusionRing(
+        rank=len(pairs),
+        unit=md.unit,
+        dual=md.dual,
+        table=tuple(
+            tuple(
+                tuple(f1.table[c][a][a2] * f2.table[d][b][b2] for a2, b2 in pairs)
+                for a, b in pairs
+            )
+            for c, d in pairs
+        ),
+    )
+    return md, fr
 
 
 class TestCrossRoute:
