@@ -196,8 +196,9 @@ def deligne_square(md: ModularData, fr: FusionRing) -> CenterData:
     inv = derive_invariants(md)
     dims = inv.dims
     squares = [d * d for d in dims]
-    tau_plus = cyclo.dot((t.value() for t in md.theta), squares)
-    tau_minus = cyclo.dot((t.inverse().value() for t in md.theta), squares)
+    tau_plus, tau_minus = cyclo.root_sums(
+        squares, (md.theta, [t.inverse() for t in md.theta])
+    )
     if tau_plus * tau_minus != inv.global_dim:
         raise ConsistencyError(
             "Gauss-sum identity tau+ tau- = D fails; center charge would not be 1"

@@ -37,6 +37,15 @@ def _load_source(source: str) -> tuple[ModularData, str]:
         return dataio.parse_file(handle.read()), source
 
 
+def _object(md: ModularData, obj: str) -> int:
+    # an object argument that names nothing is a usage error, not a
+    # validation failure of the input
+    try:
+        return md.index_of(obj)
+    except ModularDataError as exc:
+        raise ValueError(str(exc)) from None
+
+
 def _ring_for(source: str, md: ModularData) -> fusion_ring.FusionRing:
     if source.startswith("catalog:"):
         return dataio.catalog_ring(source[len("catalog:") :])
@@ -79,7 +88,7 @@ def _cmd_validate(args) -> int:
 def _cmd_fusion(args) -> int:
     md, source = _load_source(args.source)
     fr = _ring_for(source, md)
-    objects = [md.index_of(o) for o in args.object] if args.object else None
+    objects = [_object(md, o) for o in args.object] if args.object else None
     if objects and len(objects) == 1:
         pairs = [(objects[0], b) for b in range(md.rank)]
     elif objects:
@@ -126,10 +135,12 @@ def _cmd_rotation(args) -> int:
     md, source = _load_source(args.source)
     fr = _ring_for(source, md)
     cd = center_for(md, fr)
-    a = md.index_of(args.object)
+    a = _object(md, args.object)
     if args.b:
-        left, _, right = args.b.partition(",")
-        b = cd.pair_index(md.index_of(left.strip()), md.index_of(right.strip()))
+        left, comma, right = args.b.partition(",")
+        if not comma:
+            raise ValueError(f"--b takes a center simple as 'left,right', got {args.b!r}")
+        b = cd.pair_index(_object(md, left.strip()), _object(md, right.strip()))
         rows = (spectra.rotation_spectrum(cd, b, a, args.n),)
         report = spectra.SpectrumReport(
             kind="rotation",
@@ -146,7 +157,7 @@ def _cmd_rotation(args) -> int:
 def _cmd_braid(args) -> int:
     md, source = _load_source(args.source)
     fr = _ring_for(source, md)
-    a = md.index_of(args.object)
+    a = _object(md, args.object)
     sign = "under" if args.under else "over"
     report = spectra.braid_jm_spectrum(md, a, args.n, args.l, args.m, sign=sign, fr=fr)
     report = dataclasses.replace(report, source=source)
@@ -157,7 +168,7 @@ def _cmd_braid(args) -> int:
 def _cmd_report(args) -> int:
     md, source = _load_source(args.source)
     fr = _ring_for(source, md)
-    a = md.index_of(args.object)
+    a = _object(md, args.object)
     braid = "sigma" if args.braid_sigma else "sigma-triple"
     report = spectra.sigma_spectrum_n2(md, fr, a, braid=braid)
     report = dataclasses.replace(report, source=source)

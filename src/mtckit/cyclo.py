@@ -38,6 +38,7 @@ __all__ = [
     "from_rational",
     "dot",
     "integer_rows",
+    "root_sums",
     "inverse",
     "galois_apply",
     "descend",
@@ -467,6 +468,35 @@ def dot(coeffs, values) -> Cyclotomic:
     return ZERO if total is None else total
 
 
+def root_sums(values, root_rows) -> list[Cyclotomic]:
+    """[sum_m r_m v_m for each row r], exactly and with no field product.
+
+    Values may be ints, Fractions or Cyclotomics; each row holds one
+    RootOfUnity per value. The values are lifted once to the order L that
+    holds every value and every root. A root zeta_L^e then multiplies a
+    value by shifting its coefficients e places (mod L, since zeta_L^L = 1),
+    and each sum is reduced modulo Phi_L once.
+    """
+    values = list(values)
+    root_rows = [list(row) for row in root_rows]
+    order = math.lcm(
+        *(v.order for v in values if isinstance(v, Cyclotomic)),
+        *(r.order for row in root_rows for r in row),
+    )
+    rows, den = integer_rows(values, order)
+    terms = [[(j, c) for j, c in enumerate(row) if c] for row in rows]
+    mod = cyclotomic_polynomial(order)
+    out = []
+    for roots in root_rows:
+        acc = [0] * order
+        for nonzero, r in zip(terms, roots, strict=True):
+            e = r.exponent * (order // r.order)
+            for j, c in nonzero:
+                acc[(j + e) % order] += c
+        out.append(Cyclotomic._make(order, poly_reduce(acc, mod), den))
+    return out
+
+
 def from_rational(q) -> Cyclotomic:
     """The rational q (int or Fraction) as a Cyclotomic of order 1."""
     x = Cyclotomic._coerce(q)
@@ -721,14 +751,6 @@ class Classification:
     rational: Fraction | None
     scale: Fraction | None
     root: RootOfUnity | None
-    approx: complex
-
-    def integer_value(self) -> int:
-        if self.kind == "zero":
-            return 0
-        if self.kind == "integer":
-            return int(self.rational)
-        raise ValueError(f"not an integer: kind={self.kind}")
 
 
 _monomial_cache: dict[int, list[tuple[int, ...]]] = {}
@@ -755,13 +777,12 @@ def recognize(x: Cyclotomic) -> Classification:
     The scale q is always positive; signs are absorbed into the root.
     """
     r = x.reduced()
-    approx = r.to_complex()
     q = r.as_rational()
     if q is not None:
         if q == 0:
-            return Classification("zero", Fraction(0), None, None, approx)
+            return Classification("zero", Fraction(0), None, None)
         kind = "integer" if q.denominator == 1 else "rational"
-        return Classification(kind, q, None, None, approx)
+        return Classification(kind, q, None, None)
     n = r.order
     num = r._num
     for j, mono in enumerate(_monomials(n)):
@@ -778,8 +799,8 @@ def recognize(x: Cyclotomic) -> Classification:
                 scale = -scale
             else:
                 root = RootOfUnity.make(n, j)
-            return Classification("scaled_root", None, scale, root, approx)
-    return Classification("generic", None, None, None, approx)
+            return Classification("scaled_root", None, scale, root)
+    return Classification("generic", None, None, None)
 
 
 def as_root_of_unity(x: Cyclotomic) -> RootOfUnity | None:
@@ -854,19 +875,19 @@ def format_expr(x: Cyclotomic) -> str:
 # discrete Fourier transform over roots of unity
 
 
+def _dft_rows(n: int, sign: int):
+    # row k holds zeta_N^(sign m k) for m = 1..N
+    return (
+        [RootOfUnity.make(n, sign * m * k) for m in range(1, n + 1)] for k in range(1, n + 1)
+    )
+
+
 def dft(xs: list) -> list[Cyclotomic]:
     """F(x)_k = sum_m x_m zeta_N^(m k) for k, m = 1..N (exact)."""
-    n = len(xs)
-    powers = [root_of_unity(n, j) for j in range(n)]
-    return [dot(xs, (powers[(m * k) % n] for m in range(1, n + 1))) for k in range(1, n + 1)]
+    return root_sums(xs, _dft_rows(len(xs), 1))
 
 
 def idft(xs: list) -> list[Cyclotomic]:
     """Inverse transform: F^-1(X)_k = (1/N) sum_m X_m zeta_N^(-m k) (exact)."""
-    n = len(xs)
-    powers = [root_of_unity(n, j) for j in range(n)]
-    scale = Fraction(1, n)
-    return [
-        dot(xs, (powers[(-m * k) % n] for m in range(1, n + 1))) * scale
-        for k in range(1, n + 1)
-    ]
+    scale = Fraction(1, len(xs))
+    return [s * scale for s in root_sums(xs, _dft_rows(len(xs), -1))]

@@ -296,10 +296,10 @@ def _legendre(k: int, p: int) -> int:
 
 def _sqrt13() -> Cyclotomic:
     # the quadratic Gauss sum: sum_k (k|13) zeta_13^k squares to 13
-    return cyclo.dot(
+    return cyclo.root_sums(
         (_legendre(k, 13) for k in range(1, 13)),
-        (cyclo.root_of_unity(13, k) for k in range(1, 13)),
-    )
+        ([cyclo.RootOfUnity(13, k) for k in range(1, 13)],),
+    )[0]
 
 
 def _build_vec() -> ModularData:

@@ -187,7 +187,7 @@ def derive_invariants(md: ModularData) -> DerivedInvariants:
     for t in md.theta:
         conductor = math.lcm(conductor, t.order)
     # xi = sum_a theta_a d_a^2 / sqrt(D), with sqrt(D) = 1/S_{unit,unit}
-    gauss = cyclo.dot((t.value() * d for t, d in zip(md.theta, dims)), dims)
+    (gauss,) = cyclo.root_sums((d * d for d in dims), (md.theta,))
     xi_val = gauss * md.s[u][u]
     xi = cyclo.as_root_of_unity(xi_val)
     if xi is None:

@@ -7,9 +7,12 @@ one-strand-wrapping elements reduce to rotations on the center: the braid
 value theta_a^-1 omega occurs with multiplicity K^{a-bar^(l+m) (x) b~}(omega).
 
 Roots of unity (twists, candidate eigenvalues, omega) are handled by
-exponent as RootOfUnity and enter the field only as exact values; each
-multiplicity polynomial is evaluated at one field order, so no inverse is
-taken and no order changes inside a row.
+exponent as RootOfUnity. Over the n candidates lambda_0 zeta_n^j the
+multiplicities are an inverse DFT of the indicator sequence, and each one
+is a root-of-unity sum (cyclo.root_sums): the nu values are lifted once to
+one field order, each lambda^-k multiplies by an index shift, and each sum
+is reduced once. No two field values are multiplied, no inverse is taken
+and no order changes inside a row.
 
 Every multiplicity must recognize as a non-negative integer; anything else
 raises IntegralityError, which doubles as an end-to-end data check.
@@ -18,7 +21,6 @@ raises IntegralityError, which doubles as an end-to-end data check.
 from __future__ import annotations
 
 import dataclasses
-import math
 from fractions import Fraction
 
 from . import cyclo
@@ -30,7 +32,6 @@ from .modular_data import ModularData, reverse
 
 __all__ = [
     "IntegralityError",
-    "MultiplicityPolynomial",
     "SpectrumRow",
     "SpectrumReport",
     "rotation_spectrum",
@@ -53,45 +54,6 @@ def _require_count(value: Cyclotomic, what) -> int:
         label = what() if callable(what) else what
         raise IntegralityError(f"{label} = {value} is not a non-negative integer")
     return n
-
-
-@dataclasses.dataclass(frozen=True)
-class MultiplicityPolynomial:
-    """P^b_{n,a}(x) = sum_k (nu^b_{n,k}(a)/n) x^k; values at admissible
-    lambda^-1 are the eigenvalue multiplicities."""
-
-    n: int
-    coeffs: tuple[Cyclotomic, ...]
-    _at_order: dict[int, tuple[Cyclotomic, ...]] = dataclasses.field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-
-    def evaluate(self, x: Cyclotomic) -> Cyclotomic:
-        """P(x), by Horner at the common field order of x and the coefficients.
-
-        The coefficients are embedded once per order (and remembered), so
-        every multiply and add of the recurrence stays at that order.
-        """
-        order = math.lcm(x.order, *(c.order for c in self.coeffs))
-        coeffs = self._at_order.get(order)
-        if coeffs is None:
-            coeffs = tuple(c.embedded(order) for c in self.coeffs)
-            self._at_order[order] = coeffs
-        x = x.embedded(order)
-        acc = coeffs[-1]
-        for c in reversed(coeffs[:-1]):
-            acc = acc * x + c
-        return acc
-
-
-def multiplicity_polynomial(
-    cd: CenterData, b: int, a: int | ObjectMultiset, n: int, root_shift: int = 0
-) -> MultiplicityPolynomial:
-    inv_n = Fraction(1, n)
-    coeffs = tuple(
-        nu_general(cd, b, n, k, a, root_shift=root_shift) * inv_n for k in range(n)
-    )
-    return MultiplicityPolynomial(n=n, coeffs=coeffs)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -139,6 +101,31 @@ def _rotation_candidates(theta_b: RootOfUnity, n: int) -> list[RootOfUnity]:
     )
 
 
+def _multiplicities(
+    cd: CenterData,
+    b: int,
+    a: int | ObjectMultiset,
+    n: int,
+    lams: list[RootOfUnity],
+    root_shift: int,
+) -> list[Cyclotomic]:
+    # P^b_{n,a}(lambda^-1) = (1/n) sum_{k<n} nu^b_{n,k}(a) lambda^-k for each lambda
+    nus = [nu_general(cd, b, n, k, a, root_shift=root_shift) for k in range(n)]
+    sums = cyclo.root_sums(nus, ([lam ** -k for k in range(n)] for lam in lams))
+    inv_n = Fraction(1, n)
+    return [s * inv_n for s in sums]
+
+
+def _turn_sorted_row(label: str, eigen: list[RootOfUnity], mults: list[int]) -> SpectrumRow:
+    # eigenvalues in turn order, each with its multiplicity
+    order = sorted(range(len(eigen)), key=lambda i: eigen[i].turn())
+    return SpectrumRow(
+        label=label,
+        eigenvalues=tuple(eigen[i] for i in order),
+        multiplicities=tuple(mults[i] for i in order),
+    )
+
+
 def rotation_spectrum(
     cd: CenterData,
     b: int,
@@ -153,14 +140,13 @@ def rotation_spectrum(
     """
     if n < 1:
         raise ValueError("rotation power n must be >= 1")
-    poly = multiplicity_polynomial(cd, b, a, n, root_shift=root_shift)
     cands = _rotation_candidates(cd.theta[b], n)
     mults = [
         _require_count(
-            poly.evaluate(lam.inverse().value()),
+            value,
             lambda lam=lam: f"multiplicity of {lam.value()} on Hom({cd.labels[b]}, a^{n})",
         )
-        for lam in cands
+        for lam, value in zip(cands, _multiplicities(cd, b, a, n, cands, root_shift))
     ]
     return SpectrumRow(
         label=cd.labels[b], eigenvalues=tuple(cands), multiplicities=tuple(mults)
@@ -193,15 +179,11 @@ def semisimple_K(
     Sum over the simples occurring in b of the P-multiplicity, gated by
     omega^n = theta_c^-1 (exact root-of-unity comparison).
     """
-    omega_inv = omega.inverse().value()
     gate = omega**n
     gated = {c: mult for c, mult in b.items() if mult and gate == cd.theta[c].inverse()}
     total = cyclo.dot(
         gated.values(),
-        (
-            multiplicity_polynomial(cd, c, a, n, root_shift=root_shift).evaluate(omega_inv)
-            for c in gated
-        ),
+        (_multiplicities(cd, c, a, n, [omega], root_shift)[0] for c in gated),
     )
     return _require_count(total, lambda: f"K at omega = {omega.value()}")
 
@@ -246,20 +228,9 @@ def braid_jm_spectrum(
         for p in center_ms:
             cands.update(_rotation_candidates(cd.theta[p], n1))
         omegas = _sorted_candidates(cands)
-        eigen = []
-        mults = []
-        for omega in omegas:
-            k_val = semisimple_K(cd, center_ms, a, n1, omega)
-            eigen.append(theta_a_inv * omega)
-            mults.append(k_val)
-        order = sorted(range(len(eigen)), key=lambda i: eigen[i].turn())
-        rows.append(
-            SpectrumRow(
-                label=md.labels[b],
-                eigenvalues=tuple(eigen[i] for i in order),
-                multiplicities=tuple(mults[i] for i in order),
-            )
-        )
+        eigen = [theta_a_inv * omega for omega in omegas]
+        mults = [semisimple_K(cd, center_ms, a, n1, omega) for omega in omegas]
+        rows.append(_turn_sorted_row(md.labels[b], eigen, mults))
     return SpectrumReport(
         kind="braid-jm",
         source="",
@@ -329,14 +300,7 @@ def sigma_spectrum_n2(
         pairs = k2_pairs(md, fr, c, b, a)
         eigen = [theta_a_inv * omega for omega, _ in pairs]
         mults = [k for _, k in pairs]
-        order = sorted(range(len(eigen)), key=lambda i: eigen[i].turn())
-        rows.append(
-            SpectrumRow(
-                label=md.labels[b],
-                eigenvalues=tuple(eigen[i] for i in order),
-                multiplicities=tuple(mults[i] for i in order),
-            )
-        )
+        rows.append(_turn_sorted_row(md.labels[b], eigen, mults))
     return SpectrumReport(
         kind=f"braid-{braid}",
         source="",

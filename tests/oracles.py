@@ -293,3 +293,15 @@ def nu_general_by_field_powers(cd, b, n, k, a, root_shift=0):
     )
     image = cyclo.galois_apply(root**g * nu1, k1, n1)
     return prefactor * root ** (-k0) * image
+
+
+def multiplicity_by_dot(cd, b, a, n, lam, root_shift=0):
+    """P^b_{n,a}(lambda^-1) = (1/n) sum_{k<n} nu^b_{n,k}(a) lambda^-k, by cyclo.dot
+    over the exact root values."""
+    from fractions import Fraction
+
+    from mtckit import cyclo
+    from mtckit.indicators import nu_general
+
+    nus = [nu_general(cd, b, n, k, a, root_shift=root_shift) for k in range(n)]
+    return cyclo.dot(nus, ((lam ** -k).value() for k in range(n))) * Fraction(1, n)

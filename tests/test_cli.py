@@ -179,8 +179,19 @@ def test_bad_braid_params(capsys):
 
 
 def test_unknown_object(capsys):
-    code, _, err = run(capsys, "report", "catalog:vec", "--braid-sigma", "--object", "zz")
-    assert code == 1 or code == 2  # ModularDataError maps to validation class
+    # an object argument that names nothing is a usage error
+    for argv, message in (
+        (("report", "catalog:vec", "--braid-sigma", "--object", "zz"),
+         "unknown object 'zz'; labels are 1"),
+        (("rotation", "catalog:semion", "--object", "s", "--n", "2", "--b", "s"),
+         "--b takes a center simple as 'left,right', got 's'"),
+        (("rotation", "catalog:semion", "--object", "s", "--n", "2", "--b", "s,q"),
+         "unknown object 'q'"),
+        (("fusion", "catalog:semion", "--object", "7"), "object index 7 out of range 1..2"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and message in err, err
 
 
 def test_bad_max_order_setting_is_usage_error():

@@ -1,6 +1,6 @@
 """Source checks on the library: no guard that vanishes under ``python -O``,
-no environment knob beyond the documented one, and no field sum started
-at the order-1 zero."""
+no environment knob beyond the documented one, no field sum started
+at the order-1 zero, and no root-of-unity sum built from field products."""
 
 import ast
 from pathlib import Path
@@ -101,3 +101,39 @@ def test_no_sums_started_at_zero():
         {f"{path}:{line}" for path, tree in _modules() for line in _zero_started_sums(tree)}
     )
     assert not found, f"start exact sums with cyclo.dot, not at the order-1 ZERO: {found}"
+
+
+def _is_dot(func):
+    # dot, or cyclo.dot
+    if isinstance(func, ast.Attribute):
+        return func.attr == "dot" and isinstance(func.value, ast.Name) and func.value.id == "cyclo"
+    return isinstance(func, ast.Name) and func.id == "dot"
+
+
+def _makes_root_value(node):
+    """Whether node calls ``.value()`` (a RootOfUnity entering the field) or
+    ``root_of_unity(...)`` anywhere inside it."""
+    for inner in ast.walk(node):
+        if isinstance(inner, ast.Call):
+            func = inner.func
+            if isinstance(func, ast.Attribute) and func.attr in ("value", "root_of_unity"):
+                return True
+            if isinstance(func, ast.Name) and func.id == "root_of_unity":
+                return True
+    return False
+
+
+def _root_sums_by_products(tree):
+    """Lines of dot calls with an argument that builds root-of-unity values."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _is_dot(node.func):
+            args = node.args + [k.value for k in node.keywords]
+            if any(_makes_root_value(arg) for arg in args):
+                yield node.lineno
+
+
+def test_no_root_sums_by_field_products():
+    found = sorted(
+        {f"{path}:{line}" for path, tree in _modules() for line in _root_sums_by_products(tree)}
+    )
+    assert not found, f"sum root-of-unity multiples with cyclo.root_sums, not cyclo.dot: {found}"

@@ -11,7 +11,6 @@ from mtckit.indicators import hom_dim_under_forgetful
 from mtckit.modular_data import ModularData, reverse
 from mtckit.spectra import (
     IntegralityError,
-    MultiplicityPolynomial,
     braid_jm_spectrum,
     format_eigenvalue,
     k2_pairs,
@@ -270,12 +269,18 @@ class TestIntegralityGuards:
             for a in range(4):
                 sigma_spectrum_n2(bad, fr, a)
 
-    def test_polynomial_with_bogus_traces(self):
-        poly = MultiplicityPolynomial(
-            n=3, coeffs=(cyclo.from_rational(Fraction(1, 3)),) * 2
+    def test_non_integer_indicators_raise(self, fixture_centers, monkeypatch):
+        # with every nu = 1/3, P(1) on Hom(1, 1^(x)2) is 1/3
+        from mtckit import spectra
+
+        cd = fixture_centers["vec"]
+        monkeypatch.setattr(
+            spectra, "nu_general", lambda *args, **kwargs: cyclo.from_rational(Fraction(1, 3))
         )
-        value = poly.evaluate(cyclo.ONE)
-        assert cyclo.as_integer(value) is None
+        with pytest.raises(IntegralityError, match="multiplicity of"):
+            rotation_spectrum(cd, 0, 0, 2)
+        with pytest.raises(IntegralityError, match="K at omega"):
+            semisimple_K(cd, {0: 1}, 0, 2, RootOfUnity(1, 0))
 
 
 class TestRendering:
@@ -313,17 +318,28 @@ class TestRendering:
         assert text.count("\n") == cd.rank + 3
 
 
-def test_polynomial_evaluates_mixed_orders_exactly():
-    # coefficients and points of different field orders; each evaluation
-    # runs at the common order, and the embedded coefficients are reused
-    coeffs = (
-        cyclo.from_rational(Fraction(2, 3)),
-        cyclo.root_of_unity(3, 1) + 1,
-        cyclo.root_of_unity(13, 5) * Fraction(-1, 2),
-        cyclo.ZERO,
-    )
-    poly = MultiplicityPolynomial(n=4, coeffs=coeffs)
-    for x in (cyclo.ONE, cyclo.root_of_unity(4, 1), cyclo.root_of_unity(39, 7),
-              cyclo.root_of_unity(4, 3), cyclo.from_rational(-2)):
-        want = sum((c * x**k for k, c in enumerate(coeffs)), cyclo.ZERO)
-        assert poly.evaluate(x) == want, x
+class TestMultiplicitiesAgainstDot:
+    @staticmethod
+    def _check_row(cd, b, a, n, root_shift):
+        row = rotation_spectrum(cd, b, a, n, root_shift=root_shift)
+        for lam, mult in zip(row.eigenvalues, row.multiplicities):
+            want = oracles.multiplicity_by_dot(cd, b, a, n, lam, root_shift=root_shift)
+            assert cyclo.as_integer(want) == mult, (cd.labels[b], a, n, lam)
+
+    @pytest.mark.parametrize("name", SMALL)
+    def test_every_small_row(self, fixture_centers, name):
+        cd = fixture_centers[name]
+        for n in range(1, 5):
+            for root_shift in (0, 1):
+                for a in range(cd.base_rank):
+                    for b in range(cd.rank):
+                        self._check_row(cd, b, a, n, root_shift)
+
+    def test_haagerup_sample(self, fixture_centers):
+        cd = fixture_centers["haagerup-center"]
+        rng = random.Random(67)
+        for _ in range(12):
+            self._check_row(
+                cd, rng.randrange(cd.rank), rng.randrange(cd.base_rank), rng.randint(1, 4),
+                rng.randint(0, 1),
+            )
