@@ -5,6 +5,8 @@ lists. Moduli are monic (last coefficient 1); this keeps every
 intermediate integral.
 """
 
+import math
+
 
 def poly_mul(a, b):
     """Convolution of two int coefficient sequences."""
@@ -55,14 +57,13 @@ def poly_mulmod(a, b, mod):
 # decodes correctly while every slot lies in [-2^(width-1), 2^(width-1)).
 
 
-def slot_width(max_a, max_b, terms):
-    """Bits per slot for a sum of products of rows with |coeff| <= max_a, max_b.
+def slot_width(*bounds):
+    """Bits per signed slot that holds any |value| <= the product of the bounds.
 
-    `terms` bounds the coefficient products summed into one slot (rows per
-    dot product times row length), so |slot| <= terms * max_a * max_b
-    < 2^(bits(max_a) + bits(max_b) + bits(terms)); one more bit holds the sign.
+    For a sum of products of rows the bounds are the largest |coefficient| of
+    each factor and the number of coefficient products summed into one slot.
     """
-    return max_a.bit_length() + max_b.bit_length() + terms.bit_length() + 1
+    return math.prod(bounds).bit_length() + 1
 
 
 def poly_pack(coeffs, width):
@@ -87,9 +88,10 @@ def poly_fold(value, width, n):
 def poly_unpack(value, width, count):
     """The count signed width-bit slots of a packed value, lowest first."""
     half = 1 << (width - 1)
+    size = width * count
     # adding half to every slot makes each one a plain base-2^width digit
-    total = value + int(("1" + "0" * (width - 1)) * count, 2)
-    if not 0 <= total < 1 << (width * count):
+    total = value + half * (((1 << size) - 1) // ((1 << width) - 1))
+    if not 0 <= total < 1 << size:
         raise ValueError(f"packed value does not fit {count} slots of {width} bits")
-    bits = format(total, f"0{width * count}b")
-    return [int(bits[i - width : i], 2) - half for i in range(len(bits), 0, -width)]
+    mask = (1 << width) - 1
+    return [((total >> k) & mask) - half for k in range(0, size, width)]

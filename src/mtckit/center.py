@@ -5,21 +5,13 @@ S_{(a,b),(c,d)} = S_{a,c} S_{b-bar,d} and twist theta_a / theta_b. The
 forgetful functor sends (a, b) to a (x) b, so its multiplicity matrix A is
 read off the base fusion ring.
 
-The full rank^2 x rank^2 S-matrix is never materialized; the
-SL2(Z)-representation machinery goes through apply_s / apply_t, which use
-the Kronecker structure (two rank-sized contractions instead of one
-rank^2-sized one).
-
-Both generators work in one field per center, Q(zeta_N) with N the lcm of
-the conductor and the orders of the base S entries (the semion S lies in
-Q(zeta_8) while its center twists have order 4). A matrix in transit is
-integer coefficient rows at order N over one common denominator: lift
-builds it, convert turns it back into Cyclotomic values. The base S is
-lifted once per center, on first use. apply_t multiplies a row by a root
-of unity as an index shift plus one reduction modulo Phi_N; apply_s
-computes every cell of both contractions as one dot product of rows packed
-into Python ints (mtckit._poly). The first contraction stays packed; each
-output cell is unpacked and reduced modulo Phi_N once.
+The full rank^2 x rank^2 S-matrix is never materialized. The SL2(Z)
+generators act in one field per center, Q(zeta_N) with N the lcm of the
+conductor and the orders of the base S entries (the semion S lies in
+Q(zeta_8) while its center twists have order 4), on (cells, den) matrices
+of mtckit.cyclo, with the base S lifted once per center. apply_t shifts each
+row by its twist and reduces it; apply_s is two base-rank contractions,
+each one packed matrix product (cyclo.Packing).
 """
 
 from __future__ import annotations
@@ -27,10 +19,9 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from operator import mul
 
 from . import cyclo
-from ._poly import poly_fold, poly_pack, poly_reduce, poly_unpack, slot_width
+from ._poly import poly_reduce
 from .cyclo import ConsistencyError, Cyclotomic, RootOfUnity
 from .fusion_ring import FusionRing, verlinde
 from .modular_data import ModularData, derive_invariants
@@ -90,7 +81,7 @@ class CenterData:
     def _working_s(self) -> tuple[list[list[list[int]]], int, int]:
         # the base S lifted to order N, with its largest |coefficient|
         rows, den = self.lift(self.base.s)
-        return rows, den, _max_abs(c for row in rows for c in row)
+        return rows, den, cyclo.max_abs(rows)
 
     @functools.cached_property
     def _twist_exponents(self) -> tuple[int, ...]:
@@ -99,11 +90,7 @@ class CenterData:
 
     def lift(self, matrix) -> Working:
         """A matrix of ints, Fractions or Cyclotomics as (cells, den) at order N."""
-        cols = len(matrix[0])
-        flat, den = cyclo.integer_rows(
-            [v for row in matrix for v in row], self.working_order
-        )
-        return [flat[i : i + cols] for i in range(0, len(flat), cols)], den
+        return cyclo.lift(matrix, self.working_order)
 
     def convert(self, x: Working) -> tuple[tuple[Cyclotomic, ...], ...]:
         """The (cells, den) matrix as Cyclotomic entries at order N; zeros are ZERO."""
@@ -129,61 +116,38 @@ class CenterData:
         return out, den
 
     def apply_s(self, x: Working) -> Working:
-        """S through two base-rank contractions of packed-integer dot products.
+        """S as the base S contracted over c, then over d, of the pair (c, d).
 
-        Both contractions work on packed rows modulo zeta^N = 1, so y stays
-        packed between them; each output cell is unpacked and reduced
-        modulo Phi_N once.
+        Each contraction is one packed product (cyclo.Packing) whose columns
+        are (the other pair index, column of x); y stays packed in between.
         """
         cells, den = x
-        r = self.base.rank
-        n = self.working_order
+        r, cols = self.base.rank, len(cells[0])
         s_rows, s_den, s_max = self._working_s
-        mod = cyclo.cyclotomic_polynomial(n)
-        terms = r * (len(mod) - 1)  # coefficient products summed into one slot
+        terms = r * len(s_rows[0][0])  # coefficient products summed into one slot
         # |y| <= terms * s_max * max|x| and |z| <= terms * s_max * max|y|
-        y_max = terms * s_max * _max_abs(c for row in cells for c in row)
-        width = slot_width(s_max, y_max, terms)
-        packed_s = [[poly_pack(v, width) for v in row] for row in s_rows]
-
-        def contract(rows, packed):
-            # out[(a,d)][j] = sum_c rows[a][c] packed[(c,d)][j], one dot product per cell
-            out = [None] * (r * r)
-            for d in range(r):
-                cols = list(zip(*packed[d::r]))  # cols[j][c] = packed[(c,d)][j]
-                for a in range(r):
-                    row = rows[a]
-                    out[a * r + d] = [poly_fold(sum(map(mul, row, col)), width, n) for col in cols]
-            return out
-
-        # y[(a,d)][j] = sum_c s[a][c] x[(c,d)][j]
-        y = contract(packed_s, [[poly_pack(c, width) for c in row] for row in cells])
-        # z[(a,b)][j] = sum_d s[b-bar][d] y[(a,d)][j]: the same contraction on
-        # the transposed pair index
-        y_t = [y[a * r + d] for d in range(r) for a in range(r)]
-        z_t = contract([packed_s[self.base.dual[b]] for b in range(r)], y_t)
-        del y, y_t  # only one packed matrix is alive while z is unpacked
-        z = [
-            [poly_reduce(poly_unpack(v, width, n), mod) for v in z_t[b * r + a]]
-            for a in range(r)
-            for b in range(r)
-        ]
+        p = cyclo.Packing(self.working_order, (terms * s_max) ** 2 * cyclo.max_abs(cells))
+        packed_s, packed = p.pack(s_rows), p.pack(cells)
+        # y[a][(d, j)] = sum_c s[a][c] x[(c,d)][j]
+        x_cols = [[packed[c * r + d][j] for c in range(r)] for d in range(r) for j in range(cols)]
+        y = p.contract(packed_s, x_cols)
+        # z[b][(a, j)] = sum_d s[b-bar][d] y[a][(d, j)]
+        y_cols = [[y[a][d * cols + j] for d in range(r)] for a in range(r) for j in range(cols)]
+        z = p.contract([packed_s[b] for b in self.base.dual], y_cols)
+        del packed, x_cols, y, y_cols  # only z is alive while it is unpacked
+        out = [[p.unpack(p.reduce(v)) for v in z[b][a * cols : (a + 1) * cols]]
+               for a in range(r) for b in range(r)]
         # divide out the common content so widths do not grow with every s
         den *= s_den * s_den
         g = den
-        for row in z:
-            for c in row:
-                g = math.gcd(g, *c)
+        for row in out:
+            g = math.gcd(g, *map(math.gcd, *row))  # every coefficient of the row
         if g > 1:
-            for row in z:
+            for row in out:
                 for c in row:
                     c[:] = [v // g for v in c]
             den //= g
-        return z, den
-
-
-def _max_abs(rows) -> int:
-    return max((max(max(c), -min(c)) for c in rows), default=0)
+        return out, den
 
 
 def deligne_square(md: ModularData, fr: FusionRing) -> CenterData:
@@ -216,9 +180,6 @@ def deligne_square(md: ModularData, fr: FusionRing) -> CenterData:
     a_matrix = tuple(
         tuple(fr.table[c][a][b] for c in range(r)) for a in range(r) for b in range(r)
     )
-    conductor = 1
-    for t in theta:
-        conductor = math.lcm(conductor, t.order)
     return CenterData(
         base=md,
         base_ring=fr,
@@ -227,7 +188,7 @@ def deligne_square(md: ModularData, fr: FusionRing) -> CenterData:
         unit=md.unit * r + md.unit,
         dual=dual,
         a_matrix=a_matrix,
-        conductor=conductor,
+        conductor=math.lcm(*(t.order for t in theta)),
     )
 
 

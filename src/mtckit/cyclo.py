@@ -22,8 +22,9 @@ import dataclasses
 import math
 import os
 from fractions import Fraction
+from operator import mul
 
-from ._poly import poly_mulmod, poly_reduce
+from ._poly import poly_fold, poly_mulmod, poly_pack, poly_reduce, poly_unpack, slot_width
 
 __all__ = [
     "Cyclotomic",
@@ -37,8 +38,13 @@ __all__ = [
     "zeta",
     "from_rational",
     "dot",
+    "index_map",
     "integer_rows",
     "root_sums",
+    "lift",
+    "max_abs",
+    "Packing",
+    "matmul",
     "inverse",
     "galois_apply",
     "descend",
@@ -48,6 +54,7 @@ __all__ = [
     "euler_phi",
     "set_order_limit",
     "get_order_limit",
+    "check_order",
     "ZERO",
     "ONE",
 ]
@@ -114,7 +121,8 @@ def get_order_limit() -> int:
     return _order_limit
 
 
-def _check_order(n: int) -> None:
+def check_order(n: int) -> None:
+    """CycloDomainError unless 1 <= n <= the configured order limit."""
     if n < 1:
         raise CycloDomainError(f"cyclotomic order must be >= 1, got {n}")
     if n > _order_limit:
@@ -181,7 +189,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     Computed by dividing x^n - 1 by Phi_d over the proper divisors d of n,
     memoized across calls.
     """
-    _check_order(n)
+    check_order(n)
     cached = _cyclo_poly_cache.get(n)
     if cached is not None:
         return cached
@@ -262,7 +270,7 @@ class Cyclotomic:
             return self
         if target % n != 0:
             raise CycloDomainError(f"cannot embed order {n} into order {target}")
-        _check_order(target)
+        check_order(target)
         return Cyclotomic(target, tuple(_spread(self._num, n, target)), self._den)
 
     def reduced(self) -> "Cyclotomic":
@@ -427,14 +435,24 @@ ZERO = Cyclotomic(1, (0,), 1)
 ONE = Cyclotomic(1, (1,), 1)
 
 
-def _spread(num, order: int, target: int) -> list[int]:
-    # numerators at order re-expressed at target, a multiple of order
+def index_map(coeffs, order: int, target: int, k: int = 1, e: int = 0) -> list[int]:
+    """Numerators at order, mapped zeta_order^j -> zeta_target^(k j target/order + e).
+
+    target is a multiple of order; the result has target entries, unreduced.
+    This embeds (k = 1), applies the Galois map zeta -> zeta^k (gcd(k, order)
+    = 1) and multiplies by the root zeta_target^e, in any combination.
+    """
     s = target // order
     p = [0] * target
-    for j, c in enumerate(num):
+    for j, c in enumerate(coeffs):
         if c:
-            p[j * s] = c
-    return poly_reduce(p, cyclotomic_polynomial(target))
+            p[(k * j * s + e) % target] += c
+    return p
+
+
+def _spread(num, order: int, target: int) -> list[int]:
+    # numerators at order re-expressed at target, a multiple of order
+    return poly_reduce(index_map(num, order, target), cyclotomic_polynomial(target))
 
 
 def integer_rows(values, order: int) -> tuple[list[list[int]], int]:
@@ -443,7 +461,7 @@ def integer_rows(values, order: int) -> tuple[list[list[int]], int]:
     Each value must lie in Q(zeta_order) by its representation: its order
     divides ``order``. Row i times 1/den is value i at order ``order``.
     """
-    _check_order(order)
+    check_order(order)
     values = [from_rational(v) if not isinstance(v, Cyclotomic) else v for v in values]
     for v in values:
         if order % v.order:
@@ -497,6 +515,70 @@ def root_sums(values, root_rows) -> list[Cyclotomic]:
     return out
 
 
+# ---------------------------------------------------------------------------
+# matrices at one order N: (cells, den), where cell (i, j) holds the integer
+# numerators of entry (i, j) over the shared den, unreduced (up to N long)
+# after an index map such as a root of unity or conjugation. A product packs
+# each cell into one int (mtckit._poly): an output cell is one dot product of
+# ints, folded modulo x^N - 1 and reduced modulo Phi_N once.
+
+
+def lift(matrix, order: int) -> tuple[list[list[list[int]]], int]:
+    """A matrix of ints, Fractions or Cyclotomics as (cells, den) at the order."""
+    flat, den = integer_rows([v for row in matrix for v in row], order)
+    cols = len(matrix[0])
+    return [flat[i : i + cols] for i in range(0, len(flat), cols)], den
+
+
+def max_abs(cells) -> int:
+    """The largest |numerator| in a matrix of cells."""
+    return max((max(max(c), -min(c)) for row in cells for c in row), default=0)
+
+
+class Packing:
+    """Cells at order N packed into ints, wide enough for every folded value
+    of one computation (|slot| <= bound) and its reduction modulo Phi_N."""
+
+    def __init__(self, order: int, bound: int):
+        self.order, self.deg = order, euler_phi(order)
+        high = _monomials(order)[self.deg :]  # x^k modulo Phi_N for k >= phi(N)
+        # a reduced slot adds each high slot times one coefficient of its power
+        growth = 1 + max((sum(abs(h[k]) for h in high) for k in range(self.deg)), default=0)
+        self.width = slot_width(bound, growth)
+        self.high = [poly_pack(h, self.width) for h in high]
+
+    def pack(self, cells) -> list[list[int]]:
+        return [[poly_pack(c, self.width) for c in row] for row in cells]
+
+    def fold(self, value: int) -> int:
+        return poly_fold(value, self.width, self.order)
+
+    def contract(self, left, right) -> list[list[int]]:
+        """out[i][j] = sum_k left[i][k] right[j][k], folded: left times right transposed."""
+        return [[self.fold(sum(map(mul, row, col))) for col in right] for row in left]
+
+    def reduce(self, value: int) -> int:
+        """A folded value modulo Phi_N, still packed: the low phi(N) slots plus
+        each high slot times its power. Constant iff it fits the lowest slot."""
+        shift = self.width * self.deg
+        top = (value + (1 << (shift - 1))) >> shift  # the high slots
+        tops = poly_unpack(top, self.width, len(self.high))
+        return value - (top << shift) + sum(map(mul, tops, self.high))
+
+    def unpack(self, value: int) -> list[int]:
+        return poly_unpack(value, self.width, self.deg)
+
+
+def matmul(a, b, order: int) -> tuple[list[list[list[int]]], int]:
+    """The exact product of two (cells, den) matrices at one order, reduced."""
+    (a_cells, a_den), (b_cells, b_den) = a, b
+    # a cell product sums at most one term per coefficient of the shorter cell
+    terms = len(b_cells) * min(len(a_cells[0][0]), len(b_cells[0][0]))
+    p = Packing(order, terms * max_abs(a_cells) * max_abs(b_cells))
+    out = p.contract(p.pack(a_cells), list(zip(*p.pack(b_cells))))
+    return [[p.unpack(p.reduce(v)) for v in row] for row in out], a_den * b_den
+
+
 def from_rational(q) -> Cyclotomic:
     """The rational q (int or Fraction) as a Cyclotomic of order 1."""
     x = Cyclotomic._coerce(q)
@@ -516,7 +598,7 @@ def root_of_unity(q: int, k: int) -> Cyclotomic:
         return ONE
     if q == 2:
         return Cyclotomic(1, (-1,), 1)
-    _check_order(q)
+    check_order(q)
     d = euler_phi(q)
     if k < d:
         num = [0] * d
@@ -539,11 +621,7 @@ def zeta(n: int) -> Cyclotomic:
 def _galois_same_order(x: Cyclotomic, k: int) -> Cyclotomic:
     # zeta_n -> zeta_n^k on a value already represented at order n; gcd(k, n) = 1
     n = x.order
-    p = [0] * n
-    for j, c in enumerate(x._num):
-        if c:
-            p[(j * k) % n] += c
-    poly_reduce(p, cyclotomic_polynomial(n))
+    p = poly_reduce(index_map(x._num, n, n, k), cyclotomic_polynomial(n))
     return Cyclotomic(n, tuple(p), x._den)
 
 
@@ -889,5 +967,7 @@ def dft(xs: list) -> list[Cyclotomic]:
 
 def idft(xs: list) -> list[Cyclotomic]:
     """Inverse transform: F^-1(X)_k = (1/N) sum_m X_m zeta_N^(-m k) (exact)."""
+    if not xs:
+        return []
     scale = Fraction(1, len(xs))
     return [s * scale for s in root_sums(xs, _dft_rows(len(xs), -1))]

@@ -1,16 +1,20 @@
 """Integer fusion rings: Verlinde computation and tensor-power decompositions.
 
 An object multiset is a plain dict {simple index: multiplicity >= 0},
-representing a semisimple object as a sum of simples.
+representing a semisimple object as a sum of simples. Verlinde's formula
+runs on S lifted to one order as packed cells (cyclo.Packing), and the
+associativity check on rows of structure constants packed into ints.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from operator import mul
 
 from . import cyclo
-from .modular_data import ModularData
+from ._poly import poly_pack, poly_unpack, slot_width
+from .modular_data import ModularData, _lift
 
 __all__ = [
     "FusionRing",
@@ -64,48 +68,58 @@ class FusionRing:
                 for c in range(r):
                     if t[c][a][b] != t[dual[c]][dual[b]][dual[a]]:
                         fail("dual transpose law", (a, b, c))
-        # both sides of associativity are dot products over the middle
-        # simple e: N^e_{b,c} and N^d_{e,c} as vectors in e, built once
+        # associativity packed over d: [x (x) e] holds N^d_{x,e} for every d
+        # in one int, so each side at (a, b, c) is one dot product over e
+        m = max((abs(n) for mat in t for row in mat for n in row), default=0)
+        w = slot_width(r, m, m)
+
+        def over_d(x, y):
+            return poly_pack([t[d][x][y] for d in range(r)], w)
+
+        left = [[over_d(a, e) for e in range(r)] for a in range(r)]
+        right = [[over_d(e, c) for e in range(r)] for c in range(r)]
         over_e = [[tuple(t[e][b][c] for e in range(r)) for c in range(r)] for b in range(r)]
-        into = [[tuple(t[d][e][c] for e in range(r)) for c in range(r)] for d in range(r)]
-        for a in range(r):
-            for b in range(r):
-                ab = over_e[a][b]
-                for c in range(r):
-                    bc = over_e[b][c]
-                    for d in range(r):
-                        if sum(map(mul, t[d][a], bc)) != sum(map(mul, ab, into[d][c])):
-                            fail("associativity law", (a, b, c, d))
+        for a, b, c in itertools.product(range(r), repeat=3):
+            lhs = sum(map(mul, left[a], over_e[b][c]))
+            rhs = sum(map(mul, over_e[a][b], right[c]))
+            if lhs != rhs:
+                sides = zip(poly_unpack(lhs, w, r), poly_unpack(rhs, w, r))
+                d = next(d for d, (x, y) in enumerate(sides) if x != y)
+                fail("associativity law", (a, b, c, d))
 
 
 def verlinde(md: ModularData) -> FusionRing:
     """Fusion rules from the S-matrix: N^a_{c,d} = sum_e S_ce S_de conj(S)_ae / S_1e.
 
-    Every entry is computed exactly in the cyclotomic field and must
-    recognize as a non-negative integer; anything else proves the input is
-    not modular data and raises ModularityError naming the offending triple.
+    Every entry must be a non-negative integer; anything else proves the
+    input is not modular data and raises ModularityError naming the first
+    offending (c, d >= c, a). Each S_1e is inverted once; S_ce S_de and
+    conj(S)_ae / S_1e are packed cells, and each entry is one packed dot
+    product over e, reduced once: an integer iff it is constant and the
+    common denominator divides it.
     """
-    r = md.rank
-    u = md.unit
-    s = md.s
-    ratio = [
-        [(s[a][e].conjugate()) * cyclo.inverse(s[u][e]) for e in range(r)]
-        for a in range(r)
-    ]
+    r, u, s = md.rank, md.unit, md.s
+    cells, den, n = _lift(s)
+    inv, inv_den = cyclo.lift([[cyclo.inverse(s[u][e]) for e in range(r)]], n)
+    deg, s_max = len(cells[0][0]), cyclo.max_abs(cells)
+    # a cell product sums at most phi(N) terms into a slot, an entry r * N
+    p = cyclo.Packing(n, r * n * (deg * s_max) ** 2 * s_max * cyclo.max_abs(inv))
+    packed, (p_inv,) = p.pack(cells), p.pack(inv)
+    conj = p.pack([[cyclo.index_map(c, n, n, -1) for c in row] for row in cells])
+    ratio = [[p.fold(x * y) for x, y in zip(row, p_inv)] for row in conj]
+    total = den**3 * inv_den
     table = [[[0] * r for _ in range(r)] for _ in range(r)]
     for c in range(r):
         for d in range(c, r):
-            prod = [s[c][e] * s[d][e] for e in range(r)]
-            for a in range(r):
-                val = cyclo.dot(prod, ratio[a])
-                n = cyclo.as_integer(val)
-                if n is None or n < 0:
+            prod = [p.fold(x * y) for x, y in zip(packed[c], packed[d])]
+            for a, v in enumerate(map(p.reduce, p.contract([prod], ratio)[0])):
+                if not 0 <= v < 1 << (p.width - 1) or v % total:
+                    val = cyclo.Cyclotomic._make(n, p.unpack(v), total)
                     raise ModularityError(
                         f"N^{md.labels[a]}_({md.labels[c]},{md.labels[d]}) = {val} "
                         "is not a non-negative integer"
                     )
-                table[a][c][d] = n
-                table[a][d][c] = n
+                table[a][c][d] = table[a][d][c] = v // total
     ring = FusionRing(
         rank=r,
         unit=u,

@@ -5,7 +5,9 @@ divide out the global-dimension square root); T is diagonal and carried as
 the tuple of twists theta_a, stored as RootOfUnity. The unit object and the
 duality permutation are derived, not supplied: the unit is the row of S
 that is entirely real positive with trivial twist, and duals come from
-S^2 = C.
+S^2 = C. The matrix relations compare cells of packed products of S lifted
+to one order (cyclo.matmul); twists, xi and complex conjugation act on the
+lifted cells as index maps.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import dataclasses
 import math
 
 from . import cyclo
+from ._poly import poly_reduce
 from .cyclo import Cyclotomic, RootOfUnity
 
 __all__ = [
@@ -99,28 +102,20 @@ def _is_positive_real(x: Cyclotomic) -> bool:
     return approx > 0
 
 
-def _matmul(a, b):
-    cols = list(zip(*b))
-    return tuple(tuple(cyclo.dot(row, col) for col in cols) for row in a)
+def _lift(s) -> tuple[list[list[list[int]]], int, int]:
+    # S as (cells, den) at the order n of its entries, and n
+    n = math.lcm(*(v.order for row in s for v in row))
+    return (*cyclo.lift(s, n), n)
 
 
-def _perm_from_square(s2) -> tuple[int, ...] | None:
-    n = len(s2)
-    perm = []
-    for i in range(n):
-        hit = None
-        for j in range(n):
-            v = s2[i][j]
-            if v == 1:
-                if hit is not None:
-                    return None
-                hit = j
-            elif not v.is_zero():
-                return None
-        if hit is None:
-            return None
-        perm.append(hit)
-    return tuple(perm) if sorted(perm) == list(range(n)) else None
+def _perm_from_square(square) -> tuple[int, ...] | None:
+    # each row's one nonzero column, if that entry is 1 and they form a permutation
+    cells, den = square
+    one = [den] + [0] * (len(cells[0][0]) - 1)
+    nonzero = [[j for j, v in enumerate(row) if any(v)] for row in cells]
+    perm = tuple(js[0] if len(js) == 1 and row[js[0]] == one else -1
+                 for js, row in zip(nonzero, cells))
+    return perm if sorted(perm) == list(range(len(cells))) else None
 
 
 def construct(
@@ -171,10 +166,14 @@ def construct(
     elif unit not in candidates:
         raise ModularDataError(f"forced unit {unit} fails the unit-row conditions")
 
-    dual = _perm_from_square(_matmul(s, s))
+    cells, den, n = _lift(s)
+    square = cyclo.matmul((cells, den), (cells, den), n)
+    dual = _perm_from_square(square)
     if dual is None:
         raise ModularDataError("S^2 is not a permutation matrix; input is not modular data")
-    return ModularData(labels=labels, s=s, theta=theta, unit=unit, dual=dual)
+    md = ModularData(labels=labels, s=s, theta=theta, unit=unit, dual=dual)
+    vars(md)["_square"] = square  # handed to the first validate, which takes it
+    return md
 
 
 def derive_invariants(md: ModularData) -> DerivedInvariants:
@@ -183,9 +182,7 @@ def derive_invariants(md: ModularData) -> DerivedInvariants:
     inv_suu = cyclo.inverse(md.s[u][u])
     dims = tuple(md.s[u][a] * inv_suu for a in range(md.rank))
     global_dim = cyclo.dot(dims, dims)
-    conductor = 1
-    for t in md.theta:
-        conductor = math.lcm(conductor, t.order)
+    conductor = math.lcm(*(t.order for t in md.theta))
     # xi = sum_a theta_a d_a^2 / sqrt(D), with sqrt(D) = 1/S_{unit,unit}
     (gauss,) = cyclo.root_sums((d * d for d in dims), (md.theta,))
     xi_val = gauss * md.s[u][u]
@@ -208,23 +205,31 @@ def _matrix_check(name: str, r: int, predicate) -> CheckResult:
 
 def validate(md: ModularData) -> ValidationReport:
     """Exact checks of the defining relations; failures are report entries
-    carrying the first offending matrix coordinate."""
+    carrying the first offending matrix coordinate.
+
+    S S-bar^T, S^2 and (ST)^3 are packed products of lifted cells
+    (cyclo.matmul), compared cell by cell; S^2 is the one construct made.
+    """
     checks: list[CheckResult] = []
     r = md.rank
     s = md.s
 
     checks.append(_matrix_check("S symmetric", r, lambda i, j: s[i][j] == s[j][i]))
 
-    sconj = tuple(tuple(x.conjugate() for x in row) for row in s)
-    prod = _matmul(s, tuple(tuple(sconj[j][i] for j in range(r)) for i in range(r)))
+    cells, den, n = _lift(s)
+    one = [den * den] + [0] * (len(cells[0][0]) - 1)
+    zero = [0] * len(one)
+    # S-bar^T: conjugation zeta -> zeta^-1 is an index map on the cells
+    conj_t = [[cyclo.index_map(row[i], n, n, -1) for row in cells] for i in range(r)]
+    prod = cyclo.matmul((cells, den), (conj_t, den), n)[0]
     checks.append(
-        _matrix_check("S unitary", r, lambda i, j: prod[i][j] == (1 if i == j else 0))
+        _matrix_check("S unitary", r, lambda i, j: prod[i][j] == (one if i == j else zero))
     )
 
-    s2 = _matmul(s, s)
+    s2 = (vars(md).pop("_square", None) or cyclo.matmul((cells, den), (cells, den), n))[0]
     checks.append(
         _matrix_check(
-            "S^2 = C", r, lambda i, j: s2[i][j] == (1 if j == md.dual[i] else 0)
+            "S^2 = C", r, lambda i, j: s2[i][j] == (one if j == md.dual[i] else zero)
         )
     )
 
@@ -239,18 +244,25 @@ def validate(md: ModularData) -> ValidationReport:
     checks.append(CheckResult("CT = TC", ct_ok))
 
     checks.append(
-        _matrix_check("S-bar = CS", r, lambda i, j: s[md.dual[i]][j] == sconj[i][j])
+        _matrix_check("S-bar = CS", r, lambda i, j: s[md.dual[i]][j] == s[i][j].conjugate())
     )
 
     try:
         inv = derive_invariants(md)
-        st = tuple(
-            tuple(s[i][j] * md.theta[j].value() for j in range(r)) for i in range(r)
-        )
-        st3 = _matmul(_matmul(st, st), st)
-        xi_val = inv.central_charge.value()
+        xi = inv.central_charge
+        # (ST)^3 and xi S^2 at the order m that holds S, T and xi, where each
+        # twist and xi are index maps on lifted cells
+        m = math.lcm(n, inv.conductor, xi.order)
+        twists = [t.exponent * m // t.order for t in md.theta]
+        st = [[cyclo.index_map(c, n, m, 1, e) for c, e in zip(row, twists)] for row in cells]
+        st3 = cyclo.matmul(cyclo.matmul((st, den), (st, den), m), (st, den), m)[0]
+        mod, e = cyclo.cyclotomic_polynomial(m), xi.exponent * m // xi.order
+        xi_val = xi.value()
         rel = _matrix_check(
-            "(ST)^3 = xi S^2", r, lambda i, j: st3[i][j] == xi_val * s2[i][j]
+            "(ST)^3 = xi S^2",
+            r,
+            lambda i, j: st3[i][j]
+            == poly_reduce([den * v for v in cyclo.index_map(s2[i][j], n, m, 1, e)], mod),
         )
         detail = f"xi = {xi_val}" if rel.passed else f"{rel.detail}, xi = {xi_val}"
         checks.append(CheckResult(rel.name, rel.passed, detail))

@@ -93,8 +93,10 @@ def _sorted_candidates(cands: set[RootOfUnity]) -> list[RootOfUnity]:
 
 
 def _rotation_candidates(theta_b: RootOfUnity, n: int) -> list[RootOfUnity]:
-    # all lambda = zeta_{n q}^j with lambda^n = theta_b^-1 (q = order of theta_b)
+    # all lambda = zeta_{n q}^j with lambda^n = theta_b^-1 (q = order of theta_b);
+    # the row's field holds them all, so a too large n fails here, before any work
     q = theta_b.order
+    cyclo.check_order(n * q)
     base = (-theta_b.exponent) % q
     return _sorted_candidates(
         {RootOfUnity.make(n * q, base + q * i) for i in range(n)}
@@ -208,6 +210,7 @@ def braid_jm_spectrum(
         raise ValueError("need l, m >= 0 and l + m < n")
     if sign not in ("over", "under"):
         raise ValueError(f"sign must be 'over' or 'under', got {sign!r}")
+    cyclo.check_order(n - (l + m))  # each row's field holds the (n-l-m)-th roots of 1
     if fr is None:
         fr = verlinde(md)
     if sign == "under":

@@ -185,12 +185,21 @@ def product_fusion_ring(fr):
 # contractions). gfs_by_dot walks an SL2(Z) word with one Cyclotomic product
 # per term: each token is a pass of Cyclotomic products and cyclo.dot
 # sums, where the library works on packed integer rows at one field order.
-# dims_check evaluates the dimension homomorphism directly.
+# dims_check evaluates the dimension homomorphism directly. matmul is the
+# entry-by-entry matrix product that the packed cyclo.matmul replaced.
 # nu_general_by_field_powers is the straightforward formula that
 # nu_general used before its root-of-unity factors became exponent
 # arithmetic. Every root is a Cyclotomic raised with ``**`` (negative
 # powers through the field inverse), so agreement checks the exponent
 # bookkeeping of nu_general.
+
+
+def matmul(a, b):
+    """The product of two matrices of field values, one cyclo.dot per entry."""
+    from mtckit import cyclo
+
+    cols = list(zip(*b))
+    return tuple(tuple(cyclo.dot(row, col) for col in cols) for row in a)
 
 
 def center_modular_data(cd):

@@ -207,6 +207,30 @@ def test_bad_max_order_setting_is_usage_error():
     assert proc.stderr == "error: MTCKIT_MAX_ORDER must be a positive integer, got 'abc'\n"
 
 
+@pytest.mark.parametrize(
+    "argv, order",
+    [
+        (("rotation", "catalog:haagerup-center", "--object", "x2", "--n", "100000"), 100000),
+        (("rotation", "catalog:semion", "--object", "s", "--n", "100000", "--b", "1,1"), 100000),
+        (("braid", "catalog:haagerup-center", "--object", "x2", "--n", "100000", "--l", "1"), 99999),
+    ],
+)
+def test_huge_n_is_refused_before_any_tensor_power(argv, order):
+    # the candidate eigenvalues need Q(zeta_{n q}); without the up-front
+    # check a huge n first builds tensor powers for minutes
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env.pop("MTCKIT_MAX_ORDER", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mtckit.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: cyclotomic order {order} exceeds the configured limit 10000\n"
+
+
 @pytest.mark.parametrize("from_file", (False, True))
 def test_validate_reuses_the_load_report(tmp_path, capsys, monkeypatch, from_file):
     from mtckit import dataio, modular_data

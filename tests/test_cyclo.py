@@ -257,6 +257,11 @@ class TestDft:
             assert abs(out[k - 1].to_complex() - want) < 1e-9
 
 
+    def test_empty_vectors(self):
+        assert dft([]) == []
+        assert idft([]) == []
+
+
 class TestDot:
     ORDERS = (1, 3, 8, 13, 39)
 
@@ -511,6 +516,80 @@ class TestKernel:
             _poly.poly_unpack(1 << 12, 4, 3)
         with pytest.raises(ValueError):
             _poly.poly_unpack(-(1 << 12), 4, 3)
+
+
+class TestMatmul:
+    ORDERS = (1, 3, 8, 13, 39, 40)
+
+    def _value(self, rng, order):
+        # zero, a rational, or a value of an order dividing `order`
+        kind = rng.randrange(4)
+        if kind == 0:
+            return rng.choice([0, Fraction(0), cyclo.ZERO])
+        if kind == 1:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        return rand_cyclotomic(rng, rng.choice(cyclo._divisors(order)))
+
+    def test_matches_the_dot_oracle(self):
+        rng = random.Random(71)
+        for order in self.ORDERS:
+            for _ in range(8):
+                r, k, c = (rng.randint(1, 5) for _ in range(3))
+                a = [[self._value(rng, order) for _ in range(k)] for _ in range(r)]
+                b = [[from_rational(0) + self._value(rng, order) for _ in range(c)] for _ in range(k)]
+                b_cells, b_den = cyclo.lift(b, order)
+                if rng.random() < 0.5:
+                    # the right factor as unreduced cells, each moved by zeta^e
+                    moves = [[rng.randrange(order) for _ in range(c)] for _ in range(k)]
+                    b_cells = [
+                        [[dict(enumerate(cell)).get((j - e) % order, 0) for j in range(order)]
+                         for cell, e in zip(row, es)]
+                        for row, es in zip(b_cells, moves)
+                    ]
+                    b = [
+                        [v * root_of_unity(order, e) for v, e in zip(row, es)]
+                        for row, es in zip(b, moves)
+                    ]
+                cells, den = cyclo.matmul(cyclo.lift(a, order), (b_cells, b_den), order)
+                assert all(len(cell) == cyclo.euler_phi(order) for row in cells for cell in row)
+                got = [[cyclo.Cyclotomic._make(order, cell, den) for cell in row] for row in cells]
+                want = oracles.matmul([[from_rational(0) + v for v in row] for row in a], b)
+                assert got == [list(row) for row in want], (order, a, b)
+
+    def test_packed_reduction_matches_poly_reduce(self):
+        rng = random.Random(73)
+        for order in self.ORDERS + (2, 105):
+            mod = cyclo.cyclotomic_polynomial(order)
+            p = cyclo.Packing(order, 99)
+            for _ in range(20):
+                row = _rand_coeffs(rng, order)
+                got = p.unpack(p.reduce(_poly.poly_pack(row, p.width)))
+                assert got == _poly.poly_reduce(list(row), mod), (order, row)
+
+    def test_width_is_tight_with_the_reduction(self):
+        # a folded row whose reduced slot k reaches bound * growth: slot k at
+        # +bound and every high slot at +-bound, signed like the coefficient
+        # of its power at k. One bit less must not decode it.
+        bound = 1024
+        for order in (2, 3, 13, 39, 40, 105):
+            deg = cyclo.euler_phi(order)
+            high = cyclo._monomials(order)[deg:]
+            k = max(range(deg), key=lambda k: sum(abs(h[k]) for h in high))
+            growth = 1 + sum(abs(h[k]) for h in high)
+            row = [0] * order
+            row[k] = bound
+            for j, h in enumerate(high):
+                row[deg + j] = bound if h[k] >= 0 else -bound
+            want = _poly.poly_reduce(list(row), cyclo.cyclotomic_polynomial(order))
+            assert want[k] == bound * growth
+            p, narrower = cyclo.Packing(order, bound), cyclo.Packing(order, bound // 2)
+            assert p.width == (bound * growth).bit_length() + 1 == narrower.width + 1
+            assert p.unpack(p.reduce(_poly.poly_pack(row, p.width))) == want
+            try:
+                got = narrower.unpack(narrower.reduce(_poly.poly_pack(row, narrower.width)))
+            except ValueError:
+                got = None
+            assert got != want, order
 
 
 class TestGuards:

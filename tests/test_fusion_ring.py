@@ -1,7 +1,7 @@
 import pytest
 
 import oracles
-from mtckit import dataio
+from mtckit import cyclo, dataio
 from mtckit.fusion_ring import (
     FusionRing,
     ModularityError,
@@ -103,8 +103,35 @@ def test_verlinde_rejects_non_modular(fixture_data):
         labels=md.labels, s=tuple(tuple(r) for r in s), theta=md.theta,
         unit=md.unit, dual=md.dual,
     )
-    with pytest.raises(ModularityError):
+    with pytest.raises(ModularityError) as err:
         verlinde(bad)
+    assert str(err.value) == "N^e_(1,1) = 1/2 is not a non-negative integer"
+
+
+def test_verlinde_names_an_irrational_entry(fixture_data):
+    # the first failing (c, d >= c, a) in scan order, rendered in E-notation
+    md, _ = fixture_data["haagerup-center"]
+    cases = (
+        ((6, 7), (6, 8), "N^x8_(x1,x1) = 1/13*E(13)^2 - 1/13*E(13)^3 - 1/13*E(13)^10 "
+         "+ 1/13*E(13)^11 is not a non-negative integer"),
+        ((2, 3), None, "N^x3_(x1,x1) = 1/9*E(13)^12 is not a non-negative integer"),
+    )
+    for first, second, message in cases:
+        s = [list(row) for row in md.s]
+        (i, j) = first
+        if second is None:
+            s[i][j] = s[j][i] = s[i][j] + cyclo.zeta(13) / 3
+        else:
+            (k, l) = second
+            s[i][j], s[k][l] = s[k][l], s[i][j]
+            s[j][i], s[l][k] = s[i][j], s[k][l]
+        bad = ModularData(
+            labels=md.labels, s=tuple(tuple(r) for r in s), theta=md.theta,
+            unit=md.unit, dual=md.dual,
+        )
+        with pytest.raises(ModularityError) as err:
+            verlinde(bad)
+        assert str(err.value) == message
 
 
 def test_reversed_braiding_has_the_same_ring(fixture_data):
@@ -146,5 +173,33 @@ def test_check_invariants_names_associativity_law():
         (0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1},
         (1, 1): {0: 1, 2: 1}, (1, 2): {1: 1}, (2, 2): {0: 1, 2: 1},
     })
-    with pytest.raises(ModularityError, match="associativity law at"):
+    with pytest.raises(ModularityError, match=r"associativity law at \(1, 1, 2, 2\)$"):
         bad.check_invariants()
+
+
+def test_check_invariants_names_the_first_associativity_failure(fixture_data):
+    # one more x8 in x6 (x) x7, kept symmetric and dual-transposed (all
+    # simples are self-dual): the first failure in (a, b, c, d) scan order
+    _, fr = fixture_data["haagerup-center"]
+    table = [[list(row) for row in mat] for mat in fr.table]
+    for c, a, b in ((7, 5, 6), (7, 6, 5), (6, 5, 7), (6, 7, 5), (5, 6, 7), (5, 7, 6)):
+        table[c][a][b] += 1
+    bad = FusionRing(
+        rank=fr.rank, unit=fr.unit, dual=fr.dual,
+        table=tuple(tuple(tuple(row) for row in mat) for mat in table),
+    )
+    with pytest.raises(ModularityError, match=r"associativity law at \(1, 1, 5, 6\)$"):
+        bad.check_invariants()
+
+
+def test_verlinde_inverts_each_unit_row_entry_once(fixture_data, monkeypatch):
+    md, _ = fixture_data["haagerup-center"]
+    inverse, calls = cyclo.inverse, []
+
+    def counting(x):
+        calls.append(x)
+        return inverse(x)
+
+    monkeypatch.setattr(cyclo, "inverse", counting)
+    assert verlinde(md) == dataio.catalog_ring("haagerup-center")
+    assert len(calls) <= md.rank

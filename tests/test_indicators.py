@@ -332,3 +332,29 @@ def test_nu_general_takes_no_field_inverse_or_power(fixture_centers, monkeypatch
         for k in range(-n, 2 * n):
             for b in range(cd.rank):
                 nu_general(cd, b, n, k, 1, root_shift=1)
+
+
+@pytest.mark.parametrize(
+    "name, pairs",
+    [
+        ("semion", [(m, l) for m in range(-3, 5) for l in range(-3, 5)]),
+        ("fibonacci", [(m, l) for m in range(-2, 4) for l in range(-2, 4)]),
+        ("toric-code", [(m, l) for m in range(-3, 5) for l in range(-3, 5)]),
+        ("haagerup-center", [(3, 1), (5, -3)]),
+    ],
+)
+def test_indicators_are_congruence_invariant(name, pairs, fixture_centers):
+    # Ng-Schauenburg: the center's SL2(Z) representation factors through
+    # SL2(Z/N) with N the order of its T, so a table depends only on
+    # (m, l) mod N
+    cd = fixture_centers[name]
+    n = cd.conductor
+    checked = 0
+    for m, l in pairs:
+        shifted = [(m, l), (m + n, l), (m, l + n)]
+        if any(math.gcd(*p) != 1 for p in shifted):
+            continue
+        tables = [gfs_matrix(cd, *p).values for p in shifted]
+        assert tables[0] == tables[1] == tables[2], (name, m, l)
+        checked += 1
+    assert checked >= 2, name
