@@ -9,6 +9,7 @@ associativity check on rows of structure constants packed into ints.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 from operator import mul
 
@@ -43,6 +44,11 @@ class FusionRing:
 
     def n(self, c: int, a: int, b: int) -> int:
         return self.table[c][a][b]
+
+    @functools.cached_property
+    def _powers(self) -> dict[tuple[int, int], ObjectMultiset]:
+        # a^n for a simple a, per (a, n), kept by power_decompose, which hands out copies
+        return {}
 
     def check_invariants(self) -> None:
         """The unit, duality, dual-transpose and associativity laws.
@@ -160,10 +166,14 @@ def power_decompose(fr: FusionRing, a: int | ObjectMultiset, n: int) -> ObjectMu
     """Multiplicities of each simple in a^(tensor n); a^0 is the unit."""
     if n < 0:
         raise ValueError("tensor power must be non-negative")
-    out: ObjectMultiset = {fr.unit: 1}
-    for _ in range(n):
-        out = fuse(fr, out, _as_multiset(a))
-    return out
+    out = fr._powers.get((a, n)) if isinstance(a, int) else None
+    if out is None:
+        out = {fr.unit: 1}
+        for _ in range(n):
+            out = fuse(fr, out, _as_multiset(a))
+        if isinstance(a, int):
+            fr._powers[(a, n)] = out
+    return dict(out)
 
 
 def hom_dim(fr: FusionRing, b: int, a: int | ObjectMultiset, n: int) -> int:

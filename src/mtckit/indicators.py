@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from operator import mul
 
 from . import cyclo
 from .center import CenterData
@@ -248,20 +249,34 @@ def nu_general(
     return result if factor.is_one() else factor.value() * result
 
 
+def _k2_rows(md: ModularData, fr: FusionRing, n_sum: int):
+    # U[c][d] = theta_d^2 S_{c,d} and V[b][e] = theta_e^-2 S_{b-bar,e}, S lifted once to the
+    # order L of S and every theta^2; packed again if an N^a sum n_sum outgrows the width
+    rows = vars(md).get("_k2_rows")
+    if rows is None or n_sum > rows[-1]:
+        twists = [t**2 for t in md.theta]
+        order = math.lcm(*(v.order for row in md.s for v in row), *(t.order for t in twists))
+        cells, den = cyclo.lift(md.s, order)
+        shifts = [t.exponent * (order // t.order) for t in twists]
+        u = [[cyclo.index_map(x, order, order, 1, e) for x, e in zip(row, shifts)]
+             for row in cells]
+        v = [[cyclo.index_map(x, order, order, 1, -e) for x, e in zip(cells[i], shifts)]
+             for i in md.dual]
+        n_sum = max(sum(map(sum, mat)) for mat in fr.table)
+        # a slot of U_c[d] w_d sums phi(L) coefficient products; |w_d| <= n_sum max|V|
+        p = cyclo.Packing(order, len(cells[0][0]) * n_sum * cyclo.max_abs(u) * cyclo.max_abs(v))
+        rows = vars(md)["_k2_rows"] = (p, p.pack(u), p.pack(v), den * den, n_sum)
+    return rows
+
+
 def nu2_direct(md: ModularData, fr: FusionRing, c: int, b: int, a: int) -> Cyclotomic:
     """nu^{c (x) b~}_{2,1}(a) as the closed double sum over the base data.
 
-    sum_{d,e} (theta_d / theta_e)^2 S_{c,d} S_{b-bar,e} N^a_{d,e}; exact,
-    and independent of the center machinery. The twist factors are roots
-    built by exponent, and both rows are embedded once into one field so
-    the sums never change order.
+    sum_{d,e} U_{c,d} N^a_{d,e} V_{b,e}, U_{c,d} = theta_d^2 S_{c,d}, V_{b,e} =
+    theta_e^-2 S_{b-bar,e}; exact and independent of the center. With U and V
+    packed once per modular data, a value is one packed dot product of U_c
+    with w_d = sum_e N^a_{d,e} V_{b,e}, reduced once: no field product.
     """
-    r = md.rank
-    u_row = [(md.theta[d] ** 2).value() * md.s[c][d] for d in range(r)]
-    v_row = [(md.theta[e] ** -2).value() * md.s[md.dual[b]][e] for e in range(r)]
-    order = math.lcm(*(x.order for x in u_row + v_row))
-    u_row = [x.embedded(order) for x in u_row]
-    v_row = [x.embedded(order) for x in v_row]
-    # z_e = sum_d N^a_{d,e} u_d
-    z = [cyclo.dot(col, u_row) for col in zip(*fr.table[a])]
-    return cyclo.dot(z, v_row)
+    p, u, v, den, _ = _k2_rows(md, fr, sum(map(sum, fr.table[a])))
+    w = [sum(map(mul, row, v[b])) for row in fr.table[a]]
+    return Cyclotomic._make(p.order, p.unpack(p.reduce(p.fold(sum(map(mul, u[c], w))))), den)

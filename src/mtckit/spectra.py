@@ -12,7 +12,9 @@ multiplicities are an inverse DFT of the indicator sequence, and each one
 is a root-of-unity sum (cyclo.root_sums): the nu values are lifted once to
 one field order, each lambda^-k multiplies by an index shift, and each sum
 is reduced once. No two field values are multiplied, no inverse is taken
-and no order changes inside a row.
+and no order changes inside a row. Tensor powers are kept on the fusion
+ring; the n = 2 braid values (k2_pairs) take nu_{2,1} from the packed
+twisted S rows of indicators.nu2_direct, without the center.
 
 Every multiplicity must recognize as a non-negative integer; anything else
 raises IntegralityError, which doubles as an end-to-end data check.
@@ -95,6 +97,8 @@ def _sorted_candidates(cands: set[RootOfUnity]) -> list[RootOfUnity]:
 def _rotation_candidates(theta_b: RootOfUnity, n: int) -> list[RootOfUnity]:
     # all lambda = zeta_{n q}^j with lambda^n = theta_b^-1 (q = order of theta_b);
     # the row's field holds them all, so a too large n fails here, before any work
+    if n < 1:
+        raise ValueError("rotation power n must be >= 1")
     q = theta_b.order
     cyclo.check_order(n * q)
     base = (-theta_b.exponent) % q
@@ -140,8 +144,6 @@ def rotation_spectrum(
     b is a center simple; candidates are exactly the n-th roots of
     theta_b^-1 and zero-multiplicity candidates are kept in the row.
     """
-    if n < 1:
-        raise ValueError("rotation power n must be >= 1")
     cands = _rotation_candidates(cd.theta[b], n)
     mults = [
         _require_count(
@@ -158,6 +160,9 @@ def rotation_spectrum(
 def rotation_report(
     cd: CenterData, a: int | ObjectMultiset, n: int, source: str = ""
 ) -> SpectrumReport:
+    # every row's field order is checked before any row's work
+    for theta_b in dict.fromkeys(cd.theta):
+        _rotation_candidates(theta_b, n)
     rows = tuple(rotation_spectrum(cd, b, a, n) for b in range(cd.rank))
     a_desc = cd.base.labels[a] if isinstance(a, int) else str(a)
     return SpectrumReport(

@@ -314,3 +314,19 @@ def multiplicity_by_dot(cd, b, a, n, lam, root_shift=0):
 
     nus = [nu_general(cd, b, n, k, a, root_shift=root_shift) for k in range(n)]
     return cyclo.dot(nus, ((lam ** -k).value() for k in range(n))) * Fraction(1, n)
+
+
+def nu2_by_dot(md, fr, c, b, a):
+    """nu^{c (x) b~}_{2,1}(a) = sum_{d,e} (theta_d / theta_e)^2 S_{c,d} S_{b-bar,e}
+    N^a_{d,e} by field products: both twisted rows embedded into one field,
+    z_e = sum_d N^a_{d,e} u_d, then sum_e z_e v_e, each by cyclo.dot."""
+    from mtckit import cyclo
+
+    r = md.rank
+    u_row = [(md.theta[d] ** 2).value() * md.s[c][d] for d in range(r)]
+    v_row = [(md.theta[e] ** -2).value() * md.s[md.dual[b]][e] for e in range(r)]
+    order = math.lcm(*(x.order for x in u_row + v_row))
+    u_row = [x.embedded(order) for x in u_row]
+    v_row = [x.embedded(order) for x in v_row]
+    z = [cyclo.dot(col, u_row) for col in zip(*fr.table[a])]
+    return cyclo.dot(z, v_row)

@@ -213,6 +213,9 @@ def test_bad_max_order_setting_is_usage_error():
         (("rotation", "catalog:haagerup-center", "--object", "x2", "--n", "100000"), 100000),
         (("rotation", "catalog:semion", "--object", "s", "--n", "100000", "--b", "1,1"), 100000),
         (("braid", "catalog:haagerup-center", "--object", "x2", "--n", "100000", "--l", "1"), 99999),
+        # row 1 (q = 4) is over the limit while row 0 (q = 1) is not: every
+        # row is checked before row 0's minutes of work
+        (("rotation", "catalog:semion", "--object", "s", "--n", "3000"), 12000),
     ],
 )
 def test_huge_n_is_refused_before_any_tensor_power(argv, order):

@@ -203,3 +203,67 @@ def test_verlinde_inverts_each_unit_row_entry_once(fixture_data, monkeypatch):
     monkeypatch.setattr(cyclo, "inverse", counting)
     assert verlinde(md) == dataio.catalog_ring("haagerup-center")
     assert len(calls) <= md.rank
+
+
+def _fused(fr, a, n):
+    out = {fr.unit: 1}
+    for _ in range(n):
+        out = fuse(fr, out, a)
+    return out
+
+
+def test_power_decompose_equals_repeated_fuse(fixture_data):
+    for name, (md, fr) in fixture_data.items():
+        for a in range(md.rank):
+            for n in range(5):
+                assert power_decompose(fr, a, n) == _fused(fr, a, n), (name, a, n)
+                assert power_decompose(fr, a, n) == _fused(fr, a, n), (name, a, n)
+
+
+def test_power_memo_hands_out_copies(fixture_data):
+    md, fr = fixture_data["fibonacci"]
+    tau = md.index_of("tau")
+    first = power_decompose(fr, tau, 3)
+    want = dict(first)
+    first[md.unit] = 99
+    first.clear()
+    assert power_decompose(fr, tau, 3) == want == _fused(fr, tau, 3)
+
+
+def test_multiset_powers_are_not_kept(fixture_data):
+    md, fr = fixture_data["toric-code"]
+    e, m = md.index_of("e"), md.index_of("m")
+    ring = FusionRing(rank=fr.rank, unit=fr.unit, dual=fr.dual, table=fr.table)
+    assert power_decompose(ring, {e: 1, m: 1}, 2) == {md.unit: 2, md.index_of("f"): 2}
+    assert power_decompose(ring, {e: 2}, 3) == {e: 8}
+    assert ring._powers == {}
+    power_decompose(ring, e, 3)
+    assert list(ring._powers) == [(e, 3)]
+
+
+def test_rings_never_share_powers(fixture_data):
+    md, fr = fixture_data["semion"]
+    s = md.index_of("s")
+    ring = FusionRing(rank=fr.rank, unit=fr.unit, dual=fr.dual, table=fr.table)
+    other = FusionRing(rank=fr.rank, unit=fr.unit, dual=fr.dual, table=fr.table)
+    assert (md.unit, s) == (0, 1)
+    assert power_decompose(ring, s, 2) == {0: 1}
+    assert other._powers == {} and ring._powers is not other._powers
+    # same rank, same (a, n), other rules: s (x) s = 0 here
+    zero_square = FusionRing(rank=2, unit=0, dual=(0, 1), table=(((1, 0), (0, 0)), ((0, 1), (1, 0))))
+    assert power_decompose(zero_square, s, 2) == {}
+    assert power_decompose(ring, s, 2) == {0: 1}
+
+
+def test_filled_caches_keep_equality_and_hash(fixture_data):
+    from mtckit.indicators import nu2_direct
+
+    for name, (md, fr) in fixture_data.items():
+        md2 = ModularData(md.labels, md.s, md.theta, md.unit, md.dual)
+        fr2 = FusionRing(rank=fr.rank, unit=fr.unit, dual=fr.dual, table=fr.table)
+        before = (hash(md2), hash(fr2))
+        nu2_direct(md2, fr2, 0, 0, 0)
+        power_decompose(fr2, 0, 2)
+        assert "_k2_rows" in vars(md2) and fr2._powers
+        assert md2 == md and fr2 == fr and (hash(md2), hash(fr2)) == before == (hash(md), hash(fr))
+        assert repr(md2) == repr(md) and repr(fr2) == repr(fr)

@@ -1,12 +1,26 @@
 """Source checks on the library: no guard that vanishes under ``python -O``,
 no environment knob beyond the documented one, no field sum started
-at the order-1 zero, and no root-of-unity sum built from field products."""
+at the order-1 zero, no root-of-unity sum built from field products, and
+no module-level cache beyond the ones that exist."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mtckit"
 ALLOWED_ENV = {"MTCKIT_MAX_ORDER"}
+# a cache that outlives its data grows with every value a process sees;
+# new ones belong on the instance they describe
+ALLOWED_MODULE_CACHES = {
+    "_center_cache",
+    "_catalog_cache",
+    "_last_parsed",
+    "_descent_cache",
+    "_monomial_cache",
+    "_cyclo_poly_cache",
+}
+# process settings rebound by cyclo.set_order_limit: configuration, not caches
+MODULE_SETTINGS = {"_order_limit", "_order_limit_error"}
+_MUTATORS = {"setdefault", "update", "pop", "popitem", "clear", "append", "extend", "add", "insert"}
 
 
 def _modules():
@@ -137,3 +151,87 @@ def test_no_root_sums_by_field_products():
         {f"{path}:{line}" for path, tree in _modules() for line in _root_sums_by_products(tree)}
     )
     assert not found, f"sum root-of-unity multiples with cyclo.root_sums, not cyclo.dot: {found}"
+
+
+def _module_names(tree):
+    names = set()
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def _is_functools_cache(node):
+    # lru_cache / cache, bare or called, plain or as functools.<name>
+    if isinstance(node, ast.Call):
+        node = node.func
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name in ("lru_cache", "cache")
+
+
+def _module_caches(tree):
+    """(line, name) for module state that functions write: a name rebound
+    under ``global``, a module-level container stored into by subscript or
+    by a mutating method, and each functools cache decorator."""
+    top = _module_names(tree)
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for deco in func.decorator_list:
+            if _is_functools_cache(deco):
+                yield func.lineno, func.name
+        for node in ast.walk(func):
+            if isinstance(node, ast.Global):
+                yield from ((node.lineno, name) for name in node.names)
+            targets = []
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr in _MUTATORS:
+                    targets = [node.func]
+            for target in targets:
+                owner = getattr(target, "value", None)
+                if isinstance(target, (ast.Subscript, ast.Attribute)) and isinstance(owner, ast.Name):
+                    if owner.id in top:
+                        yield node.lineno, owner.id
+
+
+def test_no_new_module_caches():
+    found = sorted(
+        {
+            f"{path}:{line} {name}"
+            for path, tree in _modules()
+            for line, name in _module_caches(tree)
+            if name not in ALLOWED_MODULE_CACHES | MODULE_SETTINGS
+        }
+    )
+    assert not found, f"keep caches on the instance they describe, not in the module: {found}"
+
+
+def test_module_cache_guard_sees_each_kind():
+    source = """
+import functools
+_rows = {}
+_seen = []
+_last = None
+LIMITS = {"a": 1}
+
+def build(md):
+    global _last
+    _rows[md] = 1
+    _seen.append(md)
+    _last = md
+    local = {}
+    local[md] = 2
+
+@functools.lru_cache(maxsize=None)
+def cached(n):
+    return LIMITS["a"] + n
+"""
+    found = {name for _, name in _module_caches(ast.parse(source))}
+    assert found == {"_rows", "_seen", "_last", "cached"}
+    # every allowed name is still found, so the allowlists hold no dead name
+    live = {name for _, tree in _modules() for _, name in _module_caches(tree)}
+    assert live == ALLOWED_MODULE_CACHES | MODULE_SETTINGS

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -197,6 +198,142 @@ def _deligne_product(left, right):
         ),
     )
     return md, fr
+
+
+def _relabeled(md, fr, perm):
+    """The same data with simple i renamed y<i> and moved from index perm[i] to i."""
+    where = {old: new for new, old in enumerate(perm)}
+    md2 = ModularData(
+        labels=tuple(f"y{i}" for i in range(md.rank)),
+        s=tuple(tuple(md.s[i][j] for j in perm) for i in perm),
+        theta=tuple(md.theta[i] for i in perm),
+        unit=where[md.unit],
+        dual=tuple(where[md.dual[i]] for i in perm),
+    )
+    fr2 = FusionRing(
+        rank=fr.rank,
+        unit=md2.unit,
+        dual=md2.dual,
+        table=tuple(tuple(tuple(fr.table[c][a][b] for b in perm) for a in perm) for c in perm),
+    )
+    return md2, fr2
+
+
+def _assert_nu2_matches(md, fr, oracle, where=""):
+    # every (c, b, a): oracle(c, b, a) is the dot-product value
+    r = md.rank
+    for c, b, a in itertools.product(range(r), repeat=3):
+        got, want = nu2_direct(md, fr, c, b, a), oracle(c, b, a)
+        assert got == want and str(got) == str(want), (where, c, b, a)
+
+
+@pytest.fixture(scope="module")
+def haagerup_nu2_oracle(fixture_data):
+    md, fr = fixture_data["haagerup-center"]
+    r = md.rank
+    return {t: oracles.nu2_by_dot(md, fr, *t) for t in itertools.product(range(r), repeat=3)}
+
+
+class TestNu2Direct:
+    def test_matches_dot_oracle_on_small_fixtures(self, fixture_data):
+        for name in SMALL:
+            md, fr = fixture_data[name]
+            _assert_nu2_matches(md, fr, lambda *t: oracles.nu2_by_dot(md, fr, *t), name)
+
+    def test_matches_dot_oracle_on_haagerup_center(self, fixture_data, haagerup_nu2_oracle):
+        md, fr = fixture_data["haagerup-center"]
+        _assert_nu2_matches(md, fr, lambda *t: haagerup_nu2_oracle[t])
+
+    def test_matches_dot_oracle_on_a_relabeling(self, fixture_data, haagerup_nu2_oracle):
+        # the double sum does not see the labels: the relabeled value at
+        # (c, b, a) is the oracle's at the original indices
+        md, fr = fixture_data["haagerup-center"]
+        perm = list(range(md.rank))
+        random.Random(12).shuffle(perm)
+        md2, fr2 = _relabeled(md, fr, perm)
+        assert validate(md2).ok and md2.unit != md.unit
+        _assert_nu2_matches(md2, fr2, lambda *t: haagerup_nu2_oracle[tuple(perm[i] for i in t)])
+
+    def test_matches_dot_oracle_on_a_deligne_product(self, fixture_data):
+        # semion x fibonacci: S at order 40 with theta^2 of orders 1, 2, 5 and 10
+        md, fr = _deligne_product(fixture_data["semion"], fixture_data["fibonacci"])
+        assert {v.order for row in md.s for v in row} == {40}
+        assert {(t**2).order for t in md.theta} == {1, 2, 5, 10}
+        _assert_nu2_matches(md, fr, lambda *t: oracles.nu2_by_dot(md, fr, *t))
+
+    def test_takes_no_field_product_or_order_change(self, fixture_data, monkeypatch):
+        md, fr = fixture_data["haagerup-center"]
+        md = dataclasses.replace(md)  # no packed rows yet: the build is counted too
+        seen = []
+        mul, embedded = cyclo.Cyclotomic.__mul__, cyclo.Cyclotomic.embedded
+
+        def counting_mul(self, other):
+            seen.append("mul")
+            return mul(self, other)
+
+        def counting_embedded(self, target):
+            if target != self.order:
+                seen.append("embed")
+            return embedded(self, target)
+
+        monkeypatch.setattr(cyclo.Cyclotomic, "__mul__", counting_mul)
+        monkeypatch.setattr(cyclo.Cyclotomic, "__rmul__", counting_mul)
+        monkeypatch.setattr(cyclo.Cyclotomic, "embedded", counting_embedded)
+        for c, b, a in itertools.product(range(md.rank), repeat=3):
+            nu2_direct(md, fr, c, b, a)
+        assert seen == []
+
+    def test_slot_width_is_tight(self, monkeypatch):
+        # rank 3, S all +-m at order 1, theta = 1 and every N^a_{d,e} = n: the
+        # value at (c, b) = (0, 0) is +bound and at (0, 1) it is -bound, with
+        # bound = phi(1) * sum_{d,e} N^a_{d,e} * max|U| * max|V| = 9 n m^2.
+        # One bit less must not decode it.
+        r, m, n = 3, 5, 7
+        bound = r * r * n * m * m
+        rows = ((m,) * r, (-m,) * r, (m,) * r)
+        md = ModularData(
+            labels=("x", "y", "z"),
+            s=tuple(tuple(cyclo.from_rational(v) for v in row) for row in rows),
+            theta=(cyclo.ROOT_ONE,) * r,
+            unit=0,
+            dual=(0, 1, 2),
+        )
+        fr = FusionRing(rank=r, unit=0, dual=(0, 1, 2), table=(((n,) * r,) * r,) * r)
+        assert nu2_direct(md, fr, 0, 0, 0) == bound
+        assert nu2_direct(md, fr, 0, 1, 0) == -bound
+        width = vars(md)["_k2_rows"][0].width
+        assert width == bound.bit_length() + 1
+
+        class Narrower(cyclo.Packing):
+            def __init__(self, order, bound):
+                super().__init__(order, bound)
+                self.width -= 1
+
+        monkeypatch.setattr(cyclo, "Packing", Narrower)
+        for b, want in ((0, bound), (1, -bound)):
+            narrow = dataclasses.replace(md)
+            try:
+                got = nu2_direct(narrow, fr, 0, b, 0)
+            except ValueError:
+                got = None
+            assert vars(narrow)["_k2_rows"][0].width == width - 1
+            assert got != want, b
+
+    def test_rows_widen_for_a_larger_ring(self, fixture_data):
+        # rows packed for one ring are rebuilt when a later ring's N^a sums
+        # exceed the width they were packed for
+        md, fr = fixture_data["fibonacci"]
+        md = dataclasses.replace(md)
+        want = [oracles.nu2_by_dot(md, fr, 1, 1, a) for a in range(md.rank)]
+        assert [nu2_direct(md, fr, 1, 1, a) for a in range(md.rank)] == want
+        big = FusionRing(
+            rank=fr.rank,
+            unit=fr.unit,
+            dual=fr.dual,
+            table=tuple(tuple(tuple(1000 * v for v in row) for row in mat) for mat in fr.table),
+        )
+        assert [nu2_direct(md, big, 1, 1, a) for a in range(md.rank)] == [1000 * v for v in want]
+        assert [nu2_direct(md, fr, 1, 1, a) for a in range(md.rank)] == want
 
 
 class TestCrossRoute:
