@@ -5,13 +5,17 @@ S_{(a,b),(c,d)} = S_{a,c} S_{b-bar,d} and twist theta_a / theta_b. The
 forgetful functor sends (a, b) to a (x) b, so its multiplicity matrix A is
 read off the base fusion ring.
 
-The full rank^2 x rank^2 S-matrix is never materialized. The SL2(Z)
-generators act in one field per center, Q(zeta_N) with N the lcm of the
-conductor and the orders of the base S entries (the semion S lies in
-Q(zeta_8) while its center twists have order 4), on (cells, den) matrices
-of mtckit.cyclo, with the base S lifted once per center. apply_t shifts each
-row by its twist and reduces it; apply_s is two base-rank contractions,
-each one packed matrix product (cyclo.Packing).
+No rank^2 x rank^2 matrix is ever materialized. The center's SL2(Z)
+representation factors over the pairs (Ng-Schauenburg): S_Z = S (x) S' with
+S'_{b,d} = S_{b-bar,d}, and T_Z = T (x) T^-1, so pi(g) = R (x) R' for
+two base-rank matrices. Both factors live in one field per center,
+Q(zeta_N) with N the lcm of the conductor and the orders of the base S
+entries (the semion S lies in Q(zeta_8) while its center twists have
+order 4), as (cells, den) matrices of mtckit.cyclo, with the base S lifted
+once per center. apply_s multiplies each factor by its S, one packed matrix
+product each (cyclo.matmul); apply_t shifts row a of R by theta_a^power and
+of R' by theta_a^-power and reduces it. contract_a applies R (x) R' to the
+forgetful matrix A once, after the whole word.
 """
 
 from __future__ import annotations
@@ -19,18 +23,21 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+from operator import mul
 
 from . import cyclo
 from ._poly import poly_reduce
 from .cyclo import ConsistencyError, Cyclotomic, RootOfUnity
 from .fusion_ring import FusionRing, verlinde
-from .modular_data import ModularData, derive_invariants
+from .modular_data import ModularData
 
 __all__ = ["CenterData", "ConsistencyError", "deligne_square"]
 
 # (cells, den): cells[i][j] holds the integer numerators of entry (i, j) at
 # the working order, and den is the denominator they share
 Working = tuple[list[list[list[int]]], int]
+# (R, R'): pi(g) = R (x) R' on the pairs (a, b), two base-rank factors
+Pair = tuple[Working, Working]
 
 
 @dataclasses.dataclass
@@ -70,7 +77,7 @@ class CenterData:
             return self.labels.index(obj)
         raise ValueError(f"unknown center object {obj!r}")
 
-    # -- SL2(Z) generator action on (rank x width) matrices ------------------
+    # -- SL2(Z) generator action on the factor pair ---------------------------
 
     @functools.cached_property
     def working_order(self) -> int:
@@ -78,76 +85,84 @@ class CenterData:
         return math.lcm(self.conductor, *(v.order for row in self.base.s for v in row))
 
     @functools.cached_property
-    def _working_s(self) -> tuple[list[list[list[int]]], int, int]:
-        # the base S lifted to order N, with its largest |coefficient|
-        rows, den = self.lift(self.base.s)
-        return rows, den, cyclo.max_abs(rows)
+    def _working_s(self) -> tuple[Working, Working]:
+        # the base S lifted to order N, and S' with S'_{b,d} = S_{b-bar,d}
+        rows, den = cyclo.lift(self.base.s, self.working_order)
+        return (rows, den), ([rows[b] for b in self.base.dual], den)
 
     @functools.cached_property
     def _twist_exponents(self) -> tuple[int, ...]:
+        # theta_a = theta_(a,unit) is a center twist, so it lives at order N
         n = self.working_order
-        return tuple(t.exponent * (n // t.order) for t in self.theta)
+        return tuple(t.exponent * (n // t.order) for t in self.base.theta)
 
-    def lift(self, matrix) -> Working:
-        """A matrix of ints, Fractions or Cyclotomics as (cells, den) at order N."""
-        return cyclo.lift(matrix, self.working_order)
+    def identity(self) -> Pair:
+        """The factor pair of the empty word: two base-rank identities at order N."""
+        r = self.base.rank
+        one = cyclo.lift([[int(i == j) for j in range(r)] for i in range(r)], self.working_order)
+        return one, one
 
-    def convert(self, x: Working) -> tuple[tuple[Cyclotomic, ...], ...]:
-        """The (cells, den) matrix as Cyclotomic entries at order N; zeros are ZERO."""
-        cells, den = x
-        n = self.working_order
-        return tuple(
-            tuple(Cyclotomic._make(n, c, den) if any(c) else cyclo.ZERO for c in row)
-            for row in cells
-        )
-
-    def apply_t(self, x: Working, power: int) -> Working:
-        """T^power: row i times theta_i^power, an index shift at order N."""
-        cells, den = x
+    def apply_t(self, x: Pair, power: int) -> Pair:
+        """T^power: row a of R times theta_a^power and of R' times theta_a^-power,
+        each an index shift at order N and a reduce."""
         n = self.working_order
         mod = cyclo.cyclotomic_polynomial(n)
         out = []
-        for row, t in zip(cells, self._twist_exponents):
-            e = power * t % n
-            if e:
+        for (cells, den), sign in zip(x, (power, -power)):
+            rows = []
+            for row, t in zip(cells, self._twist_exponents):
+                e = sign * t % n
                 # zeta^e c(zeta): shift the coefficients up by e, then reduce
-                row = [poly_reduce([0] * e + c, mod) for c in row]
-            out.append(row)
-        return out, den
+                rows.append([poly_reduce([0] * e + c, mod) for c in row] if e else row)
+            out.append((rows, den))
+        return tuple(out)
 
-    def apply_s(self, x: Working) -> Working:
-        """S as the base S contracted over c, then over d, of the pair (c, d).
+    def apply_s(self, x: Pair) -> Pair:
+        """S: (R, R') -> (S R, S' R'), one packed product each (cyclo.matmul)."""
+        n = self.working_order
+        return tuple(_content_free(cyclo.matmul(s, f, n)) for s, f in zip(self._working_s, x))
 
-        Each contraction is one packed product (cyclo.Packing) whose columns
-        are (the other pair index, column of x); y stays packed in between.
+    def contract_a(self, x: Pair) -> tuple[tuple[Cyclotomic, ...], ...]:
+        """(R (x) R') A as Cyclotomic entries at order N; zeros are ZERO.
+
+        Row (a, b), column j is sum_{c,d} R[a][c] R'[b][d] N^j_{c,d}: A's
+        integer entries scale the packed cells of R over c, then one packed
+        product contracts R' over d.
         """
-        cells, den = x
-        r, cols = self.base.rank, len(cells[0])
-        s_rows, s_den, s_max = self._working_s
-        terms = r * len(s_rows[0][0])  # coefficient products summed into one slot
-        # |y| <= terms * s_max * max|x| and |z| <= terms * s_max * max|y|
-        p = cyclo.Packing(self.working_order, (terms * s_max) ** 2 * cyclo.max_abs(cells))
-        packed_s, packed = p.pack(s_rows), p.pack(cells)
-        # y[a][(d, j)] = sum_c s[a][c] x[(c,d)][j]
-        x_cols = [[packed[c * r + d][j] for c in range(r)] for d in range(r) for j in range(cols)]
-        y = p.contract(packed_s, x_cols)
-        # z[b][(a, j)] = sum_d s[b-bar][d] y[a][(d, j)]
+        (r_cells, r_den), (q_cells, q_den) = x
+        forget, r, cols = self.a_matrix, self.base.rank, len(self.a_matrix[0])
+        # |y| <= r max|R| max|A| per slot; a folded slot of z adds r phi(N) products
+        bound = (r * cyclo.max_abs(r_cells) * max(map(max, forget))
+                 * r * len(q_cells[0][0]) * cyclo.max_abs(q_cells))
+        p = cyclo.Packing(self.working_order, bound)
+        # y[a][(d, j)] = sum_c R[a][c] A[(c, d)][j]; a packed A cell is the int itself
+        a_cols = [[forget[c * r + d][j] for c in range(r)] for d in range(r) for j in range(cols)]
+        y = [[sum(map(mul, row, col)) for col in a_cols] for row in p.pack(r_cells)]
+        # z[b][(a, j)] = sum_d R'[b][d] y[a][(d, j)]
         y_cols = [[y[a][d * cols + j] for d in range(r)] for a in range(r) for j in range(cols)]
-        z = p.contract([packed_s[b] for b in self.base.dual], y_cols)
-        del packed, x_cols, y, y_cols  # only z is alive while it is unpacked
-        out = [[p.unpack(p.reduce(v)) for v in z[b][a * cols : (a + 1) * cols]]
-               for a in range(r) for b in range(r)]
-        # divide out the common content so widths do not grow with every s
-        den *= s_den * s_den
-        g = den
-        for row in out:
-            g = math.gcd(g, *map(math.gcd, *row))  # every coefficient of the row
-        if g > 1:
-            for row in out:
-                for c in row:
-                    c[:] = [v // g for v in c]
-            den //= g
-        return out, den
+        z = p.contract(p.pack(q_cells), y_cols)
+        del a_cols, y, y_cols  # only z is alive while it is unpacked
+        n, den = self.working_order, r_den * q_den
+        out = []
+        for a in range(r):
+            for b in range(r):
+                row = []
+                for v in z[b][a * cols : (a + 1) * cols]:
+                    v = p.reduce(v)
+                    row.append(Cyclotomic._make(n, p.unpack(v), den) if v else cyclo.ZERO)
+                out.append(tuple(row))
+        return tuple(out)
+
+
+def _content_free(x: Working) -> Working:
+    # divide out the common content so widths do not grow with every s
+    cells, den = x
+    g = den
+    for row in cells:
+        g = math.gcd(g, *map(math.gcd, *row))  # every coefficient of the row
+    if g == 1:
+        return x
+    return [[[v // g for v in c] for c in row] for row in cells], den // g
 
 
 def deligne_square(md: ModularData, fr: FusionRing) -> CenterData:
@@ -157,7 +172,7 @@ def deligne_square(md: ModularData, fr: FusionRing) -> CenterData:
     tau+ tau- = D); failure means the inputs are corrupt.
     """
     r = md.rank
-    inv = derive_invariants(md)
+    inv = md.invariants
     dims = inv.dims
     squares = [d * d for d in dims]
     tau_plus, tau_minus = cyclo.root_sums(

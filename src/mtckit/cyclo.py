@@ -6,9 +6,9 @@ polynomial. Internally a value stores integer numerators plus one common
 positive denominator; the public ``coeffs`` property exposes Fractions.
 
 Everything is immutable and every operation is a pure function, so values
-are safe to share between threads. The cyclotomic-polynomial and descent
-solver memo tables are only ever extended with identical entries, which is
-safe under the GIL.
+are safe to share between threads. The cyclotomic-polynomial and monomial
+memo tables are only ever extended with identical entries, which is safe
+under the GIL.
 
 The canonical text rendering (``str(x)``) writes values as sums of terms
 ``q*E(n)^k`` where ``E(n)`` denotes exp(2*pi*i/n); the parser for that
@@ -486,14 +486,15 @@ def dot(coeffs, values) -> Cyclotomic:
     return ZERO if total is None else total
 
 
-def root_sums(values, root_rows) -> list[Cyclotomic]:
-    """[sum_m r_m v_m for each row r], exactly and with no field product.
+def root_sums(values, root_rows, den: int = 1) -> list[Cyclotomic]:
+    """[(sum_m r_m v_m) / den for each row r], exactly and with no field product.
 
     Values may be ints, Fractions or Cyclotomics; each row holds one
-    RootOfUnity per value. The values are lifted once to the order L that
-    holds every value and every root. A root zeta_L^e then multiplies a
-    value by shifting its coefficients e places (mod L, since zeta_L^L = 1),
-    and each sum is reduced modulo Phi_L once.
+    RootOfUnity per value, and den is a positive int. The values are lifted
+    once to the order L that holds every value and every root. A root
+    zeta_L^e then multiplies a value by shifting its coefficients e places
+    (mod L, since zeta_L^L = 1), each sum is reduced modulo Phi_L once, and
+    den joins the denominator.
     """
     values = list(values)
     root_rows = [list(row) for row in root_rows]
@@ -501,7 +502,7 @@ def root_sums(values, root_rows) -> list[Cyclotomic]:
         *(v.order for v in values if isinstance(v, Cyclotomic)),
         *(r.order for row in root_rows for r in row),
     )
-    rows, den = integer_rows(values, order)
+    rows, common = integer_rows(values, order)
     terms = [[(j, c) for j, c in enumerate(row) if c] for row in rows]
     mod = cyclotomic_polynomial(order)
     out = []
@@ -511,7 +512,7 @@ def root_sums(values, root_rows) -> list[Cyclotomic]:
             e = r.exponent * (order // r.order)
             for j, c in nonzero:
                 acc[(j + e) % order] += c
-        out.append(Cyclotomic._make(order, poly_reduce(acc, mod), den))
+        out.append(Cyclotomic._make(order, poly_reduce(acc, mod), common * den))
     return out
 
 
@@ -651,93 +652,52 @@ def galois_apply(x: Cyclotomic, k: int, m: int) -> Cyclotomic:
     return _galois_same_order(y, k)
 
 
-def _invert_fraction_matrix(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(mat)
-    work = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if work[i][col] != 0)
-        work[col], work[piv] = work[piv], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [v * inv for v in work[col]]
-        for i in range(n):
-            if i != col and work[i][col]:
-                f = work[i][col]
-                work[i] = [v - f * w for v, w in zip(work[i], work[col])]
-    return [row[n:] for row in work]
-
-
-_descent_cache: dict[tuple[int, int], tuple[list[int], list[list[int]], int, list[list[int]]]] = {}
-
-
-def _descent_solver(n: int, m: int):
-    """Pivot rows, integer solving matrix (with denominator), and embedding
-    columns for Q(zeta_m) inside Q(zeta_n)."""
-    key = (n, m)
-    cached = _descent_cache.get(key)
-    if cached is not None:
-        return cached
-    dn = euler_phi(n)
-    dm = euler_phi(m)
-    s = n // m
-    phi_n = cyclotomic_polynomial(n)
-    cols: list[list[int]] = []
-    for i in range(dm):
-        p = [0] * (i * s + 1)
-        p[i * s] = 1
-        poly_reduce(p, phi_n)
-        cols.append(p)
-    # select dm pivot rows by elimination, then invert the square subsystem
-    work = [[Fraction(cols[j][i]) for j in range(dm)] for i in range(dn)]
-    rowperm = list(range(dn))
-    for col in range(dm):
-        piv = next(i for i in range(col, dn) if work[i][col] != 0)
-        work[col], work[piv] = work[piv], work[col]
-        rowperm[col], rowperm[piv] = rowperm[piv], rowperm[col]
-        for i in range(col + 1, dn):
-            if work[i][col]:
-                f = work[i][col] / work[col][col]
-                for jj in range(col, dm):
-                    work[i][jj] -= f * work[col][jj]
-    rows = rowperm[:dm]
-    sub = [[Fraction(cols[j][i]) for j in range(dm)] for i in rows]
-    frac_solver = _invert_fraction_matrix(sub)
-    # clear denominators so the per-call solve and verify are pure int work
-    den = 1
-    for row in frac_solver:
-        for v in row:
-            den = math.lcm(den, v.denominator)
-    solver = [[int(v * den) for v in row] for row in frac_solver]
-    result = (rows, solver, den, cols)
-    _descent_cache[key] = result
-    return result
+def _prime_step(num: list[int], n: int, p: int) -> tuple[list[int], bool]:
+    # numerators at order n re-expressed at n / p, and whether the value lies there
+    m = n // p
+    if m % p == 0:
+        # Phi_n(x) = Phi_m(x^p): the power basis at m is every p-th one at n
+        return num[::p], not any(c for j, c in enumerate(num) if j % p)
+    # zeta_n = zeta_m^u zeta_p^v with u p + v m = 1: slot j is zeta_m^(j u) zeta_p^(j v).
+    # With x = sum_t y_t zeta_p^t, y_t in Q(zeta_m), and 1 + zeta_p + ... = 0, x lies
+    # in Q(zeta_m) iff y_1 = ... = y_(p-1), and then x = y_0 - y_1
+    u, v = pow(p, -1, m) if m > 1 else 0, pow(m, -1, p)
+    buckets: dict[int, list[int]] = {}
+    for j, c in enumerate(num):
+        if c:
+            t = j * v % p
+            if t not in buckets:
+                buckets[t] = [0] * m
+            buckets[t][j * u % m] += c
+    mod = cyclotomic_polynomial(m)
+    zero = [0] * (len(mod) - 1)
+    y = {t: poly_reduce(b, mod) for t, b in buckets.items()}
+    y0, y1 = y.get(0, zero), y.get(1, zero)
+    return [a - b for a, b in zip(y0, y1)], all(y.get(t, zero) == y1 for t in range(2, p))
 
 
 def descend(x: Cyclotomic, m: int) -> Cyclotomic:
     """Re-represent x at order m, or raise DescentError if x is not in Q(zeta_m).
 
-    m must divide the order of x.
+    m must divide the order of x. The order drops one prime at a time, each
+    step in closed form. The witness is the first power-basis coordinate
+    where x differs from its candidate at order m embedded back.
     """
     n = x.order
     if m < 1 or n % m != 0:
         raise CycloDomainError(f"descent target {m} does not divide order {n}")
     if m == n:
         return x
-    rows, solver, den, cols = _descent_solver(n, m)
-    dm = len(rows)
-    rhs = [x._num[i] for i in rows]
-    ynum = [
-        sum(srow[k] * rhs[k] for k in range(dm) if rhs[k]) for srow in solver
-    ]
-    # verify the full system in integers; failure carries the offending coordinate
-    for i in range(len(x._num)):
-        acc = 0
-        for j in range(dm):
-            cj = cols[j][i]
-            if cj and ynum[j]:
-                acc += cj * ynum[j]
-        if acc != den * x._num[i]:
-            raise DescentError(n, m, i)
-    return Cyclotomic._make(m, ynum, x._den * den)
+    num, k, ok = list(x._num), n, True
+    # the largest primes first: their steps shrink the order the most
+    for p, e in sorted(_factorize(n // m).items(), reverse=True):
+        for _ in range(e):
+            num, step_ok = _prime_step(num, k, p)
+            ok, k = ok and step_ok, k // p
+    if not ok:
+        back = _spread(num, m, n)
+        raise DescentError(n, m, next(i for i, (a, b) in enumerate(zip(x._num, back)) if a != b))
+    return Cyclotomic._make(m, num, x._den)
 
 
 def inverse(x: Cyclotomic) -> Cyclotomic:
@@ -967,7 +927,4 @@ def dft(xs: list) -> list[Cyclotomic]:
 
 def idft(xs: list) -> list[Cyclotomic]:
     """Inverse transform: F^-1(X)_k = (1/N) sum_m X_m zeta_N^(-m k) (exact)."""
-    if not xs:
-        return []
-    scale = Fraction(1, len(xs))
-    return [s * scale for s in root_sums(xs, _dft_rows(len(xs), -1))]
+    return root_sums(xs, _dft_rows(len(xs), -1), len(xs))

@@ -153,7 +153,10 @@ def gfs_matrix(cd: CenterData, m: int, l: int, word: Sl2Word | None = None) -> I
 
     Requires gcd(m, l) = 1. Valid because the center is anomaly-free
     (xi = 1, asserted at construction), so the word choice cannot matter;
-    a custom word for the same (m, l) must produce the same table.
+    a custom word for the same (m, l) must produce the same table. The word
+    runs on the two base-rank factors of pi(g) = R (x) R', one center call
+    per s token and per run of t / t^-1 tokens, and A is contracted once, so
+    a table's cost hardly depends on how many s tokens its word has.
     """
     if math.gcd(m, l) != 1:
         raise ValueError(f"gcd({m}, {l}) != 1")
@@ -171,8 +174,9 @@ def gfs_matrix(cd: CenterData, m: int, l: int, word: Sl2Word | None = None) -> I
 
 
 def _gfs_apply(cd: CenterData, m: int, l: int, word: Sl2Word) -> IndicatorTable:
-    # pi(g) A, applied right to left; each run of t / t^-1 tokens is one power of T
-    x = cd.lift(cd.a_matrix)
+    # pi(g) = R (x) R' is built on the base-rank factor pair, tokens applied right
+    # to left, each run of t / t^-1 tokens as one power of T; A is contracted once
+    x = cd.identity()
     for is_s, run in itertools.groupby(reversed(word.tokens), key=lambda tok: tok == "s"):
         if is_s:
             for _ in run:
@@ -184,7 +188,7 @@ def _gfs_apply(cd: CenterData, m: int, l: int, word: Sl2Word) -> IndicatorTable:
         l=l,
         row_labels=cd.labels,
         col_labels=cd.base.labels,
-        values=cd.convert(x),
+        values=cd.contract_a(x),
     )
 
 

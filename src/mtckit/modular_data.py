@@ -13,6 +13,7 @@ lifted cells as index maps.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 from . import cyclo
@@ -59,6 +60,11 @@ class ModularData:
         if obj.isdigit():
             return self.index_of(int(obj))
         raise ModularDataError(f"unknown object {obj!r}; labels are {', '.join(self.labels)}")
+
+    @functools.cached_property
+    def invariants(self) -> DerivedInvariants:
+        """derive_invariants(self), kept on the instance after the first use."""
+        return derive_invariants(self)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -248,7 +254,7 @@ def validate(md: ModularData) -> ValidationReport:
     )
 
     try:
-        inv = derive_invariants(md)
+        inv = md.invariants
         xi = inv.central_charge
         # (ST)^3 and xi S^2 at the order m that holds S, T and xi, where each
         # twist and xi are index maps on lifted cells

@@ -11,10 +11,11 @@ exponent as RootOfUnity. Over the n candidates lambda_0 zeta_n^j the
 multiplicities are an inverse DFT of the indicator sequence, and each one
 is a root-of-unity sum (cyclo.root_sums): the nu values are lifted once to
 one field order, each lambda^-k multiplies by an index shift, and each sum
-is reduced once. No two field values are multiplied, no inverse is taken
-and no order changes inside a row. Tensor powers are kept on the fusion
-ring; the n = 2 braid values (k2_pairs) take nu_{2,1} from the packed
-twisted S rows of indicators.nu2_direct, without the center.
+is reduced once, with the 1/n in its denominator. No two field values are
+multiplied, no inverse is taken and no order changes inside a row. Tensor
+powers are kept on the fusion ring; the n = 2 braid values (k2_pairs) take
+nu_{2,1} from the packed twisted S rows of indicators.nu2_direct, without
+the center, and form (omega^-1 nu + N) / 2 as root sums too.
 
 Every multiplicity must recognize as a non-negative integer; anything else
 raises IntegralityError, which doubles as an end-to-end data check.
@@ -27,7 +28,7 @@ from fractions import Fraction
 
 from . import cyclo
 from .center import CenterData, center_for
-from .cyclo import Cyclotomic, RootOfUnity
+from .cyclo import ROOT_ONE, Cyclotomic, RootOfUnity
 from .fusion_ring import FusionRing, ObjectMultiset, power_decompose, verlinde
 from .indicators import nu_general, nu2_direct
 from .modular_data import ModularData, reverse
@@ -117,9 +118,7 @@ def _multiplicities(
 ) -> list[Cyclotomic]:
     # P^b_{n,a}(lambda^-1) = (1/n) sum_{k<n} nu^b_{n,k}(a) lambda^-k for each lambda
     nus = [nu_general(cd, b, n, k, a, root_shift=root_shift) for k in range(n)]
-    sums = cyclo.root_sums(nus, ([lam ** -k for k in range(n)] for lam in lams))
-    inv_n = Fraction(1, n)
-    return [s * inv_n for s in sums]
+    return cyclo.root_sums(nus, ([lam ** -k for k in range(n)] for lam in lams), n)
 
 
 def _turn_sorted_row(label: str, eigen: list[RootOfUnity], mults: list[int]) -> SpectrumRow:
@@ -262,8 +261,10 @@ def k2_pairs(
     N^b_{c-bar,a,a}) / 2, computed without constructing the center.
     """
     ratio = md.theta[b] / md.theta[c]
-    omega0 = RootOfUnity.make(2 * ratio.order, ratio.exponent)
-    omega1 = RootOfUnity.make(2 * ratio.order, ratio.exponent + ratio.order)
+    omegas = (
+        RootOfUnity.make(2 * ratio.order, ratio.exponent),
+        RootOfUnity.make(2 * ratio.order, ratio.exponent + ratio.order),
+    )
     nu = nu2_direct(md, fr, c, b, a)
     cbar = md.dual[c]
     n_hom = sum(
@@ -271,13 +272,12 @@ def k2_pairs(
         for e in range(md.rank)
         if fr.table[e][a][a]
     )
-    half = Fraction(1, 2)
-    out = []
-    for omega in (omega0, omega1):
-        val = (omega.inverse().value() * nu + n_hom) * half
-        out.append(
-            (omega, _require_count(val, lambda omega=omega: f"K^(2) at omega = {omega.value()}"))
-        )
+    # (omega^-1 nu + n_hom) / 2 for both omega, one root-sum row each
+    vals = cyclo.root_sums((nu, n_hom), ((omega.inverse(), ROOT_ONE) for omega in omegas), 2)
+    out = [
+        (omega, _require_count(val, lambda omega=omega: f"K^(2) at omega = {omega.value()}"))
+        for omega, val in zip(omegas, vals)
+    ]
     if n_hom > 0 and not any(k for _, k in out):
         raise IntegralityError(
             f"nonzero hom space but no admissible eigenvalue for "

@@ -10,6 +10,7 @@ field arithmetic; see its header.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 
@@ -330,3 +331,74 @@ def nu2_by_dot(md, fr, c, b, a):
     v_row = [x.embedded(order) for x in v_row]
     z = [cyclo.dot(col, u_row) for col in zip(*fr.table[a])]
     return cyclo.dot(z, v_row)
+
+
+def _invert_fraction_matrix(mat):
+    from fractions import Fraction
+
+    n = len(mat)
+    work = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if work[i][col] != 0)
+        work[col], work[piv] = work[piv], work[col]
+        inv = 1 / work[col][col]
+        work[col] = [v * inv for v in work[col]]
+        for i in range(n):
+            if i != col and work[i][col]:
+                f = work[i][col]
+                work[i] = [v - f * w for v, w in zip(work[i], work[col])]
+    return [row[n:] for row in work]
+
+
+@functools.lru_cache(maxsize=None)
+def descent_solver(n, m):
+    """Pivot rows, integer solving matrix (with denominator), and embedding
+    columns for Q(zeta_m) inside Q(zeta_n), by Fraction Gauss-Jordan."""
+    from fractions import Fraction
+
+    from mtckit import cyclo
+    from mtckit._poly import poly_reduce
+
+    dn, dm = cyclo.euler_phi(n), cyclo.euler_phi(m)
+    s = n // m
+    phi_n = cyclo.cyclotomic_polynomial(n)
+    cols = []
+    for i in range(dm):
+        p = [0] * (i * s + 1)
+        p[i * s] = 1
+        poly_reduce(p, phi_n)
+        cols.append(p)
+    # select dm pivot rows by elimination, then invert the square subsystem
+    work = [[Fraction(cols[j][i]) for j in range(dm)] for i in range(dn)]
+    rowperm = list(range(dn))
+    for col in range(dm):
+        piv = next(i for i in range(col, dn) if work[i][col] != 0)
+        work[col], work[piv] = work[piv], work[col]
+        rowperm[col], rowperm[piv] = rowperm[piv], rowperm[col]
+        for i in range(col + 1, dn):
+            if work[i][col]:
+                f = work[i][col] / work[col][col]
+                for jj in range(col, dm):
+                    work[i][jj] -= f * work[col][jj]
+    rows = rowperm[:dm]
+    frac_solver = _invert_fraction_matrix([[Fraction(cols[j][i]) for j in range(dm)] for i in rows])
+    # clear denominators so the solve and verify are pure int work
+    den = math.lcm(1, *(v.denominator for row in frac_solver for v in row))
+    return rows, [[int(v * den) for v in row] for row in frac_solver], den, cols
+
+
+def descend_by_solver(x, m):
+    """x at order m by a linear solve on pivot rows, verified on every coordinate;
+    DescentError names the first coordinate where the embedded solution differs."""
+    from mtckit.cyclo import Cyclotomic, DescentError
+
+    n = x.order
+    if m == n:
+        return x
+    rows, solver, den, cols = descent_solver(n, m)
+    rhs = [x._num[i] for i in rows]
+    ynum = [sum(a * b for a, b in zip(srow, rhs)) for srow in solver]
+    for i in range(len(x._num)):
+        if sum(col[i] * y for col, y in zip(cols, ynum)) != den * x._num[i]:
+            raise DescentError(n, m, i)
+    return Cyclotomic._make(m, ynum, x._den * den)

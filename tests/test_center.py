@@ -1,8 +1,10 @@
+import dataclasses
+
 import pytest
 
 import oracles
 from mtckit import cyclo
-from mtckit.center import ConsistencyError, deligne_square
+from mtckit.center import CenterData, ConsistencyError, deligne_square
 from mtckit.cyclo import Cyclotomic, RootOfUnity
 from mtckit.fusion_ring import verlinde
 from mtckit.indicators import gfs_matrix
@@ -105,10 +107,11 @@ def test_product_ring_matches_center_verlinde(fixture_data, fixture_centers):
 
 
 def test_apply_s_matches_matrix_product(fixture_data, fixture_centers):
-    for name in ("semion", "toric-code"):
+    # pi(s) A from the factor pair (S, S') against the center's full S times A
+    for name in ("semion", "toric-code", "fibonacci"):
         md, _ = fixture_data[name]
         cd = fixture_centers[name]
-        got = cd.convert(cd.apply_s(cd.lift(cd.a_matrix)))
+        got = cd.contract_a(cd.apply_s(cd.identity()))
         s = oracles.center_modular_data(cd).s
         n = cd.rank
         for i in range(n):
@@ -163,13 +166,103 @@ def test_indicator_table_makes_no_field_products(fixture_data, monkeypatch):
 
 
 def test_apply_t_scales_rows(fixture_centers):
-    cd = fixture_centers["semion"]
-    x = cd.lift([[cyclo.ONE] for _ in range(cd.rank)])
-    up = cd.convert(cd.apply_t(x, 1))
-    down = cd.convert(cd.apply_t(x, -1))
-    for i in range(cd.rank):
-        assert up[i][0] == cd.theta[i].value()
-        assert down[i][0] == cd.theta[i].inverse().value()
+    # T^+-1 A from the factor pair: row i of A times the center twist theta_i^+-1;
+    # every row of A is nonzero, so every twist is checked
+    for name in ("semion", "toric-code", "fibonacci"):
+        cd = fixture_centers[name]
+        assert all(any(row) for row in cd.a_matrix), name
+        for power in (1, -1):
+            got = cd.contract_a(cd.apply_t(cd.identity(), power))
+            for i in range(cd.rank):
+                twist = (cd.theta[i] ** power).value()
+                for j in range(cd.base.rank):
+                    assert got[i][j] == twist * cd.a_matrix[i][j], (name, power, i, j)
+
+
+def test_identity_pair_gives_the_forgetful_matrix(fixture_centers):
+    for name in ("semion", "fibonacci", "haagerup-center"):
+        cd = fixture_centers[name]
+        got = cd.contract_a(cd.identity())
+        assert got == tuple(tuple(cyclo.from_rational(v) for v in row) for row in cd.a_matrix)
+        # zero cells are the shared ZERO, not one object per cell
+        assert all(v is cyclo.ZERO for row in got for v in row if not v), name
+
+
+def test_contraction_slot_width_is_tight(monkeypatch):
+    # order 1, R all M, row b of R' all +-M', every A entry n: cell ((a, b), j) is
+    # sum_{c,d} M (+-M') n = +-bound with bound = r max|R| max|A| * r phi(1) max|R'|.
+    # One bit less must not decode it.
+    r, big, big2, n = 3, 5, 7, 2
+    bound = r * big * n * r * big2
+    md = ModularData(
+        labels=("x", "y", "z"),
+        s=((cyclo.ONE,) * r,) * r,
+        theta=(cyclo.ROOT_ONE,) * r,
+        unit=0,
+        dual=(0, 1, 2),
+    )
+    cd = CenterData(
+        base=md,
+        base_ring=None,
+        labels=tuple(str(i) for i in range(r * r)),
+        theta=(cyclo.ROOT_ONE,) * (r * r),
+        unit=0,
+        dual=tuple(range(r * r)),
+        a_matrix=((n,) * r,) * (r * r),
+        conductor=1,
+    )
+    signs = (1, -1, 1)
+    pair = (
+        ([[[big]] * r for _ in range(r)], 1),
+        ([[[sign * big2]] * r for sign in signs], 1),
+    )
+    assert cd.working_order == 1
+    want = tuple(tuple(cyclo.from_rational(signs[i % r] * bound) for _ in range(r))
+                 for i in range(r * r))
+    widths = []
+    packing = cyclo.Packing
+
+    class Recording(packing):
+        def __init__(self, order, bound):
+            super().__init__(order, bound)
+            widths.append(self.width)
+
+    monkeypatch.setattr(cyclo, "Packing", Recording)
+    assert cd.contract_a(pair) == want
+    assert widths == [bound.bit_length() + 1]
+
+    class Narrower(packing):
+        def __init__(self, order, bound):
+            super().__init__(order, bound)
+            self.width -= 1
+
+    monkeypatch.setattr(cyclo, "Packing", Narrower)
+    try:
+        got = cd.contract_a(pair)
+    except ValueError:
+        got = None
+    assert got != want
+
+
+def test_second_center_reuses_the_invariants(fixture_data, monkeypatch):
+    # derive_invariants runs once per ModularData: a second Deligne square of the
+    # same data takes no norm-based inverse, and equality, hash and repr ignore it
+    md, fr = fixture_data["haagerup-center"]
+    md = dataclasses.replace(md)
+    before = (hash(md), repr(md))
+    deligne_square(md, fr)
+    assert "invariants" in vars(md)
+    assert md == fixture_data["haagerup-center"][0] and (hash(md), repr(md)) == before
+    inverses = []
+    inverse = cyclo.inverse
+
+    def recording(x):
+        inverses.append(x)
+        return inverse(x)
+
+    monkeypatch.setattr(cyclo, "inverse", recording)
+    deligne_square(md, fr)
+    assert not inverses
 
 
 def test_corrupt_twists_rejected(fixture_data):

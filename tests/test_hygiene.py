@@ -14,7 +14,6 @@ ALLOWED_MODULE_CACHES = {
     "_center_cache",
     "_catalog_cache",
     "_last_parsed",
-    "_descent_cache",
     "_monomial_cache",
     "_cyclo_poly_cache",
 }

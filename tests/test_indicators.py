@@ -133,6 +133,59 @@ class TestGfsMatrix:
         for m, l in ((2, 1), (3, 2)):
             _assert_table_matches_oracle(cd, m, l)
 
+    def test_matches_dot_oracle_on_every_small_pair(self, fixture_data):
+        pairs = [(m, l) for m in range(9) for l in range(-9, 10) if math.gcd(m, l) == 1]
+        for name in SMALL:
+            cd = deligne_square(*fixture_data[name])
+            for m, l in pairs:
+                _assert_table_matches_oracle(cd, m, l)
+
+    def test_matches_dot_oracle_on_haagerup_word_classes(self, fixture_data):
+        # one pair per class of word (the word without its leading t/T tokens)
+        # beside stt, checked above, and the three-s word TsTTsTTstt
+        md, fr = fixture_data["haagerup-center"]
+        cd = deligne_square(md, fr)
+        classes = {(3, 1): "sttt", (4, 1): "stttt", (5, 1): "sttttt", (6, 1): "stttttt",
+                   (7, 1): "sttttttt", (5, 2): "sTTsTTT", (2, -1): "sssTT", (8, 3): "sTTsTTstt"}
+        for (m, l), core in classes.items():
+            assert "".join(sl2_word(m, l).tokens).lstrip("tT") == core
+            _assert_table_matches_oracle(cd, m, l)
+        # a five-s word for (8, 3) gives the same table
+        word = Sl2Word(tokens=tuple("TsTTsTTTsssTT"), m=8, l=3)
+        got = gfs_matrix(cd, 8, 3, word=word)
+        want = gfs_matrix(cd, 8, 3)
+        assert got.values == want.values
+        assert _texts(got.values) == _texts(want.values)
+
+    def test_deligne_product_three_s_words(self, fixture_data):
+        # semion x fibonacci at order 40: the three-s words sssTT and TsTTsTTstt
+        md, fr = _deligne_product(fixture_data["semion"], fixture_data["fibonacci"])
+        cd = deligne_square(md, fr)
+        for m, l in ((2, -1), (8, 3)):
+            _assert_table_matches_oracle(cd, m, l)
+
+    def test_one_center_call_per_s_token_and_t_run(self, fixture_data, monkeypatch):
+        md, fr = fixture_data["semion"]
+        cd = deligne_square(md, fr)
+        calls = []
+        apply_s, apply_t = CenterData.apply_s, CenterData.apply_t
+
+        def recording_s(self, x):
+            calls.append("s")
+            return apply_s(self, x)
+
+        def recording_t(self, x, power):
+            calls.append(power)
+            return apply_t(self, x, power)
+
+        monkeypatch.setattr(CenterData, "apply_s", recording_s)
+        monkeypatch.setattr(CenterData, "apply_t", recording_t)
+        gfs_matrix(cd, 8, 3)  # TsTTsTTstt, applied right to left
+        assert calls == [2, "s", -2, "s", -2, "s", -1]
+        calls.clear()
+        gfs_matrix(cd, 2, -1)  # sssTT
+        assert calls == [-2, "s", "s", "s"]
+
     def test_t_runs_fold_into_one_power(self, fixture_data, monkeypatch):
         md, fr = fixture_data["fibonacci"]
         cd = deligne_square(md, fr)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from mtckit import cyclo
+from mtckit import cyclo, spectra
 from mtckit.cyclo import RootOfUnity
 from mtckit.fusion_ring import power_decompose, verlinde
 from mtckit.indicators import hom_dim_under_forgetful
@@ -343,3 +343,41 @@ class TestMultiplicitiesAgainstDot:
                 cd, rng.randrange(cd.rank), rng.randrange(cd.base_rank), rng.randint(1, 4),
                 rng.randint(0, 1),
             )
+
+
+def test_rows_and_k2_pairs_make_no_field_product(fixture_data, fixture_centers, monkeypatch):
+    # the 1/n of every multiplicity and the omega^-1 and 1/2 of K^2 join root
+    # sums; only the nu values themselves (nu_general) may multiply field values
+    products, inside_nu = [], []
+    mul, nu_general = cyclo.Cyclotomic.__mul__, spectra.nu_general
+
+    def counting_mul(self, other):
+        if not inside_nu:
+            products.append((self, other))
+        return mul(self, other)
+
+    def uncounted_nu(*args, **kwargs):
+        inside_nu.append(None)
+        try:
+            return nu_general(*args, **kwargs)
+        finally:
+            inside_nu.pop()
+
+    monkeypatch.setattr(cyclo.Cyclotomic, "__mul__", counting_mul)
+    monkeypatch.setattr(cyclo.Cyclotomic, "__rmul__", counting_mul)
+    monkeypatch.setattr(spectra, "nu_general", uncounted_nu)
+    for name in ("semion", "toric-code", "fibonacci", "haagerup-center"):
+        cd = fixture_centers[name]
+        rows = range(0, cd.rank, 12 if name == "haagerup-center" else 1)
+        for n in (2, 3, 4):
+            for b in rows:
+                for a in range(cd.base_rank):
+                    rotation_spectrum(cd, b, a, n)
+    assert products == []
+    md, fr = fixture_data["haagerup-center"]
+    r = md.rank
+    for c in range(r):
+        for b in range(r):
+            for a in range(r):
+                k2_pairs(md, fr, c, b, a)
+    assert products == []
