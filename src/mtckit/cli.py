@@ -14,7 +14,7 @@ import sys
 
 from . import cyclo, dataio, fusion_ring, indicators, spectra
 from .center import ConsistencyError, center_for
-from .cyclo import CycloDomainError, DescentError
+from .cyclo import CycloDomainError
 from .dataio import ExprSyntaxError, FileFormatError, ValidationFailedError
 from .fusion_ring import ModularityError
 from .modular_data import ModularData, ModularDataError
@@ -73,7 +73,7 @@ def _format_multiset(md: ModularData, ms: dict[int, int]) -> str:
 
 def _cmd_validate(args) -> int:
     md, _ = _load_source(args.source)
-    report = dataio.validation_report(md)
+    report = md.report
     if args.format == "structured":
         _emit(dataio.serialize_report(report), args.out)
     else:
@@ -86,6 +86,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_fusion(args) -> int:
+    if args.object and len(args.object) > 2:
+        raise ValueError(f"fusion takes at most two --object, got {len(args.object)}")
     md, source = _load_source(args.source)
     fr = _ring_for(source, md)
     objects = [_object(md, o) for o in args.object] if args.object else None
@@ -252,7 +254,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValidationFailedError, ModularDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ModularityError, IntegralityError, ConsistencyError, DescentError) as exc:
+    except (ModularityError, IntegralityError, ConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTEGRALITY
     except OSError as exc:

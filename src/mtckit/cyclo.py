@@ -6,9 +6,8 @@ polynomial. Internally a value stores integer numerators plus one common
 positive denominator; the public ``coeffs`` property exposes Fractions.
 
 Everything is immutable and every operation is a pure function, so values
-are safe to share between threads. The cyclotomic-polynomial and monomial
-memo tables are only ever extended with identical entries, which is safe
-under the GIL.
+are safe to share between threads. The cyclotomic-polynomial memo table is
+only ever extended with identical entries, which is safe under the GIL.
 
 The canonical text rendering (``str(x)``) writes values as sums of terms
 ``q*E(n)^k`` where ``E(n)`` denotes exp(2*pi*i/n); the parser for that
@@ -29,7 +28,6 @@ from ._poly import poly_fold, poly_mulmod, poly_pack, poly_reduce, poly_unpack, 
 __all__ = [
     "Cyclotomic",
     "RootOfUnity",
-    "Classification",
     "ConsistencyError",
     "CycloDomainError",
     "DescentError",
@@ -88,11 +86,12 @@ class ConsistencyError(ArithmeticError):
     """An internal identity that holds for genuine modular input failed."""
 
 
-class DescentError(ArithmeticError):
+class DescentError(ConsistencyError):
     """A value does not lie in the requested subfield Q(zeta_m).
 
-    Signals a pipeline bug upstream when raised from galois_apply; carries
-    the first offending power-basis coordinate as a witness.
+    Signals a pipeline bug upstream when raised from galois_apply, so it is
+    a ConsistencyError; carries the first offending power-basis coordinate
+    as a witness.
     """
 
     def __init__(self, order: int, target: int, witness_index: int):
@@ -278,16 +277,16 @@ class Cyclotomic:
         cached = self._reduced
         if cached is not None:
             return cached
-        x = self
-        while x.order > 1:
-            for p in _factorize(x.order):
-                try:
-                    x = descend(x, x.order // p)
+        num, n = self._num, self.order
+        while n > 1:
+            for p in _factorize(n):
+                step, ok = _prime_step(num, n, p)
+                if ok:
+                    num, n = step, n // p
                     break
-                except DescentError:
-                    continue
             else:
                 break
+        x = self if n == self.order else Cyclotomic._make(n, num, self._den)
         self._reduced = x
         x._reduced = x
         return x
@@ -542,7 +541,12 @@ class Packing:
 
     def __init__(self, order: int, bound: int):
         self.order, self.deg = order, euler_phi(order)
-        high = _monomials(order)[self.deg :]  # x^k modulo Phi_N for k >= phi(N)
+        # x^k modulo Phi_N for phi(N) <= k < N, each one x times the last
+        low = [-c for c in cyclotomic_polynomial(order)[:-1]]  # x^phi(N)
+        high, h = [], low
+        for _ in range(order - self.deg):
+            high.append(h)
+            h = [a + h[-1] * b for a, b in zip([0, *h[:-1]], low)]
         # a reduced slot adds each high slot times one coefficient of its power
         growth = 1 + max((sum(abs(h[k]) for h in high) for k in range(self.deg)), default=0)
         self.width = slot_width(bound, growth)
@@ -774,83 +778,40 @@ class RootOfUnity:
 
 
 ROOT_ONE = RootOfUnity(1, 0)
-ROOT_MINUS_ONE = RootOfUnity(2, 1)
 
 
 # ---------------------------------------------------------------------------
 # recognition and rendering
 
 
-@dataclasses.dataclass(frozen=True)
-class Classification:
-    """What a value is: zero, a rational, or a rational multiple of a root."""
+def recognize(x: Cyclotomic) -> tuple[Fraction, RootOfUnity] | None:
+    """x as (scale, root) with x = scale * root and scale > 0, else None.
 
-    kind: str  # "zero" | "integer" | "rational" | "scaled_root" | "generic"
-    rational: Fraction | None
-    scale: Fraction | None
-    root: RootOfUnity | None
-
-
-_monomial_cache: dict[int, list[tuple[int, ...]]] = {}
-
-
-def _monomials(n: int) -> list[tuple[int, ...]]:
-    cached = _monomial_cache.get(n)
-    if cached is None:
-        phi_n = cyclotomic_polynomial(n)
-        d = len(phi_n) - 1
-        cached = []
-        for j in range(n):
-            p = [0] * (j + 1)
-            p[j] = 1
-            poly_reduce(p, phi_n)
-            cached.append(tuple(p))
-        _monomial_cache[n] = cached
-    return cached
-
-
-def recognize(x: Cyclotomic) -> Classification:
-    """Classify x as zero, rational (integer), or q * (root of unity).
-
-    The scale q is always positive; signs are absorbed into the root.
+    Read off the power basis at x's own order n: x = q * zeta_n^j exactly
+    when x * zeta_n^-t has a single nonzero coordinate for some t in {0,
+    phi(n), 2 phi(n), ...}, so at most ceil(n / phi(n)) shifts are tried and
+    t = 0 is a scan. A negative q joins the root, -zeta_n^j = zeta_2n^(n + 2j);
+    rationals are roots of order 1 or 2. Zero and other values give None.
     """
-    r = x.reduced()
-    q = r.as_rational()
-    if q is not None:
-        if q == 0:
-            return Classification("zero", Fraction(0), None, None)
-        kind = "integer" if q.denominator == 1 else "rational"
-        return Classification(kind, q, None, None)
-    n = r.order
-    num = r._num
-    for j, mono in enumerate(_monomials(n)):
-        if j == 0:
-            continue
-        i0 = next(i for i in range(len(mono)) if mono[i])
-        if num[i0] == 0:
-            continue
-        ratio = Fraction(num[i0], mono[i0])
-        if all(num[i] * mono[i0] == mono[i] * num[i0] for i in range(len(mono))):
-            scale = ratio / r._den
-            if scale < 0:
-                root = RootOfUnity.make(2 * n, n + 2 * j)
-                scale = -scale
-            else:
-                root = RootOfUnity.make(n, j)
-            return Classification("scaled_root", None, scale, root)
-    return Classification("generic", None, None, None)
+    n, num = x.order, x._num
+    if not any(num):
+        return None
+    for t in range(0, n, len(num)):
+        coords = poly_reduce(index_map(num, n, n, 1, -t), cyclotomic_polynomial(n)) if t else num
+        if len(coords) - coords.count(0) == 1:
+            j = next(j for j, c in enumerate(coords) if c)
+            c = coords[j]
+            scale = Fraction(c, x._den)
+            if c < 0:
+                return -scale, RootOfUnity.make(2 * n, n + 2 * (j + t))
+            return scale, RootOfUnity.make(n, j + t)
+    return None
 
 
 def as_root_of_unity(x: Cyclotomic) -> RootOfUnity | None:
     """x as a RootOfUnity if it is exactly one, else None."""
-    c = recognize(x)
-    if c.kind == "scaled_root" and c.scale == 1:
-        return c.root
-    if c.kind == "integer" and c.rational == 1:
-        return ROOT_ONE
-    if c.kind == "integer" and c.rational == -1:
-        return ROOT_MINUS_ONE
-    return None
+    found = recognize(x)
+    return found[1] if found is not None and found[0] == 1 else None
 
 
 def as_integer(x: Cyclotomic) -> int | None:
@@ -867,24 +828,30 @@ def _format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def format_expr(x: Cyclotomic) -> str:
-    """Canonical E-notation rendering, at the value's minimal order.
+def format_root(r: RootOfUnity) -> str:
+    """Canonical E-notation of a root of unity: 1, -1, E(n) or E(n)^k."""
+    if r.order <= 2:
+        return "1" if r.order == 1 else "-1"
+    return f"E({r.order})" if r.exponent == 1 else f"E({r.order})^{r.exponent}"
 
-    Rational multiples of roots of unity print as a single q*E(n)^k term
-    (signs absorbed into the root); everything else prints as the
-    power-basis sum.
+
+def format_expr(x: Cyclotomic) -> str:
+    """Canonical E-notation rendering.
+
+    Rational multiples of roots of unity print as a rational or a single
+    q*E(n)^k term (signs absorbed into the root); everything else prints as
+    the power-basis sum at the value's minimal order.
     """
+    if not x:
+        return "0"
+    found = recognize(x)
+    if found is not None:
+        scale, root = found
+        if root.order <= 2:  # a rational
+            return _format_rational(scale if root.order == 1 else -scale)
+        mono = format_root(root)
+        return mono if scale == 1 else f"{_format_rational(scale)}*{mono}"
     r = x.reduced()
-    q = r.as_rational()
-    if q is not None:
-        return _format_rational(q)
-    cls = recognize(r)
-    if cls.kind == "scaled_root":
-        root = cls.root
-        mono = f"E({root.order})" if root.exponent == 1 else f"E({root.order})^{root.exponent}"
-        if cls.scale == 1:
-            return mono
-        return f"{_format_rational(cls.scale)}*{mono}"
     n = r.order
     parts: list[str] = []
     for j, c in enumerate(r._num):

@@ -36,7 +36,6 @@ __all__ = [
     "format_modular_data",
     "catalog",
     "catalog_ring",
-    "validation_report",
     "CATALOG_NAMES",
     "serialize_report",
 ]
@@ -173,7 +172,6 @@ def parse_file(text: str) -> ModularData:
     Raises FileFormatError (structure), ExprSyntaxError (entries),
     ModularDataError (construction), or ValidationFailedError (relations).
     """
-    global _last_parsed
     rank: int | None = None
     labels: list[str] | None = None
     unit_token: str | None = None
@@ -260,10 +258,8 @@ def parse_file(text: str) -> ModularData:
             raise FileFormatError(len(lines), f"unknown unit {unit_token!r}")
 
     md = modular_data.construct(labels, s_rows, t_row, unit=unit)
-    report = modular_data.validate(md)
-    if not report.ok:
-        raise ValidationFailedError(report)
-    _last_parsed = (md, report)
+    if not md.report.ok:
+        raise ValidationFailedError(md.report)
     return md
 
 
@@ -274,7 +270,7 @@ def format_modular_data(md: ModularData) -> str:
     for row in md.s:
         lines.append(", ".join(format_expr(v) for v in row))
     lines.append("T:")
-    lines.append(", ".join(format_expr(t.value()) for t in md.theta))
+    lines.append(", ".join(cyclo.format_root(t) for t in md.theta))
     return "\n".join(lines) + "\n"
 
 
@@ -284,9 +280,7 @@ def format_modular_data(md: ModularData) -> str:
 
 CATALOG_NAMES = ("vec", "semion", "toric-code", "fibonacci", "haagerup-center")
 
-_catalog_cache: dict[str, tuple[ModularData, FusionRing, ValidationReport]] = {}
-# the most recent parse_file result with its report (see validation_report)
-_last_parsed: tuple[ModularData, ValidationReport] | None = None
+_catalog_cache: dict[str, tuple[ModularData, FusionRing]] = {}
 
 
 def _legendre(k: int, p: int) -> int:
@@ -385,7 +379,7 @@ _BUILDERS = {
 }
 
 
-def _load(name: str) -> tuple[ModularData, FusionRing, ValidationReport]:
+def _load(name: str) -> tuple[ModularData, FusionRing]:
     cached = _catalog_cache.get(name)
     if cached is not None:
         return cached
@@ -395,11 +389,9 @@ def _load(name: str) -> tuple[ModularData, FusionRing, ValidationReport]:
             f"unknown catalog fixture {name!r}; available: {', '.join(CATALOG_NAMES)}"
         )
     md = builder()
-    report = modular_data.validate(md)
-    if not report.ok:
-        raise ValidationFailedError(report)
-    ring = verlinde(md)  # integrality is part of the load-time contract
-    entry = (md, ring, report)
+    if not md.report.ok:
+        raise ValidationFailedError(md.report)
+    entry = (md, verlinde(md))  # integrality is part of the load-time contract
     _catalog_cache[name] = entry
     return entry
 
@@ -412,18 +404,6 @@ def catalog(name: str) -> ModularData:
 def catalog_ring(name: str) -> FusionRing:
     """The fusion ring of a built-in fixture (cached with the fixture)."""
     return _load(name)[1]
-
-
-def validation_report(md: ModularData) -> ValidationReport:
-    """The validation report of md, reusing the one its loader produced.
-
-    Catalog fixtures and the most recent parse_file result were validated
-    when loaded; any other data is validated now.
-    """
-    for entry in (*_catalog_cache.values(), _last_parsed):
-        if entry is not None and entry[0] is md:
-            return entry[-1]
-    return modular_data.validate(md)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +431,7 @@ def serialize_report(obj) -> str:
             lines.append(f"row {row.label}")
             lines.append(
                 "  eigenvalues: "
-                + "; ".join(format_expr(ev.value()) for ev in row.eigenvalues)
+                + "; ".join(cyclo.format_root(ev) for ev in row.eigenvalues)
             )
             lines.append(
                 "  multiplicities: " + "; ".join(str(m) for m in row.multiplicities)

@@ -66,6 +66,11 @@ class ModularData:
         """derive_invariants(self), kept on the instance after the first use."""
         return derive_invariants(self)
 
+    @functools.cached_property
+    def report(self) -> ValidationReport:
+        """validate(self), kept on the instance after the first use."""
+        return validate(self)
+
 
 @dataclasses.dataclass(frozen=True)
 class DerivedInvariants:
@@ -263,14 +268,14 @@ def validate(md: ModularData) -> ValidationReport:
         st = [[cyclo.index_map(c, n, m, 1, e) for c, e in zip(row, twists)] for row in cells]
         st3 = cyclo.matmul(cyclo.matmul((st, den), (st, den), m), (st, den), m)[0]
         mod, e = cyclo.cyclotomic_polynomial(m), xi.exponent * m // xi.order
-        xi_val = xi.value()
         rel = _matrix_check(
             "(ST)^3 = xi S^2",
             r,
             lambda i, j: st3[i][j]
             == poly_reduce([den * v for v in cyclo.index_map(s2[i][j], n, m, 1, e)], mod),
         )
-        detail = f"xi = {xi_val}" if rel.passed else f"{rel.detail}, xi = {xi_val}"
+        xi_text = f"xi = {cyclo.format_root(xi)}"
+        detail = xi_text if rel.passed else f"{rel.detail}, {xi_text}"
         checks.append(CheckResult(rel.name, rel.passed, detail))
     except ModularDataError as exc:
         checks.append(CheckResult("(ST)^3 = xi S^2", False, str(exc)))

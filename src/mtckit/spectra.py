@@ -147,7 +147,7 @@ def rotation_spectrum(
     mults = [
         _require_count(
             value,
-            lambda lam=lam: f"multiplicity of {lam.value()} on Hom({cd.labels[b]}, a^{n})",
+            lambda lam=lam: f"multiplicity of {cyclo.format_root(lam)} on Hom({cd.labels[b]}, a^{n})",
         )
         for lam, value in zip(cands, _multiplicities(cd, b, a, n, cands, root_shift))
     ]
@@ -191,7 +191,7 @@ def semisimple_K(
         gated.values(),
         (_multiplicities(cd, c, a, n, [omega], root_shift)[0] for c in gated),
     )
-    return _require_count(total, lambda: f"K at omega = {omega.value()}")
+    return _require_count(total, lambda: f"K at omega = {cyclo.format_root(omega)}")
 
 
 def braid_jm_spectrum(
@@ -275,7 +275,7 @@ def k2_pairs(
     # (omega^-1 nu + n_hom) / 2 for both omega, one root-sum row each
     vals = cyclo.root_sums((nu, n_hom), ((omega.inverse(), ROOT_ONE) for omega in omegas), 2)
     out = [
-        (omega, _require_count(val, lambda omega=omega: f"K^(2) at omega = {omega.value()}"))
+        (omega, _require_count(val, lambda omega=omega: f"K^(2) at omega = {cyclo.format_root(omega)}"))
         for omega, val in zip(omegas, vals)
     ]
     if n_hom > 0 and not any(k for _, k in out):

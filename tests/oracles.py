@@ -402,3 +402,83 @@ def descend_by_solver(x, m):
         if sum(col[i] * y for col, y in zip(cols, ynum)) != den * x._num[i]:
             raise DescentError(n, m, i)
     return Cyclotomic._make(m, ynum, x._den * den)
+
+
+# ---------------------------------------------------------------------------
+# canonical forms by the monomial table: a value is reduced to its minimal
+# order m by trying a descent per prime, then compared with every x^j modulo
+# Phi_m for j < m. The library reads the same answers off the power basis.
+
+
+def reduced_by_descent(x):
+    """x at its minimal order, trying cyclo.descend one prime at a time."""
+    from mtckit import cyclo
+
+    while x.order > 1:
+        for p in cyclo._factorize(x.order):
+            try:
+                x = cyclo.descend(x, x.order // p)
+                break
+            except cyclo.DescentError:
+                continue
+        else:
+            break
+    return x
+
+
+@functools.lru_cache(maxsize=None)
+def monomials(n):
+    """x^j modulo Phi_n for j < n, one poly_reduce each."""
+    from mtckit import cyclo
+    from mtckit._poly import poly_reduce
+
+    mod = cyclo.cyclotomic_polynomial(n)
+    return tuple(tuple(poly_reduce([0] * j + [1], mod)) for j in range(n))
+
+
+def recognize_by_monomials(x):
+    """(scale, root) with x = scale * root and scale > 0, else None: the first
+    x^j modulo Phi_m that x is a rational multiple of, at its minimal order m."""
+    from fractions import Fraction
+
+    from mtckit.cyclo import RootOfUnity
+
+    r = reduced_by_descent(x)
+    m, num = r.order, r._num
+    for j, mono in enumerate(monomials(m)):
+        i0 = next(i for i, c in enumerate(mono) if c)
+        if num[i0] and all(a * mono[i0] == b * num[i0] for a, b in zip(num, mono)):
+            scale = Fraction(num[i0], mono[i0] * r._den)
+            if scale < 0:
+                return -scale, RootOfUnity.make(2 * m, m + 2 * j)
+            return scale, RootOfUnity.make(m, j)
+    return None
+
+
+def _rational_text(q):
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def canonical_by_monomials(x):
+    """(recognize_by_monomials(x), the canonical E-notation of x): a rational,
+    one q*E(n)^k term for a scaled root, else the signed power-basis sum at
+    the minimal order."""
+    found = recognize_by_monomials(x)
+    if found is None:
+        r = reduced_by_descent(x)
+        terms = []
+        for j, c in enumerate(r.coeffs):
+            if c:
+                mono = f"E({r.order})^{j}" if j > 1 else f"E({r.order})" if j else ""
+                size = _rational_text(abs(c))
+                body = size if not mono else mono if abs(c) == 1 else f"{size}*{mono}"
+                terms.append(("-" if c < 0 else "+", body))
+        if not terms:
+            return None, "0"
+        head = ("-" if terms[0][0] == "-" else "") + terms[0][1]
+        return None, head + "".join(f" {sign} {body}" for sign, body in terms[1:])
+    scale, root = found
+    if root.order <= 2:
+        return found, _rational_text(scale if root.order == 1 else -scale)
+    mono = f"E({root.order})" if root.exponent == 1 else f"E({root.order})^{root.exponent}"
+    return found, mono if scale == 1 else f"{_rational_text(scale)}*{mono}"

@@ -67,6 +67,15 @@ def test_fusion_pair(capsys):
     assert out == "e (x) m = f\n"
 
 
+def test_fusion_rejects_a_third_object(capsys):
+    code, out, err = run(
+        capsys, "fusion", "catalog:semion", "--object", "s", "--object", "1", "--object", "s"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: fusion takes at most two --object, got 3\n"
+
+
 def test_fusion_full_table_structured(capsys):
     code, out, _ = run(capsys, "fusion", "catalog:semion", "--format", "structured")
     assert code == 0

@@ -17,8 +17,10 @@ from mtckit.cyclo import (
     CycloDomainError,
     DescentError,
     RootOfUnity,
+    as_root_of_unity,
     descend,
     dft,
+    format_expr,
     from_rational,
     galois_apply,
     idft,
@@ -245,26 +247,23 @@ class TestReduceRecognize:
         assert from_rational(5).embedded(36).reduced().order == 1
 
     def test_recognize_scaled_root(self):
-        res = recognize(-root_of_unity(78, 13))
-        assert res.kind == "scaled_root"
-        assert res.scale == 1
-        assert res.root == RootOfUnity(3, 2)  # -e^(i pi/3) = e^(4 pi i/3)
+        # -e^(i pi/3) = e^(4 pi i/3)
+        assert recognize(-root_of_unity(78, 13)) == (1, RootOfUnity(3, 2))
 
     def test_recognize_integer_and_rational(self):
-        assert recognize(from_rational(13)).kind == "integer"
-        assert recognize(from_rational(13)).rational == 13
-        assert recognize(from_rational(Fraction(1, 3))).kind == "rational"
-        assert recognize(cyclo.ZERO).kind == "zero"
+        # rationals are roots of order 1 or 2 with a positive scale
+        assert recognize(from_rational(13)) == (13, RootOfUnity(1, 0))
+        assert recognize(from_rational(-13)) == (13, RootOfUnity(2, 1))
+        assert recognize(from_rational(Fraction(1, 3))) == (Fraction(1, 3), RootOfUnity(1, 0))
+        assert recognize(from_rational(5).embedded(36)) == (5, RootOfUnity(1, 0))
+        assert recognize(cyclo.ZERO) is None
 
     def test_recognize_generic(self):
-        res = recognize(1 + zeta(5))
-        assert res.kind == "generic"
+        assert recognize(1 + zeta(5)) is None
 
     def test_recognize_negative_scale_absorbed(self):
-        res = recognize(Fraction(-3, 2) * zeta(5))
-        assert res.kind == "scaled_root"
-        assert res.scale == Fraction(3, 2)
-        assert res.root == RootOfUnity(10, 7)  # -zeta_5 = e^(2 pi i 7/10)
+        # -zeta_5 = e^(2 pi i 7/10)
+        assert recognize(Fraction(-3, 2) * zeta(5)) == (Fraction(3, 2), RootOfUnity(10, 7))
 
     def test_float_agreement(self):
         rng = random.Random(47)
@@ -274,6 +273,57 @@ class TestReduceRecognize:
             exact = (x * y + x - y).to_complex()
             floats = x.to_complex() * y.to_complex() + x.to_complex() - y.to_complex()
             assert abs(exact - floats) < 1e-9 * (1 + abs(floats))
+
+
+class TestCanonicalForms:
+    """recognize, as_root_of_unity and format_expr read canonical forms off the
+    power basis at the value's own order; the oracle reduces to the minimal
+    order by descent and scans the table of every x^j modulo Phi_m."""
+
+    def check(self, x, *copies):
+        want, text = oracles.canonical_by_monomials(x)
+        root = want[1] if want is not None and want[0] == 1 else None
+        for y in (x, *copies):
+            assert recognize(y) == want, (y.order, x)
+            assert as_root_of_unity(y) == root, (y.order, x)
+            assert format_expr(y) == text, (y.order, x)
+        return want
+
+    def test_scaled_roots_at_every_order_up_to_120(self):
+        for q in range(1, 121):
+            for k in range(q):
+                for scale in (1, -1, Fraction(3, 2), Fraction(-2, 7)):
+                    x = scale * root_of_unity(q, k)
+                    got = self.check(x, x.embedded(2 * q), x.embedded(3 * q))
+                    if scale > 0:
+                        assert got == (scale, RootOfUnity.make(q, k)), (q, k, scale)
+                    else:
+                        assert got == (-scale, RootOfUnity.make(2 * q, q + 2 * k)), (q, k, scale)
+
+    def test_sums_and_zero(self):
+        assert self.check(1 + zeta(5), (1 + zeta(5)).embedded(15)) is None
+        assert self.check(cyclo.ZERO, cyclo.ZERO.embedded(12)) is None
+        rng = random.Random(59)
+        for _ in range(200):
+            n = rng.choice([3, 4, 5, 7, 8, 9, 12, 13, 15, 20, 24, 39, 40])
+            x = rand_cyclotomic(rng, n, span=3)
+            self.check(x, x.embedded(2 * n), x.embedded(3 * n))
+
+    def test_format_root_matches_format_expr(self):
+        for n in range(1, 400):
+            for k in range(n):
+                r = RootOfUnity.make(n, k)
+                assert cyclo.format_root(r) == format_expr(r.value()), (n, k)
+
+    def test_reduced_matches_the_descent_loop(self):
+        rng = random.Random(61)
+        for _ in range(300):
+            n = rng.choice([3, 4, 5, 7, 8, 9, 12, 13, 15, 20, 24, 39, 40])
+            x = rand_cyclotomic(rng, n, span=3) if rng.random() < 0.5 else root_of_unity(n, 1)
+            for y in (x, x.embedded(2 * n), x.embedded(6 * n)):
+                want = oracles.reduced_by_descent(y)
+                got = y.reduced()
+                assert (got.order, got._num, got._den) == (want.order, want._num, want._den)
 
 
 class TestDft:
@@ -618,6 +668,17 @@ class TestMatmul:
                 got = p.unpack(p.reduce(_poly.poly_pack(row, p.width)))
                 assert got == _poly.poly_reduce(list(row), mod), (order, row)
 
+    def test_high_powers_match_poly_reduce(self):
+        # one poly_reduce carries every x^k at once: packed at 2^(32 (k - phi))
+        # the reduced coefficient i holds x^k's coefficient i in slot k - phi
+        for order in range(1, 400):
+            deg = cyclo.euler_phi(order)
+            row = [0] * deg + [1 << 32 * (k - deg) for k in range(deg, order)]
+            reduced = _poly.poly_reduce(row, cyclo.cyclotomic_polynomial(order))
+            slots = [_poly.poly_unpack(c, 32, order - deg) for c in reduced]
+            p = cyclo.Packing(order, 1)
+            assert [p.unpack(h) for h in p.high] == [list(c) for c in zip(*slots)], order
+
     def test_width_is_tight_with_the_reduction(self):
         # a folded row whose reduced slot k reaches bound * growth: slot k at
         # +bound and every high slot at +-bound, signed like the coefficient
@@ -625,7 +686,8 @@ class TestMatmul:
         bound = 1024
         for order in (2, 3, 13, 39, 40, 105):
             deg = cyclo.euler_phi(order)
-            high = cyclo._monomials(order)[deg:]
+            mod = cyclo.cyclotomic_polynomial(order)
+            high = [_poly.poly_reduce([0] * k + [1], mod) for k in range(deg, order)]
             k = max(range(deg), key=lambda k: sum(abs(h[k]) for h in high))
             growth = 1 + sum(abs(h[k]) for h in high)
             row = [0] * order

@@ -217,6 +217,24 @@ class TestSerializeReport:
                 for token in line.split(": ", 1)[1].split("; "):
                     parse_expr(token)
 
+    def test_formatting_a_table_constructs_no_descent_error(self, fixture_data, monkeypatch):
+        # a fresh center, so no value has met reduced() before
+        from mtckit.center import deligne_square
+        from mtckit.indicators import gfs_matrix
+
+        table = gfs_matrix(deligne_square(*fixture_data["haagerup-center"]), 5, 2)
+        made = []
+        original = cyclo.DescentError.__init__
+
+        def counting(self, *args):
+            made.append(args)
+            original(self, *args)
+
+        monkeypatch.setattr(cyclo.DescentError, "__init__", counting)
+        text = serialize_report(table)
+        assert text.count("\n  values: ") == 144
+        assert made == []
+
     def test_validation_report(self, fixture_data):
         md, _ = fixture_data["vec"]
         text = serialize_report(validate(md))

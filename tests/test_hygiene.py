@@ -1,7 +1,8 @@
 """Source checks on the library: no guard that vanishes under ``python -O``,
 no environment knob beyond the documented one, no field sum started
-at the order-1 zero, no root-of-unity sum built from field products, and
-no module-level cache beyond the ones that exist."""
+at the order-1 zero, no root-of-unity sum built from field products, no
+module-level cache beyond the ones that exist, and no control flow through
+a caught DescentError."""
 
 import ast
 from pathlib import Path
@@ -13,8 +14,6 @@ ALLOWED_ENV = {"MTCKIT_MAX_ORDER"}
 ALLOWED_MODULE_CACHES = {
     "_center_cache",
     "_catalog_cache",
-    "_last_parsed",
-    "_monomial_cache",
     "_cyclo_poly_cache",
 }
 # process settings rebound by cyclo.set_order_limit: configuration, not caches
@@ -234,3 +233,37 @@ def cached(n):
     # every allowed name is still found, so the allowlists hold no dead name
     live = {name for _, tree in _modules() for _, name in _module_caches(tree)}
     assert live == ALLOWED_MODULE_CACHES | MODULE_SETTINGS
+
+
+def _descent_handlers(tree):
+    """Lines of except clauses that list DescentError, bare or dotted, alone
+    or in a tuple."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            names = {
+                n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node.type)
+                if isinstance(n, (ast.Name, ast.Attribute))
+            }
+            if "DescentError" in names:
+                yield node.lineno
+
+
+def test_no_caught_descent_errors():
+    # a failed descent is an answer of cyclo.descend, not a branch: code that
+    # asks whether x lies in Q(zeta_m) reads it off the prime steps
+    found = sorted(
+        {f"{path}:{line}" for path, tree in _modules() for line in _descent_handlers(tree)}
+    )
+    assert not found, f"except clauses naming DescentError: {found}"
+    source = """
+try:
+    pass
+except DescentError:
+    pass
+except (ValueError, cyclo.DescentError):
+    pass
+except:
+    pass
+"""
+    assert list(_descent_handlers(ast.parse(source))) == [4, 6]
