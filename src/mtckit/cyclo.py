@@ -6,8 +6,9 @@ polynomial. Internally a value stores integer numerators plus one common
 positive denominator; the public ``coeffs`` property exposes Fractions.
 
 Everything is immutable and every operation is a pure function, so values
-are safe to share between threads. The cyclotomic-polynomial memo table is
-only ever extended with identical entries, which is safe under the GIL.
+are safe to share between threads. The per-order memo table (each
+cyclotomic polynomial and the constants derived from it) is only ever
+extended with identical entries, which is safe under the GIL.
 
 The canonical text rendering (``str(x)``) writes values as sums of terms
 ``q*E(n)^k`` where ``E(n)`` denotes exp(2*pi*i/n); the parser for that
@@ -18,12 +19,21 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
 import math
 import os
 from fractions import Fraction
 from operator import mul
 
-from ._poly import poly_fold, poly_mulmod, poly_pack, poly_reduce, poly_unpack, slot_width
+from ._poly import (
+    packed_constant,
+    poly_fold,
+    poly_mulmod,
+    poly_pack,
+    poly_reduce,
+    poly_unpack,
+    slot_width,
+)
 
 __all__ = [
     "Cyclotomic",
@@ -39,6 +49,8 @@ __all__ = [
     "index_map",
     "integer_rows",
     "root_sums",
+    "integer_sums",
+    "times_root",
     "lift",
     "max_abs",
     "Packing",
@@ -179,15 +191,45 @@ def _poly_divexact(num: list[int], den: tuple[int, ...]) -> list[int]:
     return q
 
 
-_cyclo_poly_cache: dict[int, tuple[int, ...]] = {1: (-1, 1)}
+def _high_powers(poly: tuple[int, ...], n: int):
+    # x^k modulo Phi_n for phi(n) <= k < n, each one x times the last
+    low = [-c for c in poly[:-1]]  # x^phi(n)
+    h = low
+    for _ in range(n - len(low)):
+        yield h
+        h = [a + h[-1] * b for a, b in zip([0, *h[:-1]], low)]
 
 
-def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """The n-th cyclotomic polynomial as a monic ascending int tuple.
+class _OrderConstants:
+    """What one cyclotomic order n needs, derived once: Phi_n, and for the
+    packed reductions (Packing, integer_sums) its growth."""
 
-    Computed by dividing x^n - 1 by Phi_d over the proper divisors d of n,
-    memoized across calls.
-    """
+    def __init__(self, n: int, poly: tuple[int, ...]):
+        self.n, self.poly = n, poly
+
+    @functools.cached_property
+    def growth(self) -> int:
+        """The factor by which reducing a row of n slots modulo Phi_n can grow
+        its largest |coefficient|: each low slot adds every high slot times one
+        coefficient of its power.
+
+        With r the radical of n, Phi_n(x) = Phi_r(x^(n/r)), so the powers of x
+        modulo Phi_n are those modulo Phi_r spread n/r slots apart, and the
+        growth is the radical's.
+        """
+        r = math.prod(_factorize(self.n))
+        if r < self.n:
+            return _order_constants(r).growth
+        sums = [0] * (len(self.poly) - 1)
+        for h in _high_powers(self.poly, self.n):
+            sums = [s + abs(c) for s, c in zip(sums, h)]
+        return 1 + max(sums, default=0)
+
+
+_cyclo_poly_cache: dict[int, _OrderConstants] = {1: _OrderConstants(1, (-1, 1))}
+
+
+def _order_constants(n: int) -> _OrderConstants:
     check_order(n)
     cached = _cyclo_poly_cache.get(n)
     if cached is not None:
@@ -199,8 +241,17 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     result = tuple(poly)
     if len(result) != euler_phi(n) + 1 or result[-1] != 1:
         raise ConsistencyError(f"cyclotomic polynomial {n} is not monic of degree phi({n})")
-    _cyclo_poly_cache[n] = result
-    return result
+    cached = _cyclo_poly_cache[n] = _OrderConstants(n, result)
+    return cached
+
+
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """The n-th cyclotomic polynomial as a monic ascending int tuple.
+
+    Computed by dividing x^n - 1 by Phi_d over the proper divisors d of n,
+    memoized across calls with the order's other constants.
+    """
+    return _order_constants(n).poly
 
 
 # ---------------------------------------------------------------------------
@@ -473,16 +524,43 @@ def dot(coeffs, values) -> Cyclotomic:
     """sum_i c_i v_i, exactly; the two iterables must have equal length.
 
     Coefficients may be ints, Fractions or Cyclotomics; values are
-    Cyclotomics. A term with a zero factor costs nothing, and the sum starts
-    from the first nonzero term, so it stays at the order of its terms
-    instead of passing through order 1. ZERO if every term vanishes.
+    Cyclotomics. A term with a zero factor costs nothing, and the sum is
+    taken at the lcm of its terms' orders instead of passing through order
+    1. ZERO if every term vanishes. When every coefficient is an int, no
+    field product is taken: each value enters one row by an index map, over
+    one denominator, and the row is reduced modulo Phi once.
     """
-    total = None
-    for c, v in zip(coeffs, values, strict=True):
-        if c and v:
-            term = c * v
-            total = term if total is None else total + term
-    return ZERO if total is None else total
+    terms = [(c, v) for c, v in zip(coeffs, values, strict=True) if c and v]
+    if not terms:
+        return ZERO
+    if not all(isinstance(c, int) for c, _ in terms):
+        total = terms[0][0] * terms[0][1]
+        for c, v in terms[1:]:
+            total = total + c * v
+        return total
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
+    order = math.lcm(*(v.order for _, v in terms))
+    den = math.lcm(*(v._den for _, v in terms))
+    acc = [0] * order
+    for c, v in terms:
+        f, s = c * (den // v._den), order // v.order
+        for j, x in enumerate(v._num):
+            acc[j * s] += f * x
+    return Cyclotomic._make(order, poly_reduce(acc, cyclotomic_polynomial(order)), den)
+
+
+def times_root(x: Cyclotomic, root: RootOfUnity) -> Cyclotomic:
+    """root.value() * x as an index shift: the same value at the same order,
+    with no field product. A root of order 1 or 2 keeps x's order, and a zero
+    rational stays the order-1 ZERO."""
+    if root.order <= 2:
+        return x if root.order == 1 else -x
+    if x.order == 1 and not x._num[0]:
+        return ZERO
+    order = math.lcm(root.order, x.order)
+    p = index_map(x._num, x.order, order, 1, root.exponent * (order // root.order))
+    return Cyclotomic._make(order, poly_reduce(p, cyclotomic_polynomial(order)), x._den)
 
 
 def root_sums(values, root_rows, den: int = 1) -> list[Cyclotomic]:
@@ -490,19 +568,20 @@ def root_sums(values, root_rows, den: int = 1) -> list[Cyclotomic]:
 
     Values may be ints, Fractions or Cyclotomics; each row holds one
     RootOfUnity per value, and den is a positive int. The values are lifted
-    once to the order L that holds every value and every root. A root
-    zeta_L^e then multiplies a value by shifting its coefficients e places
-    (mod L, since zeta_L^L = 1), each sum is reduced modulo Phi_L once, and
-    den joins the denominator.
+    once, by index maps alone, to the order L that holds every value and
+    every root. A root zeta_L^e then multiplies a value by shifting its
+    coefficients e places (mod L, since zeta_L^L = 1), each sum is reduced
+    modulo Phi_L once, and den joins the denominator.
     """
-    values = list(values)
+    values = [v if isinstance(v, Cyclotomic) else from_rational(v) for v in values]
     root_rows = [list(row) for row in root_rows]
-    order = math.lcm(
-        *(v.order for v in values if isinstance(v, Cyclotomic)),
-        *(r.order for row in root_rows for r in row),
-    )
-    rows, common = integer_rows(values, order)
-    terms = [[(j, c) for j, c in enumerate(row) if c] for row in rows]
+    order = math.lcm(*(v.order for v in values), *(r.order for row in root_rows for r in row))
+    check_order(order)
+    common = math.lcm(*(v._den for v in values))
+    terms = [
+        [(j * (order // v.order), c * (common // v._den)) for j, c in enumerate(v._num) if c]
+        for v in values
+    ]
     mod = cyclotomic_polynomial(order)
     out = []
     for roots in root_rows:
@@ -512,6 +591,40 @@ def root_sums(values, root_rows, den: int = 1) -> list[Cyclotomic]:
             for j, c in nonzero:
                 acc[(j + e) % order] += c
         out.append(Cyclotomic._make(order, poly_reduce(acc, mod), common * den))
+    return out
+
+
+def integer_sums(values, exponent_rows, order: int, den: int = 1) -> list[int | None]:
+    """[(sum_m zeta_order^(e_m) v_m) / den for each row e] as ints, exactly;
+    None for a sum that is not a rational integer.
+
+    Values may be ints, Fractions or Cyclotomics, each row holds one int
+    exponent per value and den is a positive int. With L the lcm of order
+    and every value's order, each value's numerators are packed into one
+    int, slot j at bit j w for X = 2^w, so a power zeta_L^e is a left shift
+    by e w. Since Phi_L divides
+    x^L - 1, x -> X is a ring map Z[zeta_L] -> Z / Phi_L(X), and a whole
+    row's sum is reduced by one int remainder modulo Q = Phi_L(X). Every
+    coefficient of the sum reduced modulo Phi_L is at most the l1 bound
+    (sum over values of max|numerator|, as after folding modulo x^L - 1)
+    times the order's growth, and w leaves two spare bits above that and
+    makes X >= 4 height(Phi_L) + 1; then the symmetric remainder is that
+    reduced sum at X, which is a constant exactly when it lies in the
+    lowest signed slot.
+    """
+    values = [v if isinstance(v, Cyclotomic) else from_rational(v) for v in values]
+    big = math.lcm(order, *(v.order for v in values))
+    c = _order_constants(big)
+    common = math.lcm(*(v._den for v in values))
+    bound = c.growth * sum((common // v._den) * max(map(abs, v._num)) for v in values)
+    width = max(bound.bit_length() + 2, (4 * max(map(abs, c.poly))).bit_length())
+    packed = [(common // v._den) * poly_pack(v._num, width * (big // v.order)) for v in values]
+    modulus, step, total_den = poly_pack(c.poly, width), width * (big // order), common * den
+    out = []
+    for row in exponent_rows:
+        total = sum(p << (e % order * step) for p, e in zip(packed, row, strict=True) if p)
+        r = packed_constant(total, modulus, width)
+        out.append(r // total_den if r is not None and not r % total_den else None)
     return out
 
 
@@ -540,17 +653,10 @@ class Packing:
     of one computation (|slot| <= bound) and its reduction modulo Phi_N."""
 
     def __init__(self, order: int, bound: int):
-        self.order, self.deg = order, euler_phi(order)
-        # x^k modulo Phi_N for phi(N) <= k < N, each one x times the last
-        low = [-c for c in cyclotomic_polynomial(order)[:-1]]  # x^phi(N)
-        high, h = [], low
-        for _ in range(order - self.deg):
-            high.append(h)
-            h = [a + h[-1] * b for a, b in zip([0, *h[:-1]], low)]
-        # a reduced slot adds each high slot times one coefficient of its power
-        growth = 1 + max((sum(abs(h[k]) for h in high) for k in range(self.deg)), default=0)
-        self.width = slot_width(bound, growth)
-        self.high = [poly_pack(h, self.width) for h in high]
+        c = _order_constants(order)
+        self.order, self.deg = order, len(c.poly) - 1
+        self.width = slot_width(bound, c.growth)
+        self.high = [poly_pack(h, self.width) for h in _high_powers(c.poly, order)]
 
     def pack(self, cells) -> list[list[int]]:
         return [[poly_pack(c, self.width) for c in row] for row in cells]

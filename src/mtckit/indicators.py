@@ -224,9 +224,12 @@ def nu_general(
     alpha_{k/g, n/g} of theta_b^{g/n} nu^b_{n/g,1}(a^g), the inner indicator
     expanding additively over the decomposition of a^g.
 
-    The root-of-unity factors (theta_b^-q, the pinned root's powers) are
-    exponent arithmetic on RootOfUnity; each enters the field once, as the
-    exact value of a single root, so no field inverse is ever taken.
+    No two field values are multiplied. The root-of-unity factors
+    (theta_b^-q, the pinned root's powers) are exponent arithmetic on
+    RootOfUnity, and each enters as an index shift (cyclo.times_root); the
+    sum over a^g is an int-weighted cyclo.dot of table entries, which takes
+    no field product either. The Galois step is cyclo.galois_apply, so a value outside Q(zeta_{n/g})
+    still fails its descent check.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -235,7 +238,7 @@ def nu_general(
 
     if k0 == 0:
         base = cyclo.from_rational(hom_dim_under_forgetful(cd, b, a, n))
-        return base if prefactor.is_one() else prefactor.value() * base
+        return cyclo.times_root(base, prefactor)
 
     g = math.gcd(k0, n)
     n1, k1 = n // g, k0 // g
@@ -245,12 +248,10 @@ def nu_general(
 
     if k1 == 1:
         # theta^{-k0/n} * theta^{g/n} = 1 when k0 == g
-        factor, result = prefactor, nu1
-    else:
-        root = _theta_root(cd, b, n, root_shift)
-        result = cyclo.galois_apply((root**g).value() * nu1, k1, n1)
-        factor = prefactor * root ** (-k0)
-    return result if factor.is_one() else factor.value() * result
+        return cyclo.times_root(nu1, prefactor)
+    root = _theta_root(cd, b, n, root_shift)
+    result = cyclo.galois_apply(cyclo.times_root(nu1, root**g), k1, n1)
+    return cyclo.times_root(result, prefactor * root ** (-k0))
 
 
 def _k2_rows(md: ModularData, fr: FusionRing, n_sum: int):

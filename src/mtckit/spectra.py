@@ -9,16 +9,22 @@ value theta_a^-1 omega occurs with multiplicity K^{a-bar^(l+m) (x) b~}(omega).
 Roots of unity (twists, candidate eigenvalues, omega) are handled by
 exponent as RootOfUnity. Over the n candidates lambda_0 zeta_n^j the
 multiplicities are an inverse DFT of the indicator sequence, and each one
-is a root-of-unity sum (cyclo.root_sums): the nu values are lifted once to
-one field order, each lambda^-k multiplies by an index shift, and each sum
-is reduced once, with the 1/n in its denominator. No two field values are
-multiplied, no inverse is taken and no order changes inside a row. Tensor
-powers are kept on the fusion ring; the n = 2 braid values (k2_pairs) take
-nu_{2,1} from the packed twisted S rows of indicators.nu2_direct, without
-the center, and form (omega^-1 nu + N) / 2 as root sums too.
+is an exact integer sum (cyclo.integer_sums): the exponents of lambda^-k
+are plain ints, every nu value is packed once into one int, each lambda^-k
+multiplies by a left shift, and each sum is read off one big-int remainder
+modulo Phi_L(2^w), with the 1/n in its denominator. No two field values are
+multiplied, and no sum of a row is reduced as a polynomial. Tensor powers
+are kept on the fusion ring; the n = 2 braid values (k2_pairs) take nu_{2,1}
+from the packed twisted S rows of indicators.nu2_direct, without the
+center, and form (omega^-1 nu + N) / 2 as integer sums too. K of a
+semisimple center object (semisimple_K) is one weighted total per call,
+not a row: it is formed as a field value (cyclo.root_sums, then an
+int-weighted cyclo.dot) and checked by cyclo.as_integer.
 
-Every multiplicity must recognize as a non-negative integer; anything else
-raises IntegralityError, which doubles as an end-to-end data check.
+Every multiplicity must be a non-negative rational integer; anything else
+raises IntegralityError, which doubles as an end-to-end data check. Its
+message shows the offending value in E(n) form; for rows and k2_pairs that
+value is recomputed as a field value (cyclo.root_sums) only on that path.
 """
 
 from __future__ import annotations
@@ -51,12 +57,12 @@ class IntegralityError(ArithmeticError):
     """A multiplicity failed to be a non-negative rational integer."""
 
 
-def _require_count(value: Cyclotomic, what) -> int:
-    n = cyclo.as_integer(value)
-    if n is None or n < 0:
-        label = what() if callable(what) else what
-        raise IntegralityError(f"{label} = {value} is not a non-negative integer")
-    return n
+def _require_count(count: int | None, describe) -> int:
+    # count is an exact integer sum, None if the sum is not a rational integer;
+    # describe() names the sum and its field value, for the message
+    if count is None or count < 0:
+        raise IntegralityError(f"{describe()} is not a non-negative integer")
+    return count
 
 
 @dataclasses.dataclass(frozen=True)
@@ -103,21 +109,28 @@ def _rotation_candidates(theta_b: RootOfUnity, n: int) -> list[RootOfUnity]:
     q = theta_b.order
     cyclo.check_order(n * q)
     base = (-theta_b.exponent) % q
-    return _sorted_candidates(
-        {RootOfUnity.make(n * q, base + q * i) for i in range(n)}
-    )
+    # base + q i < n q grows with i, so the list is already in turn order
+    return [RootOfUnity.make(n * q, base + q * i) for i in range(n)]
 
 
-def _multiplicities(
-    cd: CenterData,
-    b: int,
-    a: int | ObjectMultiset,
-    n: int,
-    lams: list[RootOfUnity],
-    root_shift: int,
-) -> list[Cyclotomic]:
-    # P^b_{n,a}(lambda^-1) = (1/n) sum_{k<n} nu^b_{n,k}(a) lambda^-k for each lambda
-    nus = [nu_general(cd, b, n, k, a, root_shift=root_shift) for k in range(n)]
+def _nu_sequence(cd: CenterData, b: int, a: int | ObjectMultiset, n: int, root_shift: int):
+    return [nu_general(cd, b, n, k, a, root_shift=root_shift) for k in range(n)]
+
+
+def _exponent(root: RootOfUnity, order: int) -> int:
+    # root = zeta_order^e; order is a multiple of the root's order
+    return root.exponent * (order // root.order)
+
+
+def _inverse_powers(lam: RootOfUnity, order: int, n: int) -> list[int]:
+    # the exponents of lambda^-k at order, k = 0..n-1
+    e = _exponent(lam, order)
+    return [-k * e for k in range(n)]
+
+
+def _multiplicity_values(nus: list[Cyclotomic], lams: list[RootOfUnity]) -> list[Cyclotomic]:
+    # P(lambda^-1) = (1/n) sum_{k<n} nu_k lambda^-k as field values
+    n = len(nus)
     return cyclo.root_sums(nus, ([lam ** -k for k in range(n)] for lam in lams), n)
 
 
@@ -144,12 +157,17 @@ def rotation_spectrum(
     theta_b^-1 and zero-multiplicity candidates are kept in the row.
     """
     cands = _rotation_candidates(cd.theta[b], n)
+    # P^b_{n,a}(lambda^-1) = (1/n) sum_{k<n} nu^b_{n,k}(a) lambda^-k for each lambda
+    nus = _nu_sequence(cd, b, a, n, root_shift)
+    order = n * cd.theta[b].order
+    counts = cyclo.integer_sums(nus, (_inverse_powers(lam, order, n) for lam in cands), order, n)
     mults = [
         _require_count(
-            value,
-            lambda lam=lam: f"multiplicity of {cyclo.format_root(lam)} on Hom({cd.labels[b]}, a^{n})",
+            count,
+            lambda i=i: f"multiplicity of {cyclo.format_root(cands[i])} on "
+            f"Hom({cd.labels[b]}, a^{n}) = {_multiplicity_values(nus, cands)[i]}",
         )
-        for lam, value in zip(cands, _multiplicities(cd, b, a, n, cands, root_shift))
+        for i, count in enumerate(counts)
     ]
     return SpectrumRow(
         label=cd.labels[b], eigenvalues=tuple(cands), multiplicities=tuple(mults)
@@ -187,11 +205,14 @@ def semisimple_K(
     """
     gate = omega**n
     gated = {c: mult for c, mult in b.items() if mult and gate == cd.theta[c].inverse()}
+    # one weighted total per call, formed and checked as a field value
     total = cyclo.dot(
         gated.values(),
-        (_multiplicities(cd, c, a, n, [omega], root_shift)[0] for c in gated),
+        (_multiplicity_values(_nu_sequence(cd, c, a, n, root_shift), [omega])[0] for c in gated),
     )
-    return _require_count(total, lambda: f"K at omega = {cyclo.format_root(omega)}")
+    return _require_count(
+        cyclo.as_integer(total), lambda: f"K at omega = {cyclo.format_root(omega)} = {total}"
+    )
 
 
 def braid_jm_spectrum(
@@ -272,11 +293,19 @@ def k2_pairs(
         for e in range(md.rank)
         if fr.table[e][a][a]
     )
-    # (omega^-1 nu + n_hom) / 2 for both omega, one root-sum row each
-    vals = cyclo.root_sums((nu, n_hom), ((omega.inverse(), ROOT_ONE) for omega in omegas), 2)
+    # (omega^-1 nu + n_hom) / 2 for both omega, one exact integer sum each
+    order = 2 * ratio.order
+    counts = cyclo.integer_sums(
+        (nu, n_hom), ([-_exponent(omega, order), 0] for omega in omegas), order, 2
+    )
+
+    def describe(i):
+        vals = cyclo.root_sums((nu, n_hom), ((omega.inverse(), ROOT_ONE) for omega in omegas), 2)
+        return f"K^(2) at omega = {cyclo.format_root(omegas[i])} = {vals[i]}"
+
     out = [
-        (omega, _require_count(val, lambda omega=omega: f"K^(2) at omega = {cyclo.format_root(omega)}"))
-        for omega, val in zip(omegas, vals)
+        (omega, _require_count(count, lambda i=i: describe(i)))
+        for i, (omega, count) in enumerate(zip(omegas, counts))
     ]
     if n_hom > 0 and not any(k for _, k in out):
         raise IntegralityError(

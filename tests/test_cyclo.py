@@ -385,6 +385,32 @@ class TestDot:
             as_dict = dict(zip(range(k), coeffs))
             assert cyclo.dot(as_dict.values(), (values[i] for i in as_dict)) == want
 
+    def test_int_coefficients_take_no_field_product(self, monkeypatch):
+        # int coefficients enter by index map: the same value at the same order
+        # and denominator as the term-by-term sum, with no Cyclotomic product
+        rng = random.Random(60)
+        cases = []
+        for _ in range(150):
+            k = rng.randint(1, 8)
+            coeffs = [rng.randint(-4, 4) for _ in range(k)]
+            values = [self._value(rng) for _ in range(k)]
+            terms = [c * v for c, v in zip(coeffs, values) if c and v]
+            want = functools.reduce(operator.add, terms) if terms else cyclo.ZERO
+            cases.append((coeffs, values, want))
+        products = []
+        mul = cyclo.Cyclotomic.__mul__
+
+        def counting_mul(self, other):
+            products.append((self, other))
+            return mul(self, other)
+
+        monkeypatch.setattr(cyclo.Cyclotomic, "__mul__", counting_mul)
+        monkeypatch.setattr(cyclo.Cyclotomic, "__rmul__", counting_mul)
+        for coeffs, values, want in cases:
+            got = cyclo.dot(coeffs, values)
+            assert (got.order, got._num, got._den) == (want.order, want._num, want._den)
+        assert not products
+
     def test_all_zero_terms(self):
         z13 = zeta(13) - zeta(13)
         assert cyclo.dot([], []) == cyclo.ZERO
@@ -477,6 +503,172 @@ class TestRootSums:
         monkeypatch.undo()
         assert not products and not changes, (products, changes)
         assert got == want
+
+
+class TestIntegerSums:
+    """integer_sums against the field route, as_integer of the same root sum."""
+
+    ORDERS = (1, 2, 39, 105, 156, 2400)
+
+    @staticmethod
+    def _oracle(values, rows, order, den=1):
+        roots = ([RootOfUnity.make(order, e) for e in row] for row in rows)
+        return [cyclo.as_integer(s) for s in cyclo.root_sums(values, roots, den)]
+
+    @staticmethod
+    def _values(rng, order, k):
+        # values at divisors of order, a few of them plain rationals
+        divisors = [d for d in (1, 2, 3, 4, 5, 7, 8, 13, 39, 105, 156, 600, 2400) if order % d == 0]
+        out = []
+        for _ in range(k):
+            d = rng.choice(divisors)
+            if d <= 2 or rng.random() < 0.2:
+                out.append(Fraction(rng.randint(-9, 9), rng.randint(1, 3)))
+            else:
+                out.append(rand_cyclotomic(rng, d, span=4) if d <= 156 else
+                           Fraction(rng.randint(1, 3)) * root_of_unity(d, rng.randrange(d)))
+        return out
+
+    def test_integer_sums_match_the_field_route(self):
+        # the last value is chosen so that the sum of the first row is a known
+        # target: den times an integer (kind 0) or a negative integer (kind 1),
+        # a rational den does not divide (kind 2), or a non-rational after one
+        # coordinate is perturbed (kind 3); rows 2 and 3 are whatever they are
+        rng = random.Random(71)
+        for order in self.ORDERS:
+            for trial in range(8 if order < 2400 else 4):
+                k = rng.randint(1, 5)
+                kind = trial % 4
+                den = rng.choice((2, 3, 12) if kind == 2 else (1, 2, 3, 12))
+                values = self._values(rng, order, k - 1)
+                rows = [[rng.randrange(-order, 2 * order) for _ in range(k)] for _ in range(3)]
+                partial = cyclo.root_sums(
+                    values, [[RootOfUnity.make(order, e) for e in rows[0][:-1]]]
+                )[0]
+                target = den * (-rng.randint(1, 40) if kind == 1 else rng.randint(-40, 40))
+                target += 1 if kind == 2 else 0
+                last_root = RootOfUnity.make(order, rows[0][-1])
+                last = (target - partial) * last_root.inverse().value()
+                if kind == 3 and order > 2:
+                    # one more coordinate: the sum gains zeta_order itself
+                    last = last + root_of_unity(order, 1 - rows[0][-1])
+                values.append(last)
+                got = cyclo.integer_sums(values, rows, order, den)
+                want = self._oracle(values, rows, order, den)
+                assert got == want, (order, values, rows, den)
+                if kind == 2 or (kind == 3 and order > 2):
+                    assert got[0] is None
+                else:
+                    assert got[0] == target // den
+
+    def test_cancelling_multiples_match_the_field_route(self):
+        rng = random.Random(72)
+        for order in (1, 39, 156):
+            for _ in range(10):
+                k = rng.randint(1, 6)
+                values = [rng.randint(-3, 3) * v for v in self._values(rng, order, k)]
+                rows = [[rng.randrange(order) for _ in range(k)] for _ in range(2)]
+                # the same values negated under the same roots cancel
+                values += [-v for v in values]
+                rows = [row + row for row in rows]
+                got = cyclo.integer_sums(values, rows, order)
+                assert got == self._oracle(values, rows, order) == [0, 0]
+                half = cyclo.integer_sums(values[:k], [rows[0][:k]], order)
+                assert half == self._oracle(values[:k], [rows[0][:k]], order)
+
+    def test_width_holds_the_reduced_sum(self, monkeypatch):
+        # one value shifted by e so that its window covers high slots, each
+        # numerator signed like its power's coefficient at slot k: the reduced
+        # sum's slot k is then 28 (order 105, growth 34) or 145 (order 385,
+        # growth 146) times the value's max|numerator|. The kernel's remainder
+        # must unpack to the reduced sum at its width; without the growth
+        # factor in the width it does not.
+        seen = []
+        real = cyclo.packed_constant
+
+        def recording(value, modulus, width):
+            seen.append((value, modulus, width))
+            return real(value, modulus, width)
+
+        monkeypatch.setattr(cyclo, "packed_constant", recording)
+        for order, e, k, times in ((105, 48, 41, 28), (385, 145, 119, 145)):
+            mod = cyclo.cyclotomic_polynomial(order)
+            deg = len(mod) - 1
+            growth = cyclo._order_constants(order).growth
+            for bound in (1, 1000, (1 << 40) - 1):
+                signs = [
+                    -1 if _poly.poly_reduce([0] * ((j + e) % order) + [1], mod)[k] < 0 else 1
+                    for j in range(deg)
+                ]
+                value = cyclo.dot(
+                    [bound * s for s in signs], [zeta(order) ** j for j in range(deg)]
+                )
+                want = cyclo.root_sums([value], [[RootOfUnity.make(order, e)]])[0]
+                assert want._den == 1 and want._num[k] == times * bound
+                assert times * bound > bound * growth // 2
+                seen.clear()
+                got = cyclo.integer_sums([value], [[e]], order)
+                assert got == self._oracle([value], [[e]], order) == [None]
+                ((total, modulus, width),) = seen
+                r = total % modulus
+                r -= modulus if r > modulus >> 1 else 0
+                assert _poly.poly_unpack(r, width, deg) == list(want._num)
+                narrow = max(bound.bit_length() + 2, (4 * max(map(abs, mod))).bit_length())
+                q = _poly.poly_pack(mod, narrow)
+                r = _poly.poly_pack(want._num, narrow) % q
+                r -= q if r > q >> 1 else 0
+                try:
+                    got = _poly.poly_unpack(r, narrow, deg)
+                except ValueError:
+                    got = None
+                assert got != list(want._num)
+
+    def test_constant_at_the_width_bound_decodes(self):
+        # with growth 1 (order 1) the l1 bound is reached when every value lands
+        # in the constant slot with one sign: the sum is then exactly 2^(w-2) - 1
+        # for the narrowest width w that the kernel may choose
+        for bits in (1, 2, 29, 30, 31, 61, 62, 63, 64, 100):
+            m = (1 << bits) - 1
+            parts = [m // 3, m // 3, m - 2 * (m // 3)]
+            for sign in (1, -1):
+                assert cyclo.integer_sums([sign * m], [[0]], 1) == [sign * m]
+                assert cyclo.integer_sums([sign * p for p in parts], [[0, 0, 0]], 1) == [sign * m]
+                # at a larger order the same constant still sits in the lowest slot
+                for order in (105, 2400):
+                    assert cyclo.integer_sums([sign * m], [[0]], order) == [sign * m]
+                    assert cyclo.integer_sums([sign * m, sign * m], [[0, 1]], order) == [None]
+                assert cyclo.integer_sums([sign * m, sign * m], [[0, 1200]], 2400) == [0]
+            assert cyclo.integer_sums([m], [[0]], 1, m) == [1]
+            assert cyclo.integer_sums([m + 1], [[0]], 1, m) == ([None] if m > 1 else [2])
+
+    def test_packed_constant_reads_the_lowest_slot(self):
+        width = 10
+        modulus = _poly.poly_pack(cyclo.cyclotomic_polynomial(105), width)
+        half = 1 << (width - 1)
+        for c in (-half + 1, -3, 0, 1, half - 1):
+            for k in (-2, 0, 3):
+                assert _poly.packed_constant(c + k * modulus, modulus, width) == c
+        for r in (-half, half, (1 << width) + 1, -(1 << width) + 5):
+            assert _poly.packed_constant(r + 7 * modulus, modulus, width) is None
+
+    def test_non_integral_sums_give_none(self):
+        assert cyclo.integer_sums([Fraction(1, 3), Fraction(1, 3)], [[0, 0], [0, 1]], 2) == [
+            None,
+            0,
+        ]
+        assert cyclo.integer_sums([1], [[1]], 3) == [None]  # zeta_3
+        assert cyclo.integer_sums([1, 1, 1], [[0, 1, 2], [0, 0, 0]], 3, 3) == [0, 1]
+        assert cyclo.integer_sums([zeta(105)], [[104]], 105) == [1]
+        assert cyclo.integer_sums([zeta(105)], [[103]], 105) == [None]
+
+    def test_edge_cases(self):
+        assert cyclo.integer_sums([zeta(3)], [], 3) == []
+        assert cyclo.integer_sums([], [[]], 7) == [0]
+        assert cyclo.integer_sums([0, cyclo.ZERO], [[1, 2]], 5) == [0]
+        with pytest.raises(ValueError):
+            cyclo.integer_sums([1, 2], [[0]], 3)
+        with pytest.raises(CycloDomainError):
+            cyclo.integer_sums([zeta(3)], [[0]], 20_000)
 
 
 class TestOrderLimit:
@@ -678,6 +870,10 @@ class TestMatmul:
             slots = [_poly.poly_unpack(c, 32, order - deg) for c in reduced]
             p = cyclo.Packing(order, 1)
             assert [p.unpack(h) for h in p.high] == [list(c) for c in zip(*slots)], order
+            # the growth (read off the radical's powers) is 1 plus the largest sum,
+            # over every x^k, of |coefficient i| for one i
+            growth = 1 + max((sum(map(abs, coeff)) for coeff in slots), default=0)
+            assert cyclo._order_constants(order).growth == growth, order
 
     def test_width_is_tight_with_the_reduction(self):
         # a folded row whose reduced slot k reaches bound * growth: slot k at

@@ -1,6 +1,7 @@
 """Source checks on the library: no guard that vanishes under ``python -O``,
 no environment knob beyond the documented one, no field sum started
 at the order-1 zero, no root-of-unity sum built from field products, no
+root of unity entering indicators or spectra as a field value, no
 module-level cache beyond the ones that exist, and no control flow through
 a caught DescentError."""
 
@@ -122,17 +123,20 @@ def _is_dot(func):
     return isinstance(func, ast.Name) and func.id == "dot"
 
 
+def _is_root_value_call(node):
+    """Whether node is a call of ``.value()`` (a RootOfUnity entering the
+    field) or of ``root_of_unity(...)``, bare or dotted."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        return func.attr in ("value", "root_of_unity")
+    return isinstance(func, ast.Name) and func.id == "root_of_unity"
+
+
 def _makes_root_value(node):
-    """Whether node calls ``.value()`` (a RootOfUnity entering the field) or
-    ``root_of_unity(...)`` anywhere inside it."""
-    for inner in ast.walk(node):
-        if isinstance(inner, ast.Call):
-            func = inner.func
-            if isinstance(func, ast.Attribute) and func.attr in ("value", "root_of_unity"):
-                return True
-            if isinstance(func, ast.Name) and func.id == "root_of_unity":
-                return True
-    return False
+    """Whether a root-of-unity value is built anywhere inside node."""
+    return any(_is_root_value_call(inner) for inner in ast.walk(node))
 
 
 def _root_sums_by_products(tree):
@@ -149,6 +153,19 @@ def test_no_root_sums_by_field_products():
         {f"{path}:{line}" for path, tree in _modules() for line in _root_sums_by_products(tree)}
     )
     assert not found, f"sum root-of-unity multiples with cyclo.root_sums, not cyclo.dot: {found}"
+
+
+def test_indicators_and_spectra_take_roots_as_index_shifts():
+    # a root of unity reaches a value in these modules only as an exponent:
+    # cyclo.times_root, cyclo.integer_sums or a root sum, never as a field value
+    found = [
+        f"{path}:{node.lineno}"
+        for path, tree in _modules()
+        if path.name in ("indicators.py", "spectra.py")
+        for node in ast.walk(tree)
+        if _is_root_value_call(node)
+    ]
+    assert not found, f"root-of-unity field values (.value(), root_of_unity): {found}"
 
 
 def _module_names(tree):

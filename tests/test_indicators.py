@@ -524,6 +524,53 @@ def test_nu_general_takes_no_field_inverse_or_power(fixture_centers, monkeypatch
                 nu_general(cd, b, n, k, 1, root_shift=1)
 
 
+def test_nu_general_makes_no_field_product(fixture_centers, monkeypatch):
+    # roots enter as index shifts and the sum over a^g is int-weighted: every
+    # (b, n <= 4, k, a) of fibonacci, k over two periods, both pinned roots;
+    # each value has the field route's order, numerators and denominator
+    cd = fixture_centers["fibonacci"]
+    for n in range(1, 5):
+        gfs_matrix(cd, n, 1)
+    keys = [
+        (b, n, k, a, shift)
+        for shift in (0, 1) for n in range(1, 5) for k in range(-n, n + 1)
+        for b in range(cd.rank) for a in range(cd.base_rank)
+    ]
+    products = []
+    mul = cyclo.Cyclotomic.__mul__
+
+    def counting_mul(self, other):
+        products.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(cyclo.Cyclotomic, "__mul__", counting_mul)
+    monkeypatch.setattr(cyclo.Cyclotomic, "__rmul__", counting_mul)
+    got = {key: nu_general(cd, *key[:4], root_shift=key[4]) for key in keys}
+    monkeypatch.undo()
+    assert products == []
+    for key, value in got.items():
+        oracle = oracles.nu_general_by_field_powers(cd, *key)
+        assert (value.order, value._num, value._den) == (oracle.order, oracle._num, oracle._den), key
+
+
+def test_descent_witness_on_a_corrupted_table(fixture_data):
+    # nu_{3,2} is the Galois image of theta^(1/3) nu_{3,1}; an entry moved out of
+    # the field by zeta_N fails galois_apply's descent check, which names the
+    # order, the target and the first mismatching coordinate
+    md, fr = fixture_data["fibonacci"]
+    cd = deligne_square(md, fr)
+    table = gfs_matrix(cd, 3, 1)
+    values = [list(row) for row in table.values]
+    values[3][1] = values[3][1] + cyclo.zeta(cd.working_order)
+    cd._gfs_cache[(3, 1)] = dataclasses.replace(table, values=tuple(map(tuple, values)))
+    with pytest.raises(cyclo.DescentError) as exc:
+        nu_general(cd, 3, 3, 2, 1)
+    assert (exc.value.order, exc.value.target, exc.value.witness_index) == (60, 3, 3)
+    assert str(exc.value) == (
+        "value of order 60 does not descend to Q(zeta_3); first mismatch at power-basis coordinate 3"
+    )
+
+
 @pytest.mark.parametrize(
     "name, pairs",
     [

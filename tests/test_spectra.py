@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from mtckit import cyclo, spectra
+from mtckit.center import deligne_square
 from mtckit.cyclo import RootOfUnity
 from mtckit.fusion_ring import power_decompose, verlinde
 from mtckit.indicators import hom_dim_under_forgetful
@@ -346,26 +347,34 @@ class TestMultiplicitiesAgainstDot:
 
 
 def test_rows_and_k2_pairs_make_no_field_product(fixture_data, fixture_centers, monkeypatch):
-    # the 1/n of every multiplicity and the omega^-1 and 1/2 of K^2 join root
-    # sums; only the nu values themselves (nu_general) may multiply field values
-    products, inside_nu = [], []
-    mul, nu_general = cyclo.Cyclotomic.__mul__, spectra.nu_general
+    # no field value is multiplied anywhere, nu_general included: roots enter as
+    # index shifts, and every multiplicity is one integer remainder, so no root
+    # sum is reduced as a polynomial outside nu_general's Galois step
+    products, reductions, inside_nu = [], [], []
+    mul, reduce, nu_general = cyclo.Cyclotomic.__mul__, cyclo.poly_reduce, spectra.nu_general
 
     def counting_mul(self, other):
-        if not inside_nu:
-            products.append((self, other))
+        products.append((self, other))
         return mul(self, other)
 
-    def uncounted_nu(*args, **kwargs):
+    def counting_reduce(p, mod):
+        if not inside_nu:
+            reductions.append(len(p))
+        return reduce(p, mod)
+
+    def marked_nu(*args, **kwargs):
         inside_nu.append(None)
         try:
             return nu_general(*args, **kwargs)
         finally:
             inside_nu.pop()
 
+    md, fr = fixture_data["haagerup-center"]
+    k2_pairs(md, fr, 0, 0, 0)  # lifts and packs the twisted S rows once per modular data
     monkeypatch.setattr(cyclo.Cyclotomic, "__mul__", counting_mul)
     monkeypatch.setattr(cyclo.Cyclotomic, "__rmul__", counting_mul)
-    monkeypatch.setattr(spectra, "nu_general", uncounted_nu)
+    monkeypatch.setattr(cyclo, "poly_reduce", counting_reduce)
+    monkeypatch.setattr(spectra, "nu_general", marked_nu)
     for name in ("semion", "toric-code", "fibonacci", "haagerup-center"):
         cd = fixture_centers[name]
         rows = range(0, cd.rank, 12 if name == "haagerup-center" else 1)
@@ -373,11 +382,77 @@ def test_rows_and_k2_pairs_make_no_field_product(fixture_data, fixture_centers, 
             for b in rows:
                 for a in range(cd.base_rank):
                     rotation_spectrum(cd, b, a, n)
-    assert products == []
-    md, fr = fixture_data["haagerup-center"]
+    assert products == [] and reductions == []
     r = md.rank
     for c in range(r):
         for b in range(r):
             for a in range(r):
                 k2_pairs(md, fr, c, b, a)
-    assert products == []
+    assert products == [] and reductions == []
+
+
+# IntegralityError texts, pinned byte for byte: integrality is decided on ints
+# (cyclo.integer_sums), and only the message rebuilds the offending field value.
+INTEGRALITY_MESSAGES = [
+    "multiplicity of 1 on Hom((tau,tau), a^3) = 1 + 1/3*E(7) is not a non-negative integer",
+    "K at omega = 1 = 3 + 3/2*E(7) is not a non-negative integer",
+    "K at omega = E(15)^2 = 2 + 2/3*E(105) is not a non-negative integer",
+    "multiplicity of 1 on Hom((tau,tau), a^3) = -2/3 is not a non-negative integer",
+    "multiplicity of 1 on Hom((1,1), a^1) = -5 is not a non-negative integer",
+    "K at omega = 1 = -9/2 is not a non-negative integer",
+    "K at omega = E(15)^2 = -4/3 is not a non-negative integer",
+]
+
+
+def test_integrality_messages_are_unchanged(fixture_data, monkeypatch):
+    md, fr = fixture_data["fibonacci"]
+    cd = deligne_square(md, fr)
+    real = spectra.nu_general
+
+    def off_rational(cd, b, n, k, a, root_shift=0):
+        v = real(cd, b, n, k, a, root_shift=root_shift)
+        return v + cyclo.zeta(7) if k == 1 else v
+
+    def negative(cd, b, n, k, a, root_shift=0):
+        v = real(cd, b, n, k, a, root_shift=root_shift)
+        return v - 5 if k == 0 else v
+
+    calls = [
+        lambda: rotation_spectrum(cd, 3, 1, 3),
+        lambda: rotation_spectrum(cd, 0, 1, 1),
+        lambda: semisimple_K(cd, {0: 2, 3: 1}, 1, 2, RootOfUnity(1, 0)),
+        lambda: semisimple_K(cd, {1: 2, 2: 1}, 1, 3, RootOfUnity.make(15, 2)),
+    ]
+    messages = []
+    for patch in (off_rational, negative):
+        monkeypatch.setattr(spectra, "nu_general", patch)
+        for call in calls:
+            try:
+                call()
+            except IntegralityError as exc:
+                messages.append(str(exc))
+    assert messages == INTEGRALITY_MESSAGES
+
+    monkeypatch.setattr(spectra, "nu_general", real)
+    assert rotation_spectrum(cd, 0, 1, 1).multiplicities == (0,)  # the unpatched -5 + 5
+    direct = spectra.nu2_direct
+    monkeypatch.setattr(
+        spectra, "nu2_direct",
+        lambda *args: direct(*args) + Fraction(1, 3) * cyclo.zeta(3),
+    )
+    with pytest.raises(IntegralityError) as exc:
+        k2_pairs(md, fr, 0, 1, 1)
+    assert str(exc.value) == "K^(2) at omega = E(5) = 1/6*E(15)^2 is not a non-negative integer"
+
+
+def test_semion_row_at_large_n_sums_to_the_hom_dimension(fixture_data, fixture_centers):
+    # n = 600: a row of 600 candidates over 600 nu values at order 600
+    md, fr = fixture_data["semion"]
+    cd = fixture_centers["semion"]
+    a = md.index_of("s")
+    n = 600
+    row = rotation_spectrum(cd, 0, a, n)
+    assert len(row.multiplicities) == n
+    powers = power_decompose(fr, a, n)
+    want = sum(cd.a_matrix[0][c] * mult for c, mult in powers.items())
+    assert row.total() == want == 1
