@@ -96,18 +96,3 @@ def poly_unpack(value, width, count):
     mask = (1 << width) - 1
     return [((total >> k) & mask) - half for k in range(0, size, width)]
 
-
-def packed_constant(value, modulus, width):
-    """The remainder of value modulo modulus, taken in (-modulus/2,
-    modulus/2], if it lies in the lowest signed width-bit slot; else None.
-
-    For value = p(2^width) and modulus = m(2^width) with m monic, that
-    remainder is r(2^width) for the polynomial r = p mod m once the slots of
-    r are small enough against 2^width and the coefficients of m (the caller
-    chooses width so); r is then a constant exactly when it fits one slot.
-    """
-    r = value % modulus
-    if r > modulus >> 1:
-        r -= modulus
-    half = 1 << (width - 1)
-    return r if -half < r < half else None

@@ -131,7 +131,8 @@ class CenterData:
         """
         (r_cells, r_den), (q_cells, q_den) = x
         forget, r, cols = self.a_matrix, self.base.rank, len(self.a_matrix[0])
-        # |y| <= r max|R| max|A| per slot; a folded slot of z adds r phi(N) products
+        # |y| <= r max|R| max|A| per slot; z stays unfolded, but modulo x^N - 1 (the
+        # bound Packing takes) a slot of z adds r products per coefficient of an R' cell
         bound = (r * cyclo.max_abs(r_cells) * max(map(max, forget))
                  * r * len(q_cells[0][0]) * cyclo.max_abs(q_cells))
         p = cyclo.Packing(self.working_order, bound)

@@ -25,15 +25,7 @@ import os
 from fractions import Fraction
 from operator import mul
 
-from ._poly import (
-    packed_constant,
-    poly_fold,
-    poly_mulmod,
-    poly_pack,
-    poly_reduce,
-    poly_unpack,
-    slot_width,
-)
+from ._poly import poly_mulmod, poly_pack, poly_reduce, poly_unpack
 
 __all__ = [
     "Cyclotomic",
@@ -59,8 +51,6 @@ __all__ = [
     "galois_apply",
     "descend",
     "recognize",
-    "dft",
-    "idft",
     "euler_phi",
     "set_order_limit",
     "get_order_limit",
@@ -202,7 +192,7 @@ def _high_powers(poly: tuple[int, ...], n: int):
 
 class _OrderConstants:
     """What one cyclotomic order n needs, derived once: Phi_n, and for the
-    packed reductions (Packing, integer_sums) its growth."""
+    packed reduction (Packing) its growth."""
 
     def __init__(self, n: int, poly: tuple[int, ...]):
         self.n, self.poly = n, poly
@@ -600,31 +590,22 @@ def integer_sums(values, exponent_rows, order: int, den: int = 1) -> list[int | 
 
     Values may be ints, Fractions or Cyclotomics, each row holds one int
     exponent per value and den is a positive int. With L the lcm of order
-    and every value's order, each value's numerators are packed into one
-    int, slot j at bit j w for X = 2^w, so a power zeta_L^e is a left shift
-    by e w. Since Phi_L divides
-    x^L - 1, x -> X is a ring map Z[zeta_L] -> Z / Phi_L(X), and a whole
-    row's sum is reduced by one int remainder modulo Q = Phi_L(X). Every
-    coefficient of the sum reduced modulo Phi_L is at most the l1 bound
-    (sum over values of max|numerator|, as after folding modulo x^L - 1)
-    times the order's growth, and w leaves two spare bits above that and
-    makes X >= 4 height(Phi_L) + 1; then the symmetric remainder is that
-    reduced sum at X, which is a constant exactly when it lies in the
-    lowest signed slot.
+    and every value's order, each value is packed once at L (Packing), so a
+    power zeta_L^e is a left shift by e slots, and a whole row's sum is
+    reduced by one remainder. Folded modulo x^L - 1, a sum's slots are at
+    most the l1 bound: the sum over values of max|numerator|. The reduced
+    sum is a constant exactly when it lies in the lowest signed slot.
     """
     values = [v if isinstance(v, Cyclotomic) else from_rational(v) for v in values]
     big = math.lcm(order, *(v.order for v in values))
-    c = _order_constants(big)
     common = math.lcm(*(v._den for v in values))
-    bound = c.growth * sum((common // v._den) * max(map(abs, v._num)) for v in values)
-    width = max(bound.bit_length() + 2, (4 * max(map(abs, c.poly))).bit_length())
-    packed = [(common // v._den) * poly_pack(v._num, width * (big // v.order)) for v in values]
-    modulus, step, total_den = poly_pack(c.poly, width), width * (big // order), common * den
+    p = Packing(big, sum((common // v._den) * max(map(abs, v._num)) for v in values))
+    packed = [(common // v._den) * poly_pack(v._num, p.width * (big // v.order)) for v in values]
+    step, total_den, half = p.width * (big // order), common * den, 1 << (p.width - 1)
     out = []
     for row in exponent_rows:
-        total = sum(p << (e % order * step) for p, e in zip(packed, row, strict=True) if p)
-        r = packed_constant(total, modulus, width)
-        out.append(r // total_den if r is not None and not r % total_den else None)
+        r = p.reduce(sum(x << (e % order * step) for x, e in zip(packed, row, strict=True) if x))
+        out.append(r // total_den if -half < r < half and not r % total_den else None)
     return out
 
 
@@ -633,7 +614,7 @@ def integer_sums(values, exponent_rows, order: int, den: int = 1) -> list[int | 
 # numerators of entry (i, j) over the shared den, unreduced (up to N long)
 # after an index map such as a root of unity or conjugation. A product packs
 # each cell into one int (mtckit._poly): an output cell is one dot product of
-# ints, folded modulo x^N - 1 and reduced modulo Phi_N once.
+# ints, reduced modulo Phi_N by one int remainder (Packing.reduce).
 
 
 def lift(matrix, order: int) -> tuple[list[list[list[int]]], int]:
@@ -649,32 +630,44 @@ def max_abs(cells) -> int:
 
 
 class Packing:
-    """Cells at order N packed into ints, wide enough for every folded value
-    of one computation (|slot| <= bound) and its reduction modulo Phi_N."""
+    """Cells at order N packed into ints, one width-bit slot per coefficient,
+    so that a packed row p is the int p(X) at X = 2^width.
+
+    bound is the largest |slot| of any value of one computation once folded
+    modulo x^N - 1; the value itself need not be folded. Reducing the folded
+    row modulo Phi_N multiplies that bound by at most the order's growth, so
+    the reduced row r has deg r < d = phi(N) and |r_k| <= B = bound growth.
+
+    The width is w = (2 B + H).bit_length() with H the height of Phi_N, so X
+    >= 2 B + H + 1, and Q = Phi_N(X). Since x -> X is a ring map and Phi_N
+    divides p - r, p(X) = r(X) modulo Q. With S = (X^d - 1) / (X - 1),
+    2 |r(X)| <= 2 B S and Q >= X^d - H S, so Q - 2 |r(X)| >= X^d - (2 B + H) S
+    >= X^d - (X - 1) S = 1: |r(X)| < Q/2. The remainder of p(X) in (-Q/2,
+    Q/2] is therefore r(X), and as every |r_k| <= B < X/2 it unpacks into
+    signed slots. It is a constant iff it lies in the lowest signed slot: a
+    constant has |r(X)| <= B < X/2, and if k >= 1 is r's top degree, then
+    2 B <= X - 2 (as H >= 1) gives |r(X)| >= X^k - B (X^k - 1) / (X - 1)
+    > X^k / 2.
+    """
 
     def __init__(self, order: int, bound: int):
         c = _order_constants(order)
         self.order, self.deg = order, len(c.poly) - 1
-        self.width = slot_width(bound, c.growth)
-        self.high = [poly_pack(h, self.width) for h in _high_powers(c.poly, order)]
+        self.width = (2 * bound * c.growth + max(map(abs, c.poly))).bit_length()
+        self.modulus = poly_pack(c.poly, self.width)
 
     def pack(self, cells) -> list[list[int]]:
         return [[poly_pack(c, self.width) for c in row] for row in cells]
 
-    def fold(self, value: int) -> int:
-        return poly_fold(value, self.width, self.order)
-
     def contract(self, left, right) -> list[list[int]]:
-        """out[i][j] = sum_k left[i][k] right[j][k], folded: left times right transposed."""
-        return [[self.fold(sum(map(mul, row, col))) for col in right] for row in left]
+        """out[i][j] = sum_k left[i][k] right[j][k]: left times right transposed."""
+        return [[sum(map(mul, row, col)) for col in right] for row in left]
 
     def reduce(self, value: int) -> int:
-        """A folded value modulo Phi_N, still packed: the low phi(N) slots plus
-        each high slot times its power. Constant iff it fits the lowest slot."""
-        shift = self.width * self.deg
-        top = (value + (1 << (shift - 1))) >> shift  # the high slots
-        tops = poly_unpack(top, self.width, len(self.high))
-        return value - (top << shift) + sum(map(mul, tops, self.high))
+        """Any packed value modulo Phi_N, still packed: its remainder modulo
+        Phi_N(X) taken in (-Q/2, Q/2]."""
+        r = value % self.modulus
+        return r - self.modulus if r > self.modulus >> 1 else r
 
     def unpack(self, value: int) -> list[int]:
         return poly_unpack(value, self.width, self.deg)
@@ -980,24 +973,3 @@ def format_expr(x: Cyclotomic) -> str:
         else:
             parts.append(term)
     return "".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# discrete Fourier transform over roots of unity
-
-
-def _dft_rows(n: int, sign: int):
-    # row k holds zeta_N^(sign m k) for m = 1..N
-    return (
-        [RootOfUnity.make(n, sign * m * k) for m in range(1, n + 1)] for k in range(1, n + 1)
-    )
-
-
-def dft(xs: list) -> list[Cyclotomic]:
-    """F(x)_k = sum_m x_m zeta_N^(m k) for k, m = 1..N (exact)."""
-    return root_sums(xs, _dft_rows(len(xs), 1))
-
-
-def idft(xs: list) -> list[Cyclotomic]:
-    """Inverse transform: F^-1(X)_k = (1/N) sum_m X_m zeta_N^(-m k) (exact)."""
-    return root_sums(xs, _dft_rows(len(xs), -1), len(xs))

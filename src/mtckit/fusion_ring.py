@@ -14,7 +14,7 @@ import itertools
 from operator import mul
 
 from . import cyclo
-from ._poly import poly_pack, poly_unpack, slot_width
+from ._poly import poly_fold, poly_pack, poly_unpack, slot_width
 from .modular_data import ModularData, _lift
 
 __all__ = [
@@ -112,12 +112,12 @@ def verlinde(md: ModularData) -> FusionRing:
     p = cyclo.Packing(n, r * n * (deg * s_max) ** 2 * s_max * cyclo.max_abs(inv))
     packed, (p_inv,) = p.pack(cells), p.pack(inv)
     conj = p.pack([[cyclo.index_map(c, n, n, -1) for c in row] for row in cells])
-    ratio = [[p.fold(x * y) for x, y in zip(row, p_inv)] for row in conj]
+    ratio = [[poly_fold(x * y, p.width, n) for x, y in zip(row, p_inv)] for row in conj]
     total = den**3 * inv_den
     table = [[[0] * r for _ in range(r)] for _ in range(r)]
     for c in range(r):
         for d in range(c, r):
-            prod = [p.fold(x * y) for x, y in zip(packed[c], packed[d])]
+            prod = [poly_fold(x * y, p.width, n) for x, y in zip(packed[c], packed[d])]
             for a, v in enumerate(map(p.reduce, p.contract([prod], ratio)[0])):
                 if not 0 <= v < 1 << (p.width - 1) or v % total:
                     val = cyclo.Cyclotomic._make(n, p.unpack(v), total)

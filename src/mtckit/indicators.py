@@ -85,7 +85,12 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def matrix_tokens(mat) -> tuple[str, ...]:
-    """Decompose an SL2(Z) matrix into s / t / t^-1 tokens (Euclidean descent)."""
+    """Decompose an SL2(Z) matrix into s / t / t^-1 tokens (Euclidean descent).
+
+    The tokens are counted from the Euclidean quotients before any is
+    spelled: a word longer than the order limit (cyclo.get_order_limit)
+    raises ValueError instead of being built.
+    """
     (a, b), (c, d) = mat
     if a * d - b * c != 1:
         raise ValueError("matrix is not in SL2(Z)")
@@ -105,6 +110,9 @@ def matrix_tokens(mat) -> tuple[str, ...]:
         b = -b
         if b:
             recorded.append(("T", b))
+    count, limit = sum(abs(n) for _, n in recorded), cyclo.get_order_limit()
+    if count > limit:
+        raise ValueError(f"SL2(Z) word of {count} tokens exceeds the configured limit {limit}")
 
     tokens: list[str] = []
     for kind, count in recorded:
@@ -284,4 +292,4 @@ def nu2_direct(md: ModularData, fr: FusionRing, c: int, b: int, a: int) -> Cyclo
     """
     p, u, v, den, _ = _k2_rows(md, fr, sum(map(sum, fr.table[a])))
     w = [sum(map(mul, row, v[b])) for row in fr.table[a]]
-    return Cyclotomic._make(p.order, p.unpack(p.reduce(p.fold(sum(map(mul, u[c], w))))), den)
+    return Cyclotomic._make(p.order, p.unpack(p.reduce(sum(map(mul, u[c], w)))), den)

@@ -482,3 +482,31 @@ def canonical_by_monomials(x):
         return found, _rational_text(scale if root.order == 1 else -scale)
     mono = f"E({root.order})" if root.exponent == 1 else f"E({root.order})^{root.exponent}"
     return found, mono if scale == 1 else f"{_rational_text(scale)}*{mono}"
+
+
+# ---------------------------------------------------------------------------
+# the exact discrete Fourier transform over roots of unity, as root sums
+# (cyclo.root_sums) in the library's field arithmetic
+
+
+def _dft_rows(n: int, sign: int):
+    # row k holds zeta_N^(sign m k) for m = 1..N
+    from mtckit.cyclo import RootOfUnity
+
+    return (
+        [RootOfUnity.make(n, sign * m * k) for m in range(1, n + 1)] for k in range(1, n + 1)
+    )
+
+
+def dft(xs: list) -> list:
+    """F(x)_k = sum_m x_m zeta_N^(m k) for k, m = 1..N (exact)."""
+    from mtckit import cyclo
+
+    return cyclo.root_sums(xs, _dft_rows(len(xs), 1))
+
+
+def idft(xs: list) -> list:
+    """Inverse transform: F^-1(X)_k = (1/N) sum_m X_m zeta_N^(-m k) (exact)."""
+    from mtckit import cyclo
+
+    return cyclo.root_sums(xs, _dft_rows(len(xs), -1), len(xs))

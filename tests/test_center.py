@@ -4,6 +4,7 @@ import pytest
 
 import oracles
 from mtckit import cyclo
+from mtckit._poly import poly_pack
 from mtckit.center import CenterData, ConsistencyError, deligne_square
 from mtckit.cyclo import Cyclotomic, RootOfUnity
 from mtckit.fusion_ring import verlinde
@@ -235,6 +236,7 @@ def test_contraction_slot_width_is_tight(monkeypatch):
         def __init__(self, order, bound):
             super().__init__(order, bound)
             self.width -= 1
+            self.modulus = poly_pack(cyclo.cyclotomic_polynomial(order), self.width)
 
     monkeypatch.setattr(cyclo, "Packing", Narrower)
     try:

@@ -243,6 +243,33 @@ def test_huge_n_is_refused_before_any_tensor_power(argv, order):
     assert proc.stderr == f"error: cyclotomic order {order} exceeds the configured limit 10000\n"
 
 
+def test_huge_word_is_refused_before_it_is_spelled():
+    # (1,0) g^-1 = (2, 99999999999) needs a word of about 5 * 10^10 t tokens:
+    # they are counted from the Euclidean quotients and refused before any is
+    # spelled. The child runs under a 1 GiB address-space cap, so code that
+    # spells them fails at once with a MemoryError traceback (exit 1) instead
+    # of exhausting the machine's memory.
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env.pop("MTCKIT_MAX_ORDER", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mtckit.cli", "indicators", "catalog:semion",
+         "--m", "2", "--l", "99999999999"],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=cap,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: SL2(Z) word of 50000000002 tokens exceeds the configured limit 10000\n"
+    )
+
+
 @pytest.mark.parametrize("from_file", (False, True))
 def test_validate_reuses_the_load_report(tmp_path, capsys, monkeypatch, from_file):
     from mtckit import dataio, modular_data

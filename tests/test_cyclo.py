@@ -19,11 +19,9 @@ from mtckit.cyclo import (
     RootOfUnity,
     as_root_of_unity,
     descend,
-    dft,
     format_expr,
     from_rational,
     galois_apply,
-    idft,
     inverse,
     recognize,
     root_of_unity,
@@ -332,12 +330,12 @@ class TestDft:
         for _ in range(100):
             n = rng.randint(1, 8)
             vec = [Fraction(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(n)]
-            back = idft(dft(vec))
+            back = oracles.idft(oracles.dft(vec))
             assert all(b == v for b, v in zip(back, vec))
 
     def test_matches_float_definition(self):
         vec = [Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 2)]
-        out = dft(vec)
+        out = oracles.dft(vec)
         n = len(vec)
         for k in range(1, n + 1):
             want = sum(
@@ -348,8 +346,8 @@ class TestDft:
 
 
     def test_empty_vectors(self):
-        assert dft([]) == []
-        assert idft([]) == []
+        assert oracles.dft([]) == []
+        assert oracles.idft([]) == []
 
 
 class TestDot:
@@ -529,6 +527,20 @@ class TestIntegerSums:
                            Fraction(rng.randint(1, 3)) * root_of_unity(d, rng.randrange(d)))
         return out
 
+    @staticmethod
+    def _record_reduce(monkeypatch):
+        # (width, remainder) of every Packing.reduce call, in order
+        seen = []
+        real = cyclo.Packing.reduce
+
+        def recording(self, value):
+            r = real(self, value)
+            seen.append((self.width, r))
+            return r
+
+        monkeypatch.setattr(cyclo.Packing, "reduce", recording)
+        return seen
+
     def test_integer_sums_match_the_field_route(self):
         # the last value is chosen so that the sum of the first row is a known
         # target: den times an integer (kind 0) or a negative integer (kind 1),
@@ -580,20 +592,13 @@ class TestIntegerSums:
         # one value shifted by e so that its window covers high slots, each
         # numerator signed like its power's coefficient at slot k: the reduced
         # sum's slot k is then 28 (order 105, growth 34) or 145 (order 385,
-        # growth 146) times the value's max|numerator|. The kernel's remainder
-        # must unpack to the reduced sum at its width; without the growth
-        # factor in the width it does not.
-        seen = []
-        real = cyclo.packed_constant
-
-        def recording(value, modulus, width):
-            seen.append((value, modulus, width))
-            return real(value, modulus, width)
-
-        monkeypatch.setattr(cyclo, "packed_constant", recording)
+        # growth 146) times the value's max|numerator|. The remainder the
+        # kernel reads (Packing.reduce) must unpack to the reduced sum at its
+        # width; at the width without the growth factor it does not.
+        seen = self._record_reduce(monkeypatch)
         for order, e, k, times in ((105, 48, 41, 28), (385, 145, 119, 145)):
             mod = cyclo.cyclotomic_polynomial(order)
-            deg = len(mod) - 1
+            deg, height = len(mod) - 1, max(map(abs, mod))
             growth = cyclo._order_constants(order).growth
             for bound in (1, 1000, (1 << 40) - 1):
                 signs = [
@@ -609,11 +614,10 @@ class TestIntegerSums:
                 seen.clear()
                 got = cyclo.integer_sums([value], [[e]], order)
                 assert got == self._oracle([value], [[e]], order) == [None]
-                ((total, modulus, width),) = seen
-                r = total % modulus
-                r -= modulus if r > modulus >> 1 else 0
+                ((width, r),) = seen
+                assert width == (2 * bound * growth + height).bit_length()
                 assert _poly.poly_unpack(r, width, deg) == list(want._num)
-                narrow = max(bound.bit_length() + 2, (4 * max(map(abs, mod))).bit_length())
+                narrow = (2 * bound + height).bit_length()
                 q = _poly.poly_pack(mod, narrow)
                 r = _poly.poly_pack(want._num, narrow) % q
                 r -= q if r > q >> 1 else 0
@@ -625,8 +629,8 @@ class TestIntegerSums:
 
     def test_constant_at_the_width_bound_decodes(self):
         # with growth 1 (order 1) the l1 bound is reached when every value lands
-        # in the constant slot with one sign: the sum is then exactly 2^(w-2) - 1
-        # for the narrowest width w that the kernel may choose
+        # in the constant slot with one sign: the sum is then exactly 2^(w-1) - 1,
+        # the top of the lowest signed slot, for the width w the kernel chooses
         for bits in (1, 2, 29, 30, 31, 61, 62, 63, 64, 100):
             m = (1 << bits) - 1
             parts = [m // 3, m // 3, m - 2 * (m // 3)]
@@ -641,15 +645,30 @@ class TestIntegerSums:
             assert cyclo.integer_sums([m], [[0]], 1, m) == [1]
             assert cyclo.integer_sums([m + 1], [[0]], 1, m) == ([None] if m > 1 else [2])
 
-    def test_packed_constant_reads_the_lowest_slot(self):
-        width = 10
-        modulus = _poly.poly_pack(cyclo.cyclotomic_polynomial(105), width)
-        half = 1 << (width - 1)
-        for c in (-half + 1, -3, 0, 1, half - 1):
-            for k in (-2, 0, 3):
-                assert _poly.packed_constant(c + k * modulus, modulus, width) == c
-        for r in (-half, half, (1 << width) + 1, -(1 << width) + 5):
-            assert _poly.packed_constant(r + 7 * modulus, modulus, width) is None
+    def test_integer_sums_read_the_lowest_slot(self, monkeypatch):
+        # a constant sum, as large as the l1 bound allows, has its remainder in
+        # the lowest signed slot and is read; the largest opposite constant plus
+        # one unit at zeta^1 or at the top power zeta^(phi - 1) lies outside it
+        # and reads None, and so does a constant den does not divide
+        seen = self._record_reduce(monkeypatch)
+        order, deg = 105, cyclo.euler_phi(105)
+        for m in (1, 3, 1000, (1 << 40) - 1):
+            for sign in (1, -1):
+                seen.clear()
+                assert cyclo.integer_sums([sign * m], [[0], [order]], order) == [sign * m] * 2
+                assert [r for _, r in seen] == [sign * m] * 2
+                assert cyclo.integer_sums([sign * m], [[0]], order, 3) == (
+                    [None] if m % 3 else [sign * m // 3]
+                )
+                for k in (1, deg - 1):
+                    seen.clear()
+                    got = cyclo.integer_sums([-sign * m, sign], [[0, k]], order)
+                    assert got == self._oracle([-sign * m, sign], [[0, k]], order) == [None]
+                    ((width, r),) = seen
+                    assert abs(r) >= 1 << (width - 1)
+                    want = [0] * deg
+                    want[0], want[k] = -sign * m, sign
+                    assert _poly.poly_unpack(r, width, deg) == want
 
     def test_non_integral_sums_give_none(self):
         assert cyclo.integer_sums([Fraction(1, 3), Fraction(1, 3)], [[0, 0], [0, 1]], 2) == [
@@ -851,14 +870,24 @@ class TestMatmul:
                 assert got == [list(row) for row in want], (order, a, b)
 
     def test_packed_reduction_matches_poly_reduce(self):
+        # Packing(order, 99) reduces any row whose slots, folded modulo
+        # x^N - 1, lie in [-99, 99]: a folded row of N slots, and the same
+        # value unfolded, each slot j < N - 1 split between j and j + N
         rng = random.Random(73)
         for order in self.ORDERS + (2, 105):
             mod = cyclo.cyclotomic_polynomial(order)
             p = cyclo.Packing(order, 99)
             for _ in range(20):
                 row = _rand_coeffs(rng, order)
+                want = _poly.poly_reduce(list(row), mod)
                 got = p.unpack(p.reduce(_poly.poly_pack(row, p.width)))
-                assert got == _poly.poly_reduce(list(row), mod), (order, row)
+                assert got == want, (order, row)
+                unfolded = row + [0] * (order - 1)
+                for j in range(order - 1):
+                    unfolded[j + order] = rng.randint(-99, 99)
+                    unfolded[j] -= unfolded[j + order]
+                got = p.unpack(p.reduce(_poly.poly_pack(unfolded, p.width)))
+                assert got == want, (order, unfolded)
 
     def test_high_powers_match_poly_reduce(self):
         # one poly_reduce carries every x^k at once: packed at 2^(32 (k - phi))
@@ -868,30 +897,34 @@ class TestMatmul:
             row = [0] * deg + [1 << 32 * (k - deg) for k in range(deg, order)]
             reduced = _poly.poly_reduce(row, cyclo.cyclotomic_polynomial(order))
             slots = [_poly.poly_unpack(c, 32, order - deg) for c in reduced]
-            p = cyclo.Packing(order, 1)
-            assert [p.unpack(h) for h in p.high] == [list(c) for c in zip(*slots)], order
             # the growth (read off the radical's powers) is 1 plus the largest sum,
             # over every x^k, of |coefficient i| for one i
             growth = 1 + max((sum(map(abs, coeff)) for coeff in slots), default=0)
             assert cyclo._order_constants(order).growth == growth, order
 
-    def test_width_is_tight_with_the_reduction(self):
+    @staticmethod
+    def _extreme_row(order, bound):
         # a folded row whose reduced slot k reaches bound * growth: slot k at
         # +bound and every high slot at +-bound, signed like the coefficient
-        # of its power at k. One bit less must not decode it.
+        # of its power at k
+        deg = cyclo.euler_phi(order)
+        mod = cyclo.cyclotomic_polynomial(order)
+        high = [_poly.poly_reduce([0] * k + [1], mod) for k in range(deg, order)]
+        k = max(range(deg), key=lambda k: sum(abs(h[k]) for h in high))
+        growth = 1 + sum(abs(h[k]) for h in high)
+        row = [0] * order
+        row[k] = bound
+        for j, h in enumerate(high):
+            row[deg + j] = bound if h[k] >= 0 else -bound
+        want = _poly.poly_reduce(list(row), mod)
+        assert want[k] == bound * growth
+        return row, want, growth
+
+    def test_width_is_tight_with_the_reduction(self):
+        # the extreme row decodes at the width; one bit less must not decode it
         bound = 1024
         for order in (2, 3, 13, 39, 40, 105):
-            deg = cyclo.euler_phi(order)
-            mod = cyclo.cyclotomic_polynomial(order)
-            high = [_poly.poly_reduce([0] * k + [1], mod) for k in range(deg, order)]
-            k = max(range(deg), key=lambda k: sum(abs(h[k]) for h in high))
-            growth = 1 + sum(abs(h[k]) for h in high)
-            row = [0] * order
-            row[k] = bound
-            for j, h in enumerate(high):
-                row[deg + j] = bound if h[k] >= 0 else -bound
-            want = _poly.poly_reduce(list(row), cyclo.cyclotomic_polynomial(order))
-            assert want[k] == bound * growth
+            row, want, growth = self._extreme_row(order, bound)
             p, narrower = cyclo.Packing(order, bound), cyclo.Packing(order, bound // 2)
             assert p.width == (bound * growth).bit_length() + 1 == narrower.width + 1
             assert p.unpack(p.reduce(_poly.poly_pack(row, p.width))) == want
@@ -900,6 +933,31 @@ class TestMatmul:
             except ValueError:
                 got = None
             assert got != want, order
+
+    def test_height_term_at_the_tightest_width(self):
+        # Phi_105 has height 2 and Phi_385 height 3. Their growth (34, 146) is
+        # even, so no bound >= 1 brings 2 bound growth + height to a power of
+        # two and the height term adds a bit only at bound 0. These bounds put
+        # X = 2^w closest to the floor 2 bound growth + height + 1 of the
+        # Packing proof (1 above it at 105, on it at 385): the extreme row, its
+        # negation and random rows of folded slots in [-bound, bound] decode.
+        rng = random.Random(79)
+        for order, bound, slack in ((105, 15, 1), (385, 7, 0)):
+            mod = cyclo.cyclotomic_polynomial(order)
+            height = max(map(abs, mod))
+            row, want, growth = self._extreme_row(order, bound)
+            assert growth == cyclo._order_constants(order).growth
+            p = cyclo.Packing(order, bound)
+            assert p.width == (2 * bound * growth + height).bit_length()
+            assert (1 << p.width) - (2 * bound * growth + height + 1) == slack
+            assert cyclo.Packing(order, 0).width == 2 == _poly.slot_width(0, growth) + 1
+            for sign in (1, -1):
+                packed = _poly.poly_pack([sign * c for c in row], p.width)
+                assert p.unpack(p.reduce(packed)) == [sign * c for c in want]
+            for _ in range(20):
+                row = [rng.randint(-bound, bound) for _ in range(order)]
+                got = p.unpack(p.reduce(_poly.poly_pack(row, p.width)))
+                assert got == _poly.poly_reduce(list(row), mod)
 
 
 class TestGuards:

@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from mtckit import cyclo
+from mtckit._poly import poly_pack
 from mtckit.center import CenterData, deligne_square
 from mtckit.fusion_ring import FusionRing, power_decompose
 from mtckit.indicators import (
@@ -61,6 +62,18 @@ class TestSl2Words:
     def test_matrix_tokens_rejects_non_sl2(self):
         with pytest.raises(ValueError):
             matrix_tokens(((2, 0), (0, 1)))
+
+    def test_words_longer_than_the_order_limit_are_refused(self):
+        # for odd l, sl2_word(2, l) is t^-((l - 1) / 2) s t^2: (l + 1) / 2 + 2 tokens
+        old = cyclo.get_order_limit()
+        cyclo.set_order_limit(50)
+        try:
+            assert len(sl2_word(2, 95).tokens) == 50
+            with pytest.raises(ValueError, match="word of 51 tokens exceeds the configured limit 50"):
+                sl2_word(2, 97)
+        finally:
+            cyclo.set_order_limit(old)
+        assert len(sl2_word(2, 97).tokens) == 51
 
 
 class TestGfsMatrix:
@@ -361,6 +374,7 @@ class TestNu2Direct:
             def __init__(self, order, bound):
                 super().__init__(order, bound)
                 self.width -= 1
+                self.modulus = poly_pack(cyclo.cyclotomic_polynomial(order), self.width)
 
         monkeypatch.setattr(cyclo, "Packing", Narrower)
         for b, want in ((0, bound), (1, -bound)):
