@@ -94,7 +94,7 @@ class CenterData:
     def _twist_exponents(self) -> tuple[int, ...]:
         # theta_a = theta_(a,unit) is a center twist, so it lives at order N
         n = self.working_order
-        return tuple(t.exponent * (n // t.order) for t in self.base.theta)
+        return tuple(t.exponent_at(n) for t in self.base.theta)
 
     def identity(self) -> Pair:
         """The factor pair of the empty word: two base-rank identities at order N."""
@@ -176,9 +176,8 @@ def deligne_square(md: ModularData, fr: FusionRing) -> CenterData:
     inv = md.invariants
     dims = inv.dims
     squares = [d * d for d in dims]
-    tau_plus, tau_minus = cyclo.root_sums(
-        squares, (md.theta, [t.inverse() for t in md.theta])
-    )
+    twists = [t.exponent_at(inv.conductor) for t in md.theta]
+    tau_plus, tau_minus = cyclo.root_sums(squares, (twists, [-e for e in twists]), inv.conductor)
     if tau_plus * tau_minus != inv.global_dim:
         raise ConsistencyError(
             "Gauss-sum identity tau+ tau- = D fails; center charge would not be 1"

@@ -41,7 +41,6 @@ __all__ = [
     "index_map",
     "integer_rows",
     "root_sums",
-    "integer_sums",
     "times_root",
     "lift",
     "max_abs",
@@ -549,44 +548,13 @@ def times_root(x: Cyclotomic, root: RootOfUnity) -> Cyclotomic:
     if x.order == 1 and not x._num[0]:
         return ZERO
     order = math.lcm(root.order, x.order)
-    p = index_map(x._num, x.order, order, 1, root.exponent * (order // root.order))
+    p = index_map(x._num, x.order, order, 1, root.exponent_at(order))
     return Cyclotomic._make(order, poly_reduce(p, cyclotomic_polynomial(order)), x._den)
 
 
-def root_sums(values, root_rows, den: int = 1) -> list[Cyclotomic]:
-    """[(sum_m r_m v_m) / den for each row r], exactly and with no field product.
-
-    Values may be ints, Fractions or Cyclotomics; each row holds one
-    RootOfUnity per value, and den is a positive int. The values are lifted
-    once, by index maps alone, to the order L that holds every value and
-    every root. A root zeta_L^e then multiplies a value by shifting its
-    coefficients e places (mod L, since zeta_L^L = 1), each sum is reduced
-    modulo Phi_L once, and den joins the denominator.
-    """
-    values = [v if isinstance(v, Cyclotomic) else from_rational(v) for v in values]
-    root_rows = [list(row) for row in root_rows]
-    order = math.lcm(*(v.order for v in values), *(r.order for row in root_rows for r in row))
-    check_order(order)
-    common = math.lcm(*(v._den for v in values))
-    terms = [
-        [(j * (order // v.order), c * (common // v._den)) for j, c in enumerate(v._num) if c]
-        for v in values
-    ]
-    mod = cyclotomic_polynomial(order)
-    out = []
-    for roots in root_rows:
-        acc = [0] * order
-        for nonzero, r in zip(terms, roots, strict=True):
-            e = r.exponent * (order // r.order)
-            for j, c in nonzero:
-                acc[(j + e) % order] += c
-        out.append(Cyclotomic._make(order, poly_reduce(acc, mod), common * den))
-    return out
-
-
-def integer_sums(values, exponent_rows, order: int, den: int = 1) -> list[int | None]:
-    """[(sum_m zeta_order^(e_m) v_m) / den for each row e] as ints, exactly;
-    None for a sum that is not a rational integer.
+def root_sums(values, exponent_rows, order: int, den: int = 1) -> list[Cyclotomic]:
+    """[(sum_m zeta_order^(e_m) v_m) / den for each row e], exactly and with
+    no field product.
 
     Values may be ints, Fractions or Cyclotomics, each row holds one int
     exponent per value and den is a positive int. With L the lcm of order
@@ -594,7 +562,9 @@ def integer_sums(values, exponent_rows, order: int, den: int = 1) -> list[int | 
     power zeta_L^e is a left shift by e slots, and a whole row's sum is
     reduced by one remainder. Folded modulo x^L - 1, a sum's slots are at
     most the l1 bound: the sum over values of max|numerator|. The reduced
-    sum is a constant exactly when it lies in the lowest signed slot.
+    sum is a constant exactly when its remainder lies in the lowest signed
+    slot; such a sum comes back as a rational at order 1, any other one is
+    unpacked at order L.
     """
     values = [v if isinstance(v, Cyclotomic) else from_rational(v) for v in values]
     big = math.lcm(order, *(v.order for v in values))
@@ -605,7 +575,10 @@ def integer_sums(values, exponent_rows, order: int, den: int = 1) -> list[int | 
     out = []
     for row in exponent_rows:
         r = p.reduce(sum(x << (e % order * step) for x, e in zip(packed, row, strict=True) if x))
-        out.append(r // total_den if -half < r < half and not r % total_den else None)
+        if -half < r < half:
+            out.append(Cyclotomic._make(1, [r], total_den))
+        else:
+            out.append(Cyclotomic._make(big, p.unpack(r), total_den))
     return out
 
 
@@ -853,11 +826,16 @@ class RootOfUnity:
     def value(self) -> Cyclotomic:
         return root_of_unity(self.order, self.exponent)
 
+    def exponent_at(self, order: int) -> int:
+        """The exponent e with self = zeta_order^e; order is a multiple of
+        the root's order."""
+        if order % self.order:
+            raise CycloDomainError(f"a root of order {self.order} is no power of zeta_{order}")
+        return self.exponent * (order // self.order)
+
     def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
         n = math.lcm(self.order, other.order)
-        return RootOfUnity.make(
-            n, self.exponent * (n // self.order) + other.exponent * (n // other.order)
-        )
+        return RootOfUnity.make(n, self.exponent_at(n) + other.exponent_at(n))
 
     def __pow__(self, k: int) -> "RootOfUnity":
         return RootOfUnity.make(self.order, self.exponent * k)
@@ -915,10 +893,9 @@ def as_root_of_unity(x: Cyclotomic) -> RootOfUnity | None:
 
 def as_integer(x: Cyclotomic) -> int | None:
     """x as a Python int if it is a rational integer, else None."""
-    q = x.as_rational()  # power-basis coordinates are unique at any order
-    if q is None or q.denominator != 1:
-        return None
-    return q.numerator
+    # power-basis coordinates are unique at any order
+    q, r = divmod(x._num[0], x._den)
+    return None if r or any(x._num[1:]) else q
 
 
 def _format_rational(q: Fraction) -> str:

@@ -290,10 +290,7 @@ def _legendre(k: int, p: int) -> int:
 
 def _sqrt13() -> Cyclotomic:
     # the quadratic Gauss sum: sum_k (k|13) zeta_13^k squares to 13
-    return cyclo.root_sums(
-        (_legendre(k, 13) for k in range(1, 13)),
-        ([cyclo.RootOfUnity(13, k) for k in range(1, 13)],),
-    )[0]
+    return cyclo.root_sums((_legendre(k, 13) for k in range(1, 13)), (range(1, 13),), 13)[0]
 
 
 def _build_vec() -> ModularData:

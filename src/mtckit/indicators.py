@@ -212,7 +212,7 @@ def _theta_root(cd: CenterData, b: int, n: int, shift: int) -> RootOfUnity:
     # zeta_{Mn}^t (shift selects the alternative root for independence tests)
     m_cond = cd.conductor
     t = cd.theta[b]
-    exp = t.exponent * (m_cond // t.order) + shift * m_cond
+    exp = t.exponent_at(m_cond) + shift * m_cond
     return RootOfUnity.make(m_cond * n, exp)
 
 
@@ -270,7 +270,7 @@ def _k2_rows(md: ModularData, fr: FusionRing, n_sum: int):
         twists = [t**2 for t in md.theta]
         order = math.lcm(*(v.order for row in md.s for v in row), *(t.order for t in twists))
         cells, den = cyclo.lift(md.s, order)
-        shifts = [t.exponent * (order // t.order) for t in twists]
+        shifts = [t.exponent_at(order) for t in twists]
         u = [[cyclo.index_map(x, order, order, 1, e) for x, e in zip(row, shifts)]
              for row in cells]
         v = [[cyclo.index_map(x, order, order, 1, -e) for x, e in zip(cells[i], shifts)]

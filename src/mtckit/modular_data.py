@@ -195,7 +195,8 @@ def derive_invariants(md: ModularData) -> DerivedInvariants:
     global_dim = cyclo.dot(dims, dims)
     conductor = math.lcm(*(t.order for t in md.theta))
     # xi = sum_a theta_a d_a^2 / sqrt(D), with sqrt(D) = 1/S_{unit,unit}
-    (gauss,) = cyclo.root_sums((d * d for d in dims), (md.theta,))
+    twists = [t.exponent_at(conductor) for t in md.theta]
+    (gauss,) = cyclo.root_sums((d * d for d in dims), (twists,), conductor)
     xi_val = gauss * md.s[u][u]
     xi = cyclo.as_root_of_unity(xi_val)
     if xi is None:
@@ -264,10 +265,10 @@ def validate(md: ModularData) -> ValidationReport:
         # (ST)^3 and xi S^2 at the order m that holds S, T and xi, where each
         # twist and xi are index maps on lifted cells
         m = math.lcm(n, inv.conductor, xi.order)
-        twists = [t.exponent * m // t.order for t in md.theta]
+        twists = [t.exponent_at(m) for t in md.theta]
         st = [[cyclo.index_map(c, n, m, 1, e) for c, e in zip(row, twists)] for row in cells]
         st3 = cyclo.matmul(cyclo.matmul((st, den), (st, den), m), (st, den), m)[0]
-        mod, e = cyclo.cyclotomic_polynomial(m), xi.exponent * m // xi.order
+        mod, e = cyclo.cyclotomic_polynomial(m), xi.exponent_at(m)
         rel = _matrix_check(
             "(ST)^3 = xi S^2",
             r,

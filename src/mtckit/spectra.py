@@ -9,22 +9,21 @@ value theta_a^-1 omega occurs with multiplicity K^{a-bar^(l+m) (x) b~}(omega).
 Roots of unity (twists, candidate eigenvalues, omega) are handled by
 exponent as RootOfUnity. Over the n candidates lambda_0 zeta_n^j the
 multiplicities are an inverse DFT of the indicator sequence, and each one
-is an exact integer sum (cyclo.integer_sums): the exponents of lambda^-k
-are plain ints, every nu value is packed once into one int, each lambda^-k
+is an exact root sum (cyclo.root_sums): the exponents of lambda^-k are
+plain ints, every nu value is packed once into one int, each lambda^-k
 multiplies by a left shift, and each sum is read off one big-int remainder
 modulo Phi_L(2^w), with the 1/n in its denominator. No two field values are
 multiplied, and no sum of a row is reduced as a polynomial. Tensor powers
 are kept on the fusion ring; the n = 2 braid values (k2_pairs) take nu_{2,1}
 from the packed twisted S rows of indicators.nu2_direct, without the
-center, and form (omega^-1 nu + N) / 2 as integer sums too. K of a
-semisimple center object (semisimple_K) is one weighted total per call,
-not a row: it is formed as a field value (cyclo.root_sums, then an
-int-weighted cyclo.dot) and checked by cyclo.as_integer.
+center, and form (omega^-1 nu + N) / 2 as root sums too. K of a
+semisimple center object (semisimple_K) is one weighted total per call:
+a root sum per simple, then an int-weighted cyclo.dot.
 
 Every multiplicity must be a non-negative rational integer; anything else
 raises IntegralityError, which doubles as an end-to-end data check. Its
-message shows the offending value in E(n) form; for rows and k2_pairs that
-value is recomputed as a field value (cyclo.root_sums) only on that path.
+message shows the offending value in E(n) form, the value the kernel
+returned.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from fractions import Fraction
 
 from . import cyclo
 from .center import CenterData, center_for
-from .cyclo import ROOT_ONE, Cyclotomic, RootOfUnity
+from .cyclo import Cyclotomic, RootOfUnity
 from .fusion_ring import FusionRing, ObjectMultiset, power_decompose, verlinde
 from .indicators import nu_general, nu2_direct
 from .modular_data import ModularData, reverse
@@ -57,11 +56,11 @@ class IntegralityError(ArithmeticError):
     """A multiplicity failed to be a non-negative rational integer."""
 
 
-def _require_count(count: int | None, describe) -> int:
-    # count is an exact integer sum, None if the sum is not a rational integer;
-    # describe() names the sum and its field value, for the message
+def _require_count(value: Cyclotomic, describe) -> int:
+    # value is an exact sum; describe() names it, for the message
+    count = cyclo.as_integer(value)
     if count is None or count < 0:
-        raise IntegralityError(f"{describe()} is not a non-negative integer")
+        raise IntegralityError(f"{describe()} = {value} is not a non-negative integer")
     return count
 
 
@@ -113,25 +112,14 @@ def _rotation_candidates(theta_b: RootOfUnity, n: int) -> list[RootOfUnity]:
     return [RootOfUnity.make(n * q, base + q * i) for i in range(n)]
 
 
-def _nu_sequence(cd: CenterData, b: int, a: int | ObjectMultiset, n: int, root_shift: int):
+def _nu_sequence(cd: CenterData, b: int, a: int | ObjectMultiset, n: int, root_shift: int = 0):
     return [nu_general(cd, b, n, k, a, root_shift=root_shift) for k in range(n)]
-
-
-def _exponent(root: RootOfUnity, order: int) -> int:
-    # root = zeta_order^e; order is a multiple of the root's order
-    return root.exponent * (order // root.order)
 
 
 def _inverse_powers(lam: RootOfUnity, order: int, n: int) -> list[int]:
     # the exponents of lambda^-k at order, k = 0..n-1
-    e = _exponent(lam, order)
+    e = lam.exponent_at(order)
     return [-k * e for k in range(n)]
-
-
-def _multiplicity_values(nus: list[Cyclotomic], lams: list[RootOfUnity]) -> list[Cyclotomic]:
-    # P(lambda^-1) = (1/n) sum_{k<n} nu_k lambda^-k as field values
-    n = len(nus)
-    return cyclo.root_sums(nus, ([lam ** -k for k in range(n)] for lam in lams), n)
 
 
 def _turn_sorted_row(label: str, eigen: list[RootOfUnity], mults: list[int]) -> SpectrumRow:
@@ -160,14 +148,14 @@ def rotation_spectrum(
     # P^b_{n,a}(lambda^-1) = (1/n) sum_{k<n} nu^b_{n,k}(a) lambda^-k for each lambda
     nus = _nu_sequence(cd, b, a, n, root_shift)
     order = n * cd.theta[b].order
-    counts = cyclo.integer_sums(nus, (_inverse_powers(lam, order, n) for lam in cands), order, n)
+    values = cyclo.root_sums(nus, (_inverse_powers(lam, order, n) for lam in cands), order, n)
     mults = [
         _require_count(
-            count,
-            lambda i=i: f"multiplicity of {cyclo.format_root(cands[i])} on "
-            f"Hom({cd.labels[b]}, a^{n}) = {_multiplicity_values(nus, cands)[i]}",
+            value,
+            lambda lam=lam: f"multiplicity of {cyclo.format_root(lam)} on "
+            f"Hom({cd.labels[b]}, a^{n})",
         )
-        for i, count in enumerate(counts)
+        for lam, value in zip(cands, values)
     ]
     return SpectrumRow(
         label=cd.labels[b], eigenvalues=tuple(cands), multiplicities=tuple(mults)
@@ -196,7 +184,6 @@ def semisimple_K(
     a: int | ObjectMultiset,
     n: int,
     omega: RootOfUnity,
-    root_shift: int = 0,
 ) -> int:
     """K^b_{n,a}(omega) for a semisimple center object b = {simple: mult}.
 
@@ -205,14 +192,13 @@ def semisimple_K(
     """
     gate = omega**n
     gated = {c: mult for c, mult in b.items() if mult and gate == cd.theta[c].inverse()}
-    # one weighted total per call, formed and checked as a field value
+    # one weighted total per call: a root sum per simple, summed with int weights
+    powers = [_inverse_powers(omega, omega.order, n)]
     total = cyclo.dot(
         gated.values(),
-        (_multiplicity_values(_nu_sequence(cd, c, a, n, root_shift), [omega])[0] for c in gated),
+        (cyclo.root_sums(_nu_sequence(cd, c, a, n), powers, omega.order, n)[0] for c in gated),
     )
-    return _require_count(
-        cyclo.as_integer(total), lambda: f"K at omega = {cyclo.format_root(omega)} = {total}"
-    )
+    return _require_count(total, lambda: f"K at omega = {cyclo.format_root(omega)}")
 
 
 def braid_jm_spectrum(
@@ -293,19 +279,14 @@ def k2_pairs(
         for e in range(md.rank)
         if fr.table[e][a][a]
     )
-    # (omega^-1 nu + n_hom) / 2 for both omega, one exact integer sum each
+    # (omega^-1 nu + n_hom) / 2 for both omega, one exact root sum each
     order = 2 * ratio.order
-    counts = cyclo.integer_sums(
-        (nu, n_hom), ([-_exponent(omega, order), 0] for omega in omegas), order, 2
+    values = cyclo.root_sums(
+        (nu, n_hom), ([-omega.exponent_at(order), 0] for omega in omegas), order, 2
     )
-
-    def describe(i):
-        vals = cyclo.root_sums((nu, n_hom), ((omega.inverse(), ROOT_ONE) for omega in omegas), 2)
-        return f"K^(2) at omega = {cyclo.format_root(omegas[i])} = {vals[i]}"
-
     out = [
-        (omega, _require_count(count, lambda i=i: describe(i)))
-        for i, (omega, count) in enumerate(zip(omegas, counts))
+        (omega, _require_count(value, lambda w=omega: f"K^(2) at omega = {cyclo.format_root(w)}"))
+        for omega, value in zip(omegas, values)
     ]
     if n_hom > 0 and not any(k for _, k in out):
         raise IntegralityError(

@@ -490,23 +490,19 @@ def canonical_by_monomials(x):
 
 
 def _dft_rows(n: int, sign: int):
-    # row k holds zeta_N^(sign m k) for m = 1..N
-    from mtckit.cyclo import RootOfUnity
-
-    return (
-        [RootOfUnity.make(n, sign * m * k) for m in range(1, n + 1)] for k in range(1, n + 1)
-    )
+    # row k holds the exponents sign m k of zeta_N, m = 1..N
+    return ([sign * m * k for m in range(1, n + 1)] for k in range(1, n + 1))
 
 
 def dft(xs: list) -> list:
     """F(x)_k = sum_m x_m zeta_N^(m k) for k, m = 1..N (exact)."""
     from mtckit import cyclo
 
-    return cyclo.root_sums(xs, _dft_rows(len(xs), 1))
+    return cyclo.root_sums(xs, _dft_rows(len(xs), 1), len(xs) or 1)
 
 
 def idft(xs: list) -> list:
     """Inverse transform: F^-1(X)_k = (1/N) sum_m X_m zeta_N^(-m k) (exact)."""
     from mtckit import cyclo
 
-    return cyclo.root_sums(xs, _dft_rows(len(xs), -1), len(xs))
+    return cyclo.root_sums(xs, _dft_rows(len(xs), -1), len(xs) or 1, len(xs) or 1)

@@ -64,6 +64,18 @@ class TestRootsOfUnity:
         assert RootOfUnity.make(8, 6) == RootOfUnity(4, 3)
         assert RootOfUnity.make(5, 7) == RootOfUnity(5, 2)
 
+    def test_exponent_at_matches_the_hand_formula(self):
+        for q in (1, 2, 3, 8, 12, 39):
+            for k in range(q):
+                r = RootOfUnity.make(q, k)
+                for order in (r.order, 2 * r.order, 5 * r.order, 312 * r.order):
+                    e = r.exponent_at(order)
+                    assert e == r.exponent * (order // r.order)
+                    assert RootOfUnity.make(order, e) == r
+        for r, order in ((RootOfUnity(8, 1), 12), (RootOfUnity(3, 2), 1), (RootOfUnity(2, 1), 3)):
+            with pytest.raises(CycloDomainError):
+                r.exponent_at(order)
+
     def test_root_arithmetic_matches_field(self):
         r = RootOfUnity.make(12, 5) * RootOfUnity.make(8, 3)
         assert r.value() == root_of_unity(12, 5) * root_of_unity(8, 3)
@@ -422,7 +434,24 @@ class TestDot:
             cyclo.dot([1], (zeta(3) for _ in range(2)))
 
 
+def root_sums_by_dot(values, rows, order, den=1):
+    """The reference for cyclo.root_sums: each row's sum as cyclo.dot over the
+    roots' field values, divided by den."""
+    values = list(values)
+    return [
+        cyclo.dot(values, (RootOfUnity.make(order, e).value() for e in row)) * Fraction(1, den)
+        for row in rows
+    ]
+
+
+def int_sums(values, rows, order, den=1):
+    # each root sum as an int, None where it is not a rational integer
+    return [cyclo.as_integer(s) for s in cyclo.root_sums(values, rows, order, den)]
+
+
 class TestRootSums:
+    """cyclo.root_sums against cyclo.dot over the roots' field values."""
+
     ORDERS = (1, 3, 8, 13, 39)
     # root orders up to 156 that keep every common order a divisor of 312
     ROOT_ORDERS = (1, 2, 3, 4, 6, 8, 12, 13, 24, 26, 39, 52, 78, 104, 156)
@@ -437,50 +466,77 @@ class TestRootSums:
             return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
         return rand_cyclotomic(rng, rng.choice(self.ORDERS))
 
+    @staticmethod
+    def _root_rows(roots):
+        # rows of RootOfUnity as int exponents at the lcm of their orders
+        order = math.lcm(*(r.order for row in roots for r in row))
+        return [[r.exponent_at(order) for r in row] for row in roots], order
+
     def test_matches_dot_over_root_values(self):
         rng = random.Random(61)
         for _ in range(150):
             k = rng.randint(1, 7)
             values = [self._value(rng) for _ in range(k)]
-            rows = [
+            roots = [
                 [RootOfUnity.make(q, rng.randrange(q)) for q in rng.choices(self.ROOT_ORDERS, k=k)]
                 for _ in range(rng.randint(1, 4))
             ]
-            got = cyclo.root_sums(values, rows)
+            rows, order = self._root_rows(roots)
+            got = cyclo.root_sums(values, rows, order)
             assert len(got) == len(rows)
-            for row, total in zip(rows, got):
+            for row, total in zip(roots, got):
                 assert isinstance(total, cyclo.Cyclotomic)
                 assert total == cyclo.dot(values, (r.value() for r in row)), (values, row)
             # iterators are accepted for both arguments
-            assert cyclo.root_sums(iter(values), (iter(row) for row in rows)) == got
+            assert cyclo.root_sums(iter(values), (iter(row) for row in rows), order) == got
 
     def test_den_divides_each_sum(self):
         rng = random.Random(62)
         for den in (1, 2, 3, 12):
             values = [self._value(rng) for _ in range(4)]
-            rows = [[RootOfUnity.make(q, rng.randrange(q)) for q in (1, 4, 13, 39)]
-                    for _ in range(3)]
-            got = cyclo.root_sums(values, rows, den)
-            want = [s * Fraction(1, den) for s in cyclo.root_sums(values, rows)]
+            roots = [[RootOfUnity.make(q, rng.randrange(q)) for q in (1, 4, 13, 39)]
+                     for _ in range(3)]
+            rows, order = self._root_rows(roots)
+            got = cyclo.root_sums(values, rows, order, den)
+            want = [s * Fraction(1, den) for s in cyclo.root_sums(values, rows, order)]
             assert [(v.order, v._num, v._den) for v in got] == [
                 (v.order, v._num, v._den) for v in want
             ]
+            assert got == root_sums_by_dot(values, rows, order, den)
+
+    def test_rational_sums_come_back_at_order_1(self):
+        # zeta_8 zeta_24^21 = 1 and zeta_24^12 = -1: rows 0 and 1 are rational,
+        # rows 2 and 3 are not and stay at L = lcm(24, 8) = 24, even though
+        # row 3, 4 + zeta_3 / 2, lies in a smaller field
+        values = [zeta(8), Fraction(1, 2), 3]
+        rows = [[21, 0, 0], [21, 0, 12], [0, 0, 0], [21, 8, 0]]
+        got = cyclo.root_sums(values, rows, 24)
+        assert [(v.order, v._num, v._den) for v in got[:2]] == [(1, (9,), 2), (1, (-3,), 2)]
+        assert [v.order for v in got[2:]] == [24, 24]
+        assert got == root_sums_by_dot(values, rows, 24)
+        assert got[3] == 4 + zeta(3) / 2
+        # a zero sum is the rational 0 at order 1
+        (zero,) = cyclo.root_sums([zeta(8), zeta(8)], [[0, 4]], 8)
+        assert (zero.order, zero._num, zero._den) == (1, (0,), 1)
 
     def test_edge_cases(self):
-        assert cyclo.root_sums([zeta(3)], []) == []
-        assert cyclo.root_sums([], [[]]) == [cyclo.ZERO]
-        assert cyclo.root_sums([0, Fraction(0)], [[RootOfUnity(5, 1), RootOfUnity(7, 2)]]) == [0]
+        assert cyclo.root_sums([zeta(3)], [], 3) == []
+        assert cyclo.root_sums([], [[]], 7) == [cyclo.ZERO]
+        assert cyclo.root_sums([0, Fraction(0)], [[1, 2]], 35) == [0]
         with pytest.raises(ValueError):
-            cyclo.root_sums([1, 2], [[RootOfUnity(3, 1)]])
+            cyclo.root_sums([1, 2], [[1]], 3)
+        with pytest.raises(CycloDomainError):
+            cyclo.root_sums([zeta(3)], [[0]], 20_000)
 
     def test_makes_no_field_product_or_order_change(self, monkeypatch):
         values = [zeta(8) + 1, Fraction(-2, 3), 2 * zeta(13) - zeta(13) ** 5, 5, cyclo.ZERO]
-        rows = [
+        roots = [
             [RootOfUnity(3, 1), RootOfUnity(156, 7), RootOfUnity(39, 2), RootOfUnity(4, 3),
              RootOfUnity(2, 1)],
             [RootOfUnity(1, 0)] * 5,
         ]
-        want = [cyclo.dot(values, (r.value() for r in row)) for row in rows]
+        want = [cyclo.dot(values, (r.value() for r in row)) for row in roots]
+        rows, order = self._root_rows(roots)
         products, changes = [], []
         mul = cyclo.Cyclotomic.__mul__
         embedded = cyclo.Cyclotomic.embedded
@@ -497,21 +553,21 @@ class TestRootSums:
         monkeypatch.setattr(cyclo.Cyclotomic, "__mul__", counting_mul)
         monkeypatch.setattr(cyclo.Cyclotomic, "__rmul__", counting_mul)
         monkeypatch.setattr(cyclo.Cyclotomic, "embedded", recording_embedded)
-        got = cyclo.root_sums(values, rows)
+        got = cyclo.root_sums(values, rows, order)
         monkeypatch.undo()
         assert not products and not changes, (products, changes)
         assert got == want
 
 
 class TestIntegerSums:
-    """integer_sums against the field route, as_integer of the same root sum."""
+    """Integer readouts of cyclo.root_sums (as_integer) against the field
+    route, as_integer of cyclo.dot over the roots' field values."""
 
     ORDERS = (1, 2, 39, 105, 156, 2400)
 
     @staticmethod
     def _oracle(values, rows, order, den=1):
-        roots = ([RootOfUnity.make(order, e) for e in row] for row in rows)
-        return [cyclo.as_integer(s) for s in cyclo.root_sums(values, roots, den)]
+        return [cyclo.as_integer(s) for s in root_sums_by_dot(values, rows, order, den)]
 
     @staticmethod
     def _values(rng, order, k):
@@ -554,9 +610,7 @@ class TestIntegerSums:
                 den = rng.choice((2, 3, 12) if kind == 2 else (1, 2, 3, 12))
                 values = self._values(rng, order, k - 1)
                 rows = [[rng.randrange(-order, 2 * order) for _ in range(k)] for _ in range(3)]
-                partial = cyclo.root_sums(
-                    values, [[RootOfUnity.make(order, e) for e in rows[0][:-1]]]
-                )[0]
+                (partial,) = root_sums_by_dot(values, [rows[0][:-1]], order)
                 target = den * (-rng.randint(1, 40) if kind == 1 else rng.randint(-40, 40))
                 target += 1 if kind == 2 else 0
                 last_root = RootOfUnity.make(order, rows[0][-1])
@@ -565,9 +619,11 @@ class TestIntegerSums:
                     # one more coordinate: the sum gains zeta_order itself
                     last = last + root_of_unity(order, 1 - rows[0][-1])
                 values.append(last)
-                got = cyclo.integer_sums(values, rows, order, den)
-                want = self._oracle(values, rows, order, den)
-                assert got == want, (order, values, rows, den)
+                sums = cyclo.root_sums(values, rows, order, den)
+                want = root_sums_by_dot(values, rows, order, den)
+                assert sums == want, (order, values, rows, den)
+                got = [cyclo.as_integer(s) for s in sums]
+                assert got == [cyclo.as_integer(s) for s in want]
                 if kind == 2 or (kind == 3 and order > 2):
                     assert got[0] is None
                 else:
@@ -583,9 +639,9 @@ class TestIntegerSums:
                 # the same values negated under the same roots cancel
                 values += [-v for v in values]
                 rows = [row + row for row in rows]
-                got = cyclo.integer_sums(values, rows, order)
+                got = int_sums(values, rows, order)
                 assert got == self._oracle(values, rows, order) == [0, 0]
-                half = cyclo.integer_sums(values[:k], [rows[0][:k]], order)
+                half = int_sums(values[:k], [rows[0][:k]], order)
                 assert half == self._oracle(values[:k], [rows[0][:k]], order)
 
     def test_width_holds_the_reduced_sum(self, monkeypatch):
@@ -608,12 +664,13 @@ class TestIntegerSums:
                 value = cyclo.dot(
                     [bound * s for s in signs], [zeta(order) ** j for j in range(deg)]
                 )
-                want = cyclo.root_sums([value], [[RootOfUnity.make(order, e)]])[0]
-                assert want._den == 1 and want._num[k] == times * bound
+                (want,) = root_sums_by_dot([value], [[e]], order)
+                assert want.order == order and want._den == 1 and want._num[k] == times * bound
                 assert times * bound > bound * growth // 2
                 seen.clear()
-                got = cyclo.integer_sums([value], [[e]], order)
-                assert got == self._oracle([value], [[e]], order) == [None]
+                (got,) = cyclo.root_sums([value], [[e]], order)
+                assert (got.order, got._num, got._den) == (want.order, want._num, want._den)
+                assert cyclo.as_integer(got) is None
                 ((width, r),) = seen
                 assert width == (2 * bound * growth + height).bit_length()
                 assert _poly.poly_unpack(r, width, deg) == list(want._num)
@@ -635,59 +692,60 @@ class TestIntegerSums:
             m = (1 << bits) - 1
             parts = [m // 3, m // 3, m - 2 * (m // 3)]
             for sign in (1, -1):
-                assert cyclo.integer_sums([sign * m], [[0]], 1) == [sign * m]
-                assert cyclo.integer_sums([sign * p for p in parts], [[0, 0, 0]], 1) == [sign * m]
+                assert int_sums([sign * m], [[0]], 1) == [sign * m]
+                assert int_sums([sign * p for p in parts], [[0, 0, 0]], 1) == [sign * m]
                 # at a larger order the same constant still sits in the lowest slot
                 for order in (105, 2400):
-                    assert cyclo.integer_sums([sign * m], [[0]], order) == [sign * m]
-                    assert cyclo.integer_sums([sign * m, sign * m], [[0, 1]], order) == [None]
-                assert cyclo.integer_sums([sign * m, sign * m], [[0, 1200]], 2400) == [0]
-            assert cyclo.integer_sums([m], [[0]], 1, m) == [1]
-            assert cyclo.integer_sums([m + 1], [[0]], 1, m) == ([None] if m > 1 else [2])
+                    assert int_sums([sign * m], [[0]], order) == [sign * m]
+                    assert int_sums([sign * m, sign * m], [[0, 1]], order) == [None]
+                assert int_sums([sign * m, sign * m], [[0, 1200]], 2400) == [0]
+            assert int_sums([m], [[0]], 1, m) == [1]
+            assert int_sums([m + 1], [[0]], 1, m) == ([None] if m > 1 else [2])
 
     def test_integer_sums_read_the_lowest_slot(self, monkeypatch):
         # a constant sum, as large as the l1 bound allows, has its remainder in
-        # the lowest signed slot and is read; the largest opposite constant plus
-        # one unit at zeta^1 or at the top power zeta^(phi - 1) lies outside it
-        # and reads None, and so does a constant den does not divide
+        # the lowest signed slot and comes back at order 1; the largest opposite
+        # constant plus one unit at zeta^1 or at the top power zeta^(phi - 1)
+        # lies outside it and is unpacked at the order, and a constant den does
+        # not divide is no integer
         seen = self._record_reduce(monkeypatch)
         order, deg = 105, cyclo.euler_phi(105)
         for m in (1, 3, 1000, (1 << 40) - 1):
             for sign in (1, -1):
                 seen.clear()
-                assert cyclo.integer_sums([sign * m], [[0], [order]], order) == [sign * m] * 2
+                got = cyclo.root_sums([sign * m], [[0], [order]], order)
+                assert [(v.order, v._num) for v in got] == [(1, (sign * m,))] * 2
                 assert [r for _, r in seen] == [sign * m] * 2
-                assert cyclo.integer_sums([sign * m], [[0]], order, 3) == (
+                assert int_sums([sign * m], [[0]], order, 3) == (
                     [None] if m % 3 else [sign * m // 3]
                 )
                 for k in (1, deg - 1):
                     seen.clear()
-                    got = cyclo.integer_sums([-sign * m, sign], [[0, k]], order)
-                    assert got == self._oracle([-sign * m, sign], [[0, k]], order) == [None]
+                    (got,) = cyclo.root_sums([-sign * m, sign], [[0, k]], order)
+                    assert cyclo.as_integer(got) is None
+                    assert self._oracle([-sign * m, sign], [[0, k]], order) == [None]
                     ((width, r),) = seen
                     assert abs(r) >= 1 << (width - 1)
                     want = [0] * deg
                     want[0], want[k] = -sign * m, sign
                     assert _poly.poly_unpack(r, width, deg) == want
+                    assert (got.order, list(got._num)) == (order, want)
 
     def test_non_integral_sums_give_none(self):
-        assert cyclo.integer_sums([Fraction(1, 3), Fraction(1, 3)], [[0, 0], [0, 1]], 2) == [
-            None,
-            0,
-        ]
-        assert cyclo.integer_sums([1], [[1]], 3) == [None]  # zeta_3
-        assert cyclo.integer_sums([1, 1, 1], [[0, 1, 2], [0, 0, 0]], 3, 3) == [0, 1]
-        assert cyclo.integer_sums([zeta(105)], [[104]], 105) == [1]
-        assert cyclo.integer_sums([zeta(105)], [[103]], 105) == [None]
+        assert int_sums([Fraction(1, 3), Fraction(1, 3)], [[0, 0], [0, 1]], 2) == [None, 0]
+        assert int_sums([1], [[1]], 3) == [None]  # zeta_3
+        assert int_sums([1, 1, 1], [[0, 1, 2], [0, 0, 0]], 3, 3) == [0, 1]
+        assert int_sums([zeta(105)], [[104]], 105) == [1]
+        assert int_sums([zeta(105)], [[103]], 105) == [None]
 
     def test_edge_cases(self):
-        assert cyclo.integer_sums([zeta(3)], [], 3) == []
-        assert cyclo.integer_sums([], [[]], 7) == [0]
-        assert cyclo.integer_sums([0, cyclo.ZERO], [[1, 2]], 5) == [0]
+        assert int_sums([zeta(3)], [], 3) == []
+        assert int_sums([], [[]], 7) == [0]
+        assert int_sums([0, cyclo.ZERO], [[1, 2]], 5) == [0]
         with pytest.raises(ValueError):
-            cyclo.integer_sums([1, 2], [[0]], 3)
+            int_sums([1, 2], [[0]], 3)
         with pytest.raises(CycloDomainError):
-            cyclo.integer_sums([zeta(3)], [[0]], 20_000)
+            int_sums([zeta(3)], [[0]], 20_000)
 
 
 class TestOrderLimit:

@@ -2,13 +2,16 @@
 no environment knob beyond the documented one, no field sum started
 at the order-1 zero, no root-of-unity sum built from field products, no
 root of unity entering indicators or spectra as a field value, no
-module-level cache beyond the ones that exist, and no control flow through
-a caught DescentError."""
+module-level cache beyond the ones that exist, no control flow through
+a caught DescentError, and no library name that a hook of the benchmark's
+tracer (mtcbench/spans.py) wraps gone missing."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "mtckit"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "mtckit"
 ALLOWED_ENV = {"MTCKIT_MAX_ORDER"}
 # a cache that outlives its data grows with every value a process sees;
 # new ones belong on the instance they describe
@@ -157,7 +160,7 @@ def test_no_root_sums_by_field_products():
 
 def test_indicators_and_spectra_take_roots_as_index_shifts():
     # a root of unity reaches a value in these modules only as an exponent:
-    # cyclo.times_root, cyclo.integer_sums or a root sum, never as a field value
+    # cyclo.times_root or cyclo.root_sums, never as a field value
     found = [
         f"{path}:{node.lineno}"
         for path, tree in _modules()
@@ -284,3 +287,18 @@ except:
     pass
 """
     assert list(_descent_handlers(ast.parse(source))) == [4, 6]
+
+
+def test_every_benchmark_hook_resolves():
+    # the benchmark's per-layer metrics wrap library functions by name; a
+    # hook whose target is gone records nothing instead of failing
+    spec = importlib.util.spec_from_file_location("mtcbench_spans", ROOT / "mtcbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        assert tracer.missing == []
+        assert tracer.kernel_hooked == len(spans.KERNEL_FUNCTIONS)
+    finally:
+        tracer.uninstall()

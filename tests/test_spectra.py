@@ -391,8 +391,8 @@ def test_rows_and_k2_pairs_make_no_field_product(fixture_data, fixture_centers, 
     assert products == [] and reductions == []
 
 
-# IntegralityError texts, pinned byte for byte: integrality is decided on ints
-# (cyclo.integer_sums), and only the message rebuilds the offending field value.
+# IntegralityError texts, pinned byte for byte: each names the exact sum the
+# kernel (cyclo.root_sums) returned, with no value rebuilt for the message.
 INTEGRALITY_MESSAGES = [
     "multiplicity of 1 on Hom((tau,tau), a^3) = 1 + 1/3*E(7) is not a non-negative integer",
     "K at omega = 1 = 3 + 3/2*E(7) is not a non-negative integer",
