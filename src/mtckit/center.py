@@ -16,6 +16,10 @@ once per center. apply_s multiplies each factor by its S, one packed matrix
 product each (cyclo.matmul); apply_t shifts row a of R by theta_a^power and
 of R' by theta_a^-power and reduces it. contract_a applies R (x) R' to the
 forgetful matrix A once, after the whole word.
+
+center_for keeps the center on its ModularData, and it serves both braidings:
+the center of the reversed braiding, C~ (x) C, is this one with each pair's
+factors swapped (Mueger).
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from operator import mul
 from . import cyclo
 from ._poly import poly_reduce
 from .cyclo import ConsistencyError, Cyclotomic, RootOfUnity
-from .fusion_ring import FusionRing, verlinde
+from .fusion_ring import FusionRing
 from .modular_data import ModularData
 
 __all__ = ["CenterData", "ConsistencyError", "deligne_square"]
@@ -208,15 +212,9 @@ def deligne_square(md: ModularData, fr: FusionRing) -> CenterData:
 
 
 def center_for(md: ModularData, fr: FusionRing | None = None) -> CenterData:
-    """Convenience: verlinde + deligne_square with a per-data cache."""
-    cached = _center_cache.get(md)
-    if cached is not None:
-        return cached
-    if fr is None:
-        fr = verlinde(md)
-    cd = deligne_square(md, fr)
-    _center_cache[md] = cd
+    """deligne_square(md, fr or md.ring), kept on md after the first use; it
+    serves both braidings of md (see spectra.braid_jm_spectrum)."""
+    cd = vars(md).get("_center")
+    if cd is None:
+        cd = vars(md)["_center"] = deligne_square(md, md.ring if fr is None else fr)
     return cd
-
-
-_center_cache: dict[ModularData, CenterData] = {}

@@ -46,12 +46,6 @@ def _object(md: ModularData, obj: str) -> int:
         raise ValueError(str(exc)) from None
 
 
-def _ring_for(source: str, md: ModularData) -> fusion_ring.FusionRing:
-    if source.startswith("catalog:"):
-        return dataio.catalog_ring(source[len("catalog:") :])
-    return fusion_ring.verlinde(md)
-
-
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
@@ -89,7 +83,7 @@ def _cmd_fusion(args) -> int:
     if args.object and len(args.object) > 2:
         raise ValueError(f"fusion takes at most two --object, got {len(args.object)}")
     md, source = _load_source(args.source)
-    fr = _ring_for(source, md)
+    fr = md.ring
     objects = [_object(md, o) for o in args.object] if args.object else None
     if objects and len(objects) == 1:
         pairs = [(objects[0], b) for b in range(md.rank)]
@@ -118,8 +112,7 @@ def _cmd_fusion(args) -> int:
 
 def _cmd_indicators(args) -> int:
     md, source = _load_source(args.source)
-    fr = _ring_for(source, md)
-    cd = center_for(md, fr)
+    cd = center_for(md)
     table = indicators.gfs_matrix(cd, args.m, args.l)
     if args.format == "structured":
         _emit(dataio.serialize_report(table), args.out)
@@ -135,8 +128,7 @@ def _cmd_indicators(args) -> int:
 
 def _cmd_rotation(args) -> int:
     md, source = _load_source(args.source)
-    fr = _ring_for(source, md)
-    cd = center_for(md, fr)
+    cd = center_for(md)
     a = _object(md, args.object)
     if args.b:
         left, comma, right = args.b.partition(",")
@@ -158,7 +150,7 @@ def _cmd_rotation(args) -> int:
 
 def _cmd_braid(args) -> int:
     md, source = _load_source(args.source)
-    fr = _ring_for(source, md)
+    fr = md.ring
     a = _object(md, args.object)
     sign = "under" if args.under else "over"
     report = spectra.braid_jm_spectrum(md, a, args.n, args.l, args.m, sign=sign, fr=fr)
@@ -169,7 +161,7 @@ def _cmd_braid(args) -> int:
 
 def _cmd_report(args) -> int:
     md, source = _load_source(args.source)
-    fr = _ring_for(source, md)
+    fr = md.ring
     a = _object(md, args.object)
     braid = "sigma" if args.braid_sigma else "sigma-triple"
     report = spectra.sigma_spectrum_n2(md, fr, a, braid=braid)

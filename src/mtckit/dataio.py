@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import cyclo, modular_data
 from .cyclo import Cyclotomic
-from .fusion_ring import FusionRing, verlinde
+from .fusion_ring import FusionRing
 from .modular_data import ModularData, ValidationReport
 
 __all__ = [
@@ -214,6 +214,8 @@ def parse_file(text: str) -> ModularData:
             try:
                 rank = int(rest.strip())
             except ValueError:
+                rank = 0
+            if rank < 1:
                 raise FileFormatError(line_no, f"bad rank {rest.strip()!r}")
         elif key == "labels":
             labels = rest.split()
@@ -280,7 +282,7 @@ def format_modular_data(md: ModularData) -> str:
 
 CATALOG_NAMES = ("vec", "semion", "toric-code", "fibonacci", "haagerup-center")
 
-_catalog_cache: dict[str, tuple[ModularData, FusionRing]] = {}
+_catalog_cache: dict[str, ModularData] = {}
 
 
 def _legendre(k: int, p: int) -> int:
@@ -376,31 +378,26 @@ _BUILDERS = {
 }
 
 
-def _load(name: str) -> tuple[ModularData, FusionRing]:
-    cached = _catalog_cache.get(name)
-    if cached is not None:
-        return cached
-    builder = _BUILDERS.get(name)
-    if builder is None:
-        raise KeyError(
-            f"unknown catalog fixture {name!r}; available: {', '.join(CATALOG_NAMES)}"
-        )
-    md = builder()
-    if not md.report.ok:
-        raise ValidationFailedError(md.report)
-    entry = (md, verlinde(md))  # integrality is part of the load-time contract
-    _catalog_cache[name] = entry
-    return entry
-
-
 def catalog(name: str) -> ModularData:
     """A built-in fixture, fully validated (relations and Verlinde integrality)."""
-    return _load(name)[0]
+    md = _catalog_cache.get(name)
+    if md is None:
+        builder = _BUILDERS.get(name)
+        if builder is None:
+            raise KeyError(
+                f"unknown catalog fixture {name!r}; available: {', '.join(CATALOG_NAMES)}"
+            )
+        md = builder()
+        if not md.report.ok:
+            raise ValidationFailedError(md.report)
+        md.ring  # integrality is part of the load-time contract
+        _catalog_cache[name] = md
+    return md
 
 
 def catalog_ring(name: str) -> FusionRing:
-    """The fusion ring of a built-in fixture (cached with the fixture)."""
-    return _load(name)[1]
+    """The fusion ring of a built-in fixture: catalog(name).ring."""
+    return catalog(name).ring
 
 
 # ---------------------------------------------------------------------------

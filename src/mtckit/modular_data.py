@@ -71,6 +71,12 @@ class ModularData:
         """validate(self), kept on the instance after the first use."""
         return validate(self)
 
+    @functools.cached_property
+    def ring(self) -> FusionRing:
+        """verlinde(self), the one fusion ring of this data, kept after the first use."""
+        from .fusion_ring import verlinde  # fusion_ring imports this module
+        return verlinde(self)
+
 
 @dataclasses.dataclass(frozen=True)
 class DerivedInvariants:

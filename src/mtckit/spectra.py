@@ -18,7 +18,7 @@ are kept on the fusion ring; the n = 2 braid values (k2_pairs) take nu_{2,1}
 from the packed twisted S rows of indicators.nu2_direct, without the
 center, and form (omega^-1 nu + N) / 2 as root sums too. K of a
 semisimple center object (semisimple_K) is one weighted total per call:
-a root sum per simple, then an int-weighted cyclo.dot.
+a root sum per simple (a hom dimension at n = 1), then an int-weighted sum.
 
 Every multiplicity must be a non-negative rational integer; anything else
 raises IntegralityError, which doubles as an end-to-end data check. Its
@@ -34,9 +34,9 @@ from fractions import Fraction
 from . import cyclo
 from .center import CenterData, center_for
 from .cyclo import Cyclotomic, RootOfUnity
-from .fusion_ring import FusionRing, ObjectMultiset, power_decompose, verlinde
-from .indicators import nu_general, nu2_direct
-from .modular_data import ModularData, reverse
+from .fusion_ring import FusionRing, ObjectMultiset, power_decompose
+from .indicators import hom_dim_under_forgetful, nu_general, nu2_direct
+from .modular_data import ModularData
 
 __all__ = [
     "IntegralityError",
@@ -94,10 +94,6 @@ class SpectrumReport:
                 if mult:
                     out.add(ev)
         return out
-
-
-def _sorted_candidates(cands: set[RootOfUnity]) -> list[RootOfUnity]:
-    return sorted(cands, key=lambda r: r.turn())
 
 
 def _rotation_candidates(theta_b: RootOfUnity, n: int) -> list[RootOfUnity]:
@@ -190,14 +186,14 @@ def semisimple_K(
     Sum over the simples occurring in b of the P-multiplicity, gated by
     omega^n = theta_c^-1 (exact root-of-unity comparison).
     """
-    gate = omega**n
-    gated = {c: mult for c, mult in b.items() if mult and gate == cd.theta[c].inverse()}
+    theta = (omega**n).inverse()  # the gate omega^n = theta_c^-1, read as theta_c = theta
+    gated = {c: mult for c, mult in b.items() if mult and cd.theta[c] == theta}
+    if n == 1:  # the one-strand rotation is the identity: P^c_{1,a} is dim Hom(c, a)
+        return sum(mult * hom_dim_under_forgetful(cd, c, a, 1) for c, mult in gated.items())
     # one weighted total per call: a root sum per simple, summed with int weights
     powers = [_inverse_powers(omega, omega.order, n)]
-    total = cyclo.dot(
-        gated.values(),
-        (cyclo.root_sums(_nu_sequence(cd, c, a, n), powers, omega.order, n)[0] for c in gated),
-    )
+    sums = (cyclo.root_sums(_nu_sequence(cd, c, a, n), powers, omega.order, n)[0] for c in gated)
+    total = cyclo.dot(gated.values(), sums)
     return _require_count(total, lambda: f"K at omega = {cyclo.format_root(omega)}")
 
 
@@ -213,36 +209,31 @@ def braid_jm_spectrum(
     """Spectrum of the one-strand-wrapping braid on n strands (l, m legs).
 
     Per base simple b, the eigenvalue theta_a^-1 omega occurs on
-    Hom(b, a^(x)n) with multiplicity K^{a-bar^(l+m) (x) b~}_{n-(l+m), a}(omega);
-    the inverse-crossing family (sign="under") runs the same computation on
-    the reversed braiding.
+    Hom(b, a^(x)n) with multiplicity K^{a-bar^(l+m) (x) b~}_{n-(l+m), a}(omega).
+    The inverse-crossing family (sign="under") is this computation for the
+    reversed braiding, whose center is the same center with each pair's
+    factors swapped: it reads the pair (c, b) as (b, c), and its prefactor
+    is theta_a. Both signs use the one center that center_for keeps on md.
     """
     if l < 0 or m < 0 or l + m >= n:
         raise ValueError("need l, m >= 0 and l + m < n")
     if sign not in ("over", "under"):
         raise ValueError(f"sign must be 'over' or 'under', got {sign!r}")
     cyclo.check_order(n - (l + m))  # each row's field holds the (n-l-m)-th roots of 1
-    if fr is None:
-        fr = verlinde(md)
-    if sign == "under":
-        # N is integral, hence fixed by complex conjugation: the reversed
-        # braiding has the same fusion rules, so only md changes
-        md = reverse(md)
     cd = center_for(md, fr)
     n1 = n - (l + m)
-    theta_a_inv = md.theta[a].inverse()
-    wrap = power_decompose(fr, md.dual[a], l + m)
+    under = sign == "under"
+    prefactor = md.theta[a] if under else md.theta[a].inverse()
+    wrap = power_decompose(cd.base_ring, md.dual[a], l + m)
 
     rows = []
     for b in range(md.rank):
         center_ms: ObjectMultiset = {
-            cd.pair_index(c, b): mult for c, mult in wrap.items() if mult
+            cd.pair_index(*((b, c) if under else (c, b))): mult for c, mult in wrap.items() if mult
         }
-        cands: set[RootOfUnity] = set()
-        for p in center_ms:
-            cands.update(_rotation_candidates(cd.theta[p], n1))
-        omegas = _sorted_candidates(cands)
-        eigen = [theta_a_inv * omega for omega in omegas]
+        omegas = {w for p in center_ms for w in _rotation_candidates(cd.theta[p], n1)}
+        # the eigenvalues are distinct, so their turn order fixes the row
+        eigen = [prefactor * omega for omega in omegas]
         mults = [semisimple_K(cd, center_ms, a, n1, omega) for omega in omegas]
         rows.append(_turn_sorted_row(md.labels[b], eigen, mults))
     return SpectrumReport(

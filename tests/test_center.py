@@ -1,11 +1,13 @@
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
 import oracles
 from mtckit import cyclo
 from mtckit._poly import poly_pack
-from mtckit.center import CenterData, ConsistencyError, deligne_square
+from mtckit.center import CenterData, ConsistencyError, center_for, deligne_square
 from mtckit.cyclo import Cyclotomic, RootOfUnity
 from mtckit.fusion_ring import verlinde
 from mtckit.indicators import gfs_matrix
@@ -265,6 +267,19 @@ def test_second_center_reuses_the_invariants(fixture_data, monkeypatch):
     monkeypatch.setattr(cyclo, "inverse", recording)
     deligne_square(md, fr)
     assert not inverses
+
+
+def test_the_center_lives_and_dies_with_its_data(fixture_data):
+    # center_for keeps the center on the data, not in a module cache, so the
+    # data is freed once its last user drops it
+    md, _ = fixture_data["semion"]
+    fresh = dataclasses.replace(md)
+    cd = center_for(fresh)
+    assert center_for(fresh) is cd and cd.base is fresh and cd.base_ring is fresh.ring
+    alive = weakref.ref(fresh)
+    del fresh, cd
+    gc.collect()
+    assert alive() is None
 
 
 def test_corrupt_twists_rejected(fixture_data):

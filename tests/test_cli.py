@@ -175,6 +175,14 @@ def test_failing_relations_exit_one(tmp_path, capsys):
     assert "validation failed" in err
 
 
+@pytest.mark.parametrize("rank", ("0", "-2"))
+def test_rank_below_one_is_usage_error(tmp_path, capsys, rank):
+    path = tmp_path / "bad.mtc"
+    path.write_text(f"rank {rank}\nS:\n1\nT:\n1\n")
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out, err) == (2, "", f"error: line 1: bad rank '{rank}'\n")
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "validate", "no/such/file.mtc")
     assert code == 2
@@ -292,4 +300,24 @@ def test_validate_reuses_the_load_report(tmp_path, capsys, monkeypatch, from_fil
     code, out, _ = run(capsys, "validate", source)
     assert code == 0
     assert "pass  S unitary" in out
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", (["fusion"], ["indicators", "--m", "2", "--l", "1"]))
+def test_a_file_run_builds_one_ring(tmp_path, capsys, monkeypatch, command):
+    # the ring of file data is md.ring, built once whether or not a center needs it
+    from mtckit import dataio, fusion_ring
+
+    path = tmp_path / "fib.mtc"
+    path.write_text(dataio.format_modular_data(dataio.catalog("fibonacci")))
+    calls = []
+    original = fusion_ring.verlinde
+
+    def counting(md):
+        calls.append(md)
+        return original(md)
+
+    monkeypatch.setattr(fusion_ring, "verlinde", counting)
+    code, _, _ = run(capsys, command[0], str(path), *command[1:])
+    assert code == 0
     assert len(calls) == 1

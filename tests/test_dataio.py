@@ -144,6 +144,12 @@ class TestParseFile:
             parse_file(bad)
         assert any(not c.passed for c in info.value.report.checks)
 
+    @pytest.mark.parametrize("rank", ("0", "-2"))
+    def test_rank_below_one_is_refused_at_its_line(self, rank):
+        with pytest.raises(FileFormatError, match=f"bad rank '{rank}'") as info:
+            parse_file(f"# a comment\nrank {rank}\nS:\n1\nT:\n1\n")
+        assert info.value.line_no == 2
+
     def test_unknown_directive(self):
         with pytest.raises(FileFormatError):
             parse_file("rang 1\nS:\n1\nT:\n1\n")
@@ -164,6 +170,12 @@ class TestCatalog:
             md = catalog(name)
             assert validate(md).ok, name
             catalog_ring(name)  # would raise ModularityError if not integral
+
+    def test_the_ring_is_kept_on_the_data(self):
+        for name in CATALOG_NAMES:
+            md = catalog(name)
+            assert md.ring is md.ring, name
+            assert catalog_ring(name) is md.ring, name
 
     def test_vec_and_fibonacci_shapes(self):
         assert catalog("vec").rank == 1

@@ -2,9 +2,10 @@
 no environment knob beyond the documented one, no field sum started
 at the order-1 zero, no root-of-unity sum built from field products, no
 root of unity entering indicators or spectra as a field value, no
-module-level cache beyond the ones that exist, no control flow through
-a caught DescentError, and no library name that a hook of the benchmark's
-tracer (mtcbench/spans.py) wraps gone missing."""
+module-level cache beyond the ones that exist, no verlinde call outside
+ModularData.ring, no control flow through a caught DescentError, and no
+library name that a hook of the benchmark's tracer (mtcbench/spans.py)
+wraps gone missing."""
 
 import ast
 import importlib.util
@@ -16,7 +17,6 @@ ALLOWED_ENV = {"MTCKIT_MAX_ORDER"}
 # a cache that outlives its data grows with every value a process sees;
 # new ones belong on the instance they describe
 ALLOWED_MODULE_CACHES = {
-    "_center_cache",
     "_catalog_cache",
     "_cyclo_poly_cache",
 }
@@ -253,6 +253,51 @@ def cached(n):
     # every allowed name is still found, so the allowlists hold no dead name
     live = {name for _, tree in _modules() for _, name in _module_caches(tree)}
     assert live == ALLOWED_MODULE_CACHES | MODULE_SETTINGS
+
+
+def _calls_by_scope(tree, name):
+    """The scope of each call of name, bare or dotted: the dotted path of the
+    classes and functions around the call, "" at module level."""
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif isinstance(child, ast.Call):
+                func = child.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if called == name:
+                    yield scope
+            yield from visit(child, inner)
+
+    yield from visit(tree, "")
+
+
+def test_the_fusion_ring_has_one_home():
+    # a ModularData's fusion ring is md.ring; any other verlinde call would
+    # build a second ring for data that already has one
+    calls = [
+        (path.name, scope)
+        for path, tree in _modules()
+        if path.name != "fusion_ring.py"
+        for scope in _calls_by_scope(tree, "verlinde")
+    ]
+    assert calls == [("modular_data.py", "ModularData.ring")], (
+        f"verlinde called outside ModularData.ring: {calls}"
+    )
+    source = """
+fr = verlinde(md)
+
+def ring_of(md):
+    return fusion_ring.verlinde(md)
+
+class ModularData:
+    def ring(self):
+        return verlinde(self)
+"""
+    found = list(_calls_by_scope(ast.parse(source), "verlinde"))
+    assert found == ["", "ring_of", "ModularData.ring"]
 
 
 def _descent_handlers(tree):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -129,6 +130,17 @@ class TestSemisimpleK:
                 for ev, mult in zip(row.eigenvalues, row.multiplicities):
                     assert semisimple_K(cd, {b: 1}, a, n, ev) == mult
 
+    def test_one_strand_weighs_rotation_rows(self, fixture_centers):
+        # n = 1 skips the root sum; each gated simple still counts its n = 1 rotation row
+        for name in SMALL:
+            cd = fixture_centers[name]
+            ms = {c: 1 + c % 3 for c in range(cd.rank)}
+            for a in range(cd.base.rank):
+                for omega in dict.fromkeys(t.inverse() for t in cd.theta):
+                    want = sum(m * rotation_spectrum(cd, c, a, 1).multiplicities[0]
+                               for c, m in ms.items() if cd.theta[c] == omega.inverse())
+                    assert semisimple_K(cd, ms, a, 1, omega) == want
+
 
 class TestBraids:
     def test_vec(self, fixture_data):
@@ -237,6 +249,46 @@ class TestBraids:
                 under = braid_jm_spectrum(md, a, 2, 0, 0, sign="under")
                 straight = sigma_spectrum_n2(rev, rev_fr, a)
                 assert rows_data(under) == rows_data(straight), (name, a)
+
+    def test_under_matches_the_reversed_data_up_to_n3(self, fixture_data):
+        # the under family reads the forward center with its pairs swapped;
+        # the reversed data, with a center of its own, must give the same rows
+        shapes = [(n, l, m) for n in (2, 3) for l in range(n) for m in range(n - l)]
+        for name, (md, fr) in fixture_data.items():
+            rev = reverse(md)
+            for a in range(md.rank):
+                for n, l, m in shapes:
+                    under = braid_jm_spectrum(md, a, n, l, m, sign="under", fr=fr)
+                    want = braid_jm_spectrum(rev, a, n, l, m, sign="over", fr=fr)
+                    assert rows_data(under) == rows_data(want), (name, a, n, l, m)
+
+    def test_under_after_over_builds_nothing(self, fixture_data, monkeypatch):
+        # fresh data no earlier test has warmed (new labels, so equal to no
+        # cached value): the over call builds the one center, the under call
+        # builds neither a second center nor second invariants
+        from mtckit import center, modular_data
+
+        md, _ = fixture_data["fibonacci"]
+        fresh = dataclasses.replace(md, labels=tuple(f"w{label}" for label in md.labels))
+        calls = []
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counting(*args):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(module, name, counting)
+
+        count(center, "deligne_square")
+        count(modular_data, "derive_invariants")
+        over = braid_jm_spectrum(fresh, 1, 3, 1, 0)
+        assert calls == ["deligne_square", "derive_invariants"]
+        calls.clear()
+        under = braid_jm_spectrum(fresh, 1, 3, 1, 0, sign="under")
+        assert calls == []
+        assert {ev.inverse() for ev in over.spectrum()} == under.spectrum()
 
     def test_under_conjugates_pointed_spectrum(self, fixture_data):
         md, fr = fixture_data["semion"]
