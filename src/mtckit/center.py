@@ -62,24 +62,11 @@ class CenterData:
     def rank(self) -> int:
         return len(self.labels)
 
-    @property
-    def base_rank(self) -> int:
-        return self.base.rank
-
     def pair_index(self, a: int, b: int) -> int:
         return a * self.base.rank + b
 
     def pair_of(self, i: int) -> tuple[int, int]:
         return divmod(i, self.base.rank)
-
-    def index_of(self, obj: str | int) -> int:
-        if isinstance(obj, int):
-            if not 1 <= obj <= self.rank:
-                raise ValueError(f"center index {obj} out of range 1..{self.rank}")
-            return obj - 1
-        if obj in self.labels:
-            return self.labels.index(obj)
-        raise ValueError(f"unknown center object {obj!r}")
 
     # -- SL2(Z) generator action on the factor pair ---------------------------
 

@@ -39,7 +39,6 @@ __all__ = [
     "from_rational",
     "dot",
     "index_map",
-    "integer_rows",
     "root_sums",
     "times_root",
     "lift",
@@ -494,21 +493,6 @@ def _spread(num, order: int, target: int) -> list[int]:
     return poly_reduce(index_map(num, order, target), cyclotomic_polynomial(target))
 
 
-def integer_rows(values, order: int) -> tuple[list[list[int]], int]:
-    """The values as integer numerator rows at one order over one denominator.
-
-    Each value must lie in Q(zeta_order) by its representation: its order
-    divides ``order``. Row i times 1/den is value i at order ``order``.
-    """
-    check_order(order)
-    values = [from_rational(v) if not isinstance(v, Cyclotomic) else v for v in values]
-    for v in values:
-        if order % v.order:
-            raise CycloDomainError(f"cannot embed order {v.order} into order {order}")
-    den = math.lcm(*(v._den for v in values))
-    return [[den // v._den * c for c in _spread(v._num, v.order, order)] for v in values], den
-
-
 def dot(coeffs, values) -> Cyclotomic:
     """sum_i c_i v_i, exactly; the two iterables must have equal length.
 
@@ -591,10 +575,20 @@ def root_sums(values, exponent_rows, order: int, den: int = 1) -> list[Cyclotomi
 
 
 def lift(matrix, order: int) -> tuple[list[list[list[int]]], int]:
-    """A matrix of ints, Fractions or Cyclotomics as (cells, den) at the order."""
-    flat, den = integer_rows([v for row in matrix for v in row], order)
+    """A matrix of ints, Fractions or Cyclotomics as (cells, den) at the order.
+
+    Each entry must lie in Q(zeta_order) by its representation: its order
+    divides ``order``. Cell (i, j) times 1/den is entry (i, j) at the order.
+    """
+    check_order(order)
+    flat = [v if isinstance(v, Cyclotomic) else from_rational(v) for row in matrix for v in row]
+    for v in flat:
+        if order % v.order:
+            raise CycloDomainError(f"cannot embed order {v.order} into order {order}")
+    den = math.lcm(*(v._den for v in flat))
+    cells = [[den // v._den * c for c in _spread(v._num, v.order, order)] for v in flat]
     cols = len(matrix[0])
-    return [flat[i : i + cols] for i in range(0, len(flat), cols)], den
+    return [cells[i : i + cols] for i in range(0, len(cells), cols)], den
 
 
 def max_abs(cells) -> int:
@@ -852,9 +846,6 @@ class RootOfUnity:
     def turn(self) -> Fraction:
         """The angle as a fraction of a full turn, in [0, 1)."""
         return Fraction(self.exponent, self.order)
-
-
-ROOT_ONE = RootOfUnity(1, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -42,9 +42,6 @@ class FusionRing:
     dual: tuple[int, ...]
     table: tuple[tuple[tuple[int, ...], ...], ...]
 
-    def n(self, c: int, a: int, b: int) -> int:
-        return self.table[c][a][b]
-
     @functools.cached_property
     def _powers(self) -> dict[tuple[int, int], ObjectMultiset]:
         # a^n for a simple a, per (a, n), kept by power_decompose, which hands out copies
@@ -163,9 +160,15 @@ def fuse(fr: FusionRing, left: int | ObjectMultiset, right: int | ObjectMultiset
 
 
 def power_decompose(fr: FusionRing, a: int | ObjectMultiset, n: int) -> ObjectMultiset:
-    """Multiplicities of each simple in a^(tensor n); a^0 is the unit."""
+    """Multiplicities of each simple in a^(tensor n); a^0 is the unit.
+
+    Each factor is one fusion step, so n above the order limit is refused.
+    """
     if n < 0:
         raise ValueError("tensor power must be non-negative")
+    limit = cyclo.get_order_limit()
+    if n > limit:
+        raise ValueError(f"tensor power {n} exceeds the configured limit {limit}")
     out = fr._powers.get((a, n)) if isinstance(a, int) else None
     if out is None:
         out = {fr.unit: 1}

@@ -16,9 +16,9 @@ modulo Phi_L(2^w), with the 1/n in its denominator. No two field values are
 multiplied, and no sum of a row is reduced as a polynomial. Tensor powers
 are kept on the fusion ring; the n = 2 braid values (k2_pairs) take nu_{2,1}
 from the packed twisted S rows of indicators.nu2_direct, without the
-center, and form (omega^-1 nu + N) / 2 as root sums too. K of a
-semisimple center object (semisimple_K) is one weighted total per call:
-a root sum per simple (a hom dimension at n = 1), then an int-weighted sum.
+center, and form (omega^-1 nu + N) / 2 as root sums too. The K row of a
+semisimple center object (semisimple_K) is linear in it: the rotation rows'
+routine runs once per twist over its simples' mult-weighted nu sequence.
 
 Every multiplicity must be a non-negative rational integer; anything else
 raises IntegralityError, which doubles as an end-to-end data check. Its
@@ -108,14 +108,17 @@ def _rotation_candidates(theta_b: RootOfUnity, n: int) -> list[RootOfUnity]:
     return [RootOfUnity.make(n * q, base + q * i) for i in range(n)]
 
 
-def _nu_sequence(cd: CenterData, b: int, a: int | ObjectMultiset, n: int, root_shift: int = 0):
-    return [nu_general(cd, b, n, k, a, root_shift=root_shift) for k in range(n)]
-
-
-def _inverse_powers(lam: RootOfUnity, order: int, n: int) -> list[int]:
-    # the exponents of lambda^-k at order, k = 0..n-1
-    e = lam.exponent_at(order)
-    return [-k * e for k in range(n)]
+def _candidate_sums(
+    cd: CenterData, group: ObjectMultiset, a: int | ObjectMultiset, n: int, root_shift: int = 0
+) -> tuple[list[RootOfUnity], list[Cyclotomic]]:
+    # the candidates lambda of the one twist of group = {simple: int weight}, and for each
+    # sum_c weight_c P^c_{n,a}(lambda^-1), with P = (1/n) sum_{k<n} nu^c_{n,k}(a) lambda^-k
+    theta = cd.theta[next(iter(group))]
+    cands, order = _rotation_candidates(theta, n), n * theta.order
+    nus = (cyclo.dot(group.values(), [nu_general(cd, c, n, k, a, root_shift=root_shift)
+                                      for c in group]) for k in range(n))
+    rows = ([-k * lam.exponent_at(order) for k in range(n)] for lam in cands)
+    return cands, cyclo.root_sums(nus, rows, order, n)
 
 
 def _turn_sorted_row(label: str, eigen: list[RootOfUnity], mults: list[int]) -> SpectrumRow:
@@ -140,11 +143,7 @@ def rotation_spectrum(
     b is a center simple; candidates are exactly the n-th roots of
     theta_b^-1 and zero-multiplicity candidates are kept in the row.
     """
-    cands = _rotation_candidates(cd.theta[b], n)
-    # P^b_{n,a}(lambda^-1) = (1/n) sum_{k<n} nu^b_{n,k}(a) lambda^-k for each lambda
-    nus = _nu_sequence(cd, b, a, n, root_shift)
-    order = n * cd.theta[b].order
-    values = cyclo.root_sums(nus, (_inverse_powers(lam, order, n) for lam in cands), order, n)
+    cands, values = _candidate_sums(cd, {b: 1}, a, n, root_shift)
     mults = [
         _require_count(
             value,
@@ -179,22 +178,25 @@ def semisimple_K(
     b: ObjectMultiset,
     a: int | ObjectMultiset,
     n: int,
-    omega: RootOfUnity,
-) -> int:
-    """K^b_{n,a}(omega) for a semisimple center object b = {simple: mult}.
+) -> dict[RootOfUnity, int]:
+    """The K row {omega: K^b_{n,a}(omega)} of a semisimple center object b = {simple: mult}.
 
-    Sum over the simples occurring in b of the P-multiplicity, gated by
-    omega^n = theta_c^-1 (exact root-of-unity comparison).
+    K is linear in b, the sum of mult_c P^c_{n,a}: the simples of one twist share
+    their candidates omega (omega^n = theta_c^-1), and other twists' differ.
     """
-    theta = (omega**n).inverse()  # the gate omega^n = theta_c^-1, read as theta_c = theta
-    gated = {c: mult for c, mult in b.items() if mult and cd.theta[c] == theta}
-    if n == 1:  # the one-strand rotation is the identity: P^c_{1,a} is dim Hom(c, a)
-        return sum(mult * hom_dim_under_forgetful(cd, c, a, 1) for c, mult in gated.items())
-    # one weighted total per call: a root sum per simple, summed with int weights
-    powers = [_inverse_powers(omega, omega.order, n)]
-    sums = (cyclo.root_sums(_nu_sequence(cd, c, a, n), powers, omega.order, n)[0] for c in gated)
-    total = cyclo.dot(gated.values(), sums)
-    return _require_count(total, lambda: f"K at omega = {cyclo.format_root(omega)}")
+    groups: dict[RootOfUnity, ObjectMultiset] = {}
+    for c, mult in b.items():
+        if mult:
+            groups.setdefault(cd.theta[c], {})[c] = mult
+    out = {}
+    for theta, group in groups.items():
+        if n == 1:  # the one-strand rotation is the identity: P^c_{1,a} is dim Hom(c, a)
+            out[theta.inverse()] = sum(
+                m * hom_dim_under_forgetful(cd, c, a, 1) for c, m in group.items())
+            continue
+        for omega, value in zip(*_candidate_sums(cd, group, a, n)):
+            out[omega] = _require_count(value, lambda: f"K at omega = {cyclo.format_root(omega)}")
+    return out
 
 
 def braid_jm_spectrum(
@@ -209,7 +211,8 @@ def braid_jm_spectrum(
     """Spectrum of the one-strand-wrapping braid on n strands (l, m legs).
 
     Per base simple b, the eigenvalue theta_a^-1 omega occurs on
-    Hom(b, a^(x)n) with multiplicity K^{a-bar^(l+m) (x) b~}_{n-(l+m), a}(omega).
+    Hom(b, a^(x)n) with multiplicity K^{a-bar^(l+m) (x) b~}_{n-(l+m), a}(omega),
+    so each row is one semisimple_K call.
     The inverse-crossing family (sign="under") is this computation for the
     reversed braiding, whose center is the same center with each pair's
     factors swapped: it reads the pair (c, b) as (b, c), and its prefactor
@@ -231,11 +234,10 @@ def braid_jm_spectrum(
         center_ms: ObjectMultiset = {
             cd.pair_index(*((b, c) if under else (c, b))): mult for c, mult in wrap.items() if mult
         }
-        omegas = {w for p in center_ms for w in _rotation_candidates(cd.theta[p], n1)}
+        k_row = semisimple_K(cd, center_ms, a, n1)
         # the eigenvalues are distinct, so their turn order fixes the row
-        eigen = [prefactor * omega for omega in omegas]
-        mults = [semisimple_K(cd, center_ms, a, n1, omega) for omega in omegas]
-        rows.append(_turn_sorted_row(md.labels[b], eigen, mults))
+        eigen = [prefactor * omega for omega in k_row]
+        rows.append(_turn_sorted_row(md.labels[b], eigen, list(k_row.values())))
     return SpectrumReport(
         kind="braid-jm",
         source="",

@@ -48,7 +48,7 @@ def test_forgetful_matrix(fixture_data, fixture_centers):
             for b in range(md.rank):
                 p = cd.pair_index(a, b)
                 for c in range(md.rank):
-                    assert cd.a_matrix[p][c] == fr.n(c, a, b)
+                    assert cd.a_matrix[p][c] == fr.table[c][a][b]
         # A[(unit,unit)][c] = delta_{c,unit}
         unit_row = cd.a_matrix[cd.unit]
         assert all(v == (1 if c == md.unit else 0) for c, v in enumerate(unit_row))
@@ -200,7 +200,7 @@ def test_contraction_slot_width_is_tight(monkeypatch):
     md = ModularData(
         labels=("x", "y", "z"),
         s=((cyclo.ONE,) * r,) * r,
-        theta=(cyclo.ROOT_ONE,) * r,
+        theta=(cyclo.RootOfUnity(1, 0),) * r,
         unit=0,
         dual=(0, 1, 2),
     )
@@ -208,7 +208,7 @@ def test_contraction_slot_width_is_tight(monkeypatch):
         base=md,
         base_ring=None,
         labels=tuple(str(i) for i in range(r * r)),
-        theta=(cyclo.ROOT_ONE,) * (r * r),
+        theta=(cyclo.RootOfUnity(1, 0),) * (r * r),
         unit=0,
         dual=tuple(range(r * r)),
         a_matrix=((n,) * r,) * (r * r),

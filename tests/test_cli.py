@@ -251,6 +251,22 @@ def test_huge_n_is_refused_before_any_tensor_power(argv, order):
     assert proc.stderr == f"error: cyclotomic order {order} exceeds the configured limit 10000\n"
 
 
+def test_huge_tensor_power_is_refused_at_once():
+    # n - (l + m) = 1 passes the order check, but a^(l + m) would take 10^9 fusion steps
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env.pop("MTCKIT_MAX_ORDER", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mtckit.cli", "braid", "catalog:fibonacci", "--object", "tau",
+         "--n", "1000000000", "--l", "999999999"],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: tensor power 999999999 exceeds the configured limit 10000\n"
+
+
 def test_huge_word_is_refused_before_it_is_spelled():
     # (1,0) g^-1 = (2, 99999999999) needs a word of about 5 * 10^10 t tokens:
     # they are counted from the Euclidean quotients and refused before any is

@@ -22,7 +22,7 @@ def test_toric_matches_group_double_oracle(fixture_data):
     md, fr = fixture_data["toric-code"]
     want = oracles.toric_fusion_table()
     for (d, a, b), n in want.items():
-        assert fr.n(md.index_of(d), md.index_of(a), md.index_of(b)) == n
+        assert fr.table[md.index_of(d)][md.index_of(a)][md.index_of(b)] == n
 
 
 def test_fibonacci_rule(fixture_data):
@@ -218,6 +218,28 @@ def test_power_decompose_equals_repeated_fuse(fixture_data):
             for n in range(5):
                 assert power_decompose(fr, a, n) == _fused(fr, a, n), (name, a, n)
                 assert power_decompose(fr, a, n) == _fused(fr, a, n), (name, a, n)
+
+
+def test_tensor_powers_are_bounded_by_the_order_limit(fixture_data):
+    # one fusion step per factor: a power above the limit is refused before any step
+    from mtckit.center import center_for
+    from mtckit.indicators import nu_general
+
+    md, fr = fixture_data["fibonacci"]
+    tau = md.index_of("tau")
+    ring = FusionRing(rank=fr.rank, unit=fr.unit, dual=fr.dual, table=fr.table)
+    old = cyclo.get_order_limit()
+    cyclo.set_order_limit(30)
+    try:
+        assert power_decompose(ring, tau, 30) == _fused(fr, tau, 30)
+        with pytest.raises(ValueError, match="tensor power 31 exceeds the configured limit 30"):
+            power_decompose(ring, tau, 31)
+        with pytest.raises(ValueError, match="tensor power 31"):
+            power_decompose(ring, {tau: 1}, 31)
+    finally:
+        cyclo.set_order_limit(old)
+    with pytest.raises(ValueError, match="tensor power"):
+        nu_general(center_for(md), 0, 10**9, 0, tau)
 
 
 def test_power_memo_hands_out_copies(fixture_data):

@@ -360,7 +360,7 @@ class TestNu2Direct:
         md = ModularData(
             labels=("x", "y", "z"),
             s=tuple(tuple(cyclo.from_rational(v) for v in row) for row in rows),
-            theta=(cyclo.ROOT_ONE,) * r,
+            theta=(cyclo.RootOfUnity(1, 0),) * r,
             unit=0,
             dual=(0, 1, 2),
         )
@@ -516,7 +516,7 @@ def test_nu_general_matches_field_power_formula(name, fixture_centers):
         for n in range(1, 5):
             for k in range(-n, n + 1):
                 for b in range(cd.rank):
-                    for a in range(cd.base_rank):
+                    for a in range(cd.base.rank):
                         want = oracles.nu_general_by_field_powers(cd, b, n, k, a, shift)
                         got = nu_general(cd, b, n, k, a, root_shift=shift)
                         assert got == want, (name, shift, n, k, b, a)
@@ -548,7 +548,7 @@ def test_nu_general_makes_no_field_product(fixture_centers, monkeypatch):
     keys = [
         (b, n, k, a, shift)
         for shift in (0, 1) for n in range(1, 5) for k in range(-n, n + 1)
-        for b in range(cd.rank) for a in range(cd.base_rank)
+        for b in range(cd.rank) for a in range(cd.base.rank)
     ]
     products = []
     mul = cyclo.Cyclotomic.__mul__

@@ -107,15 +107,15 @@ class TestSemisimpleK:
         cd = fixture_centers["toric-code"]
         f = md.index_of("f")
         b = cd.pair_index(f, md.unit)  # theta = -1; omega^2 = -1 required
-        assert semisimple_K(cd, {b: 1}, f, 2, RootOfUnity(1, 0)) == 0
+        assert semisimple_K(cd, {b: 1}, f, 2).get(RootOfUnity(1, 0), 0) == 0
 
     def test_additivity(self, fixture_data, fixture_centers):
         md, _ = fixture_data["toric-code"]
         cd = fixture_centers["toric-code"]
         e = md.index_of("e")
         omega = RootOfUnity(1, 0)
-        single = semisimple_K(cd, {cd.unit: 1}, e, 2, omega)
-        double = semisimple_K(cd, {cd.unit: 2}, e, 2, omega)
+        single = semisimple_K(cd, {cd.unit: 1}, e, 2).get(omega, 0)
+        double = semisimple_K(cd, {cd.unit: 2}, e, 2).get(omega, 0)
         assert single == 1 and double == 2
 
     def test_matches_rotation(self, fixture_data, fixture_centers):
@@ -128,7 +128,7 @@ class TestSemisimpleK:
                 n = rng.randint(1, 3)
                 row = rotation_spectrum(cd, b, a, n)
                 for ev, mult in zip(row.eigenvalues, row.multiplicities):
-                    assert semisimple_K(cd, {b: 1}, a, n, ev) == mult
+                    assert semisimple_K(cd, {b: 1}, a, n).get(ev, 0) == mult
 
     def test_one_strand_weighs_rotation_rows(self, fixture_centers):
         # n = 1 skips the root sum; each gated simple still counts its n = 1 rotation row
@@ -139,7 +139,23 @@ class TestSemisimpleK:
                 for omega in dict.fromkeys(t.inverse() for t in cd.theta):
                     want = sum(m * rotation_spectrum(cd, c, a, 1).multiplicities[0]
                                for c, m in ms.items() if cd.theta[c] == omega.inverse())
-                    assert semisimple_K(cd, ms, a, 1, omega) == want
+                    assert semisimple_K(cd, ms, a, 1).get(omega, 0) == want
+
+    def test_row_is_the_weighted_sum_of_rotation_rows(self, fixture_centers):
+        # K is linear in b: the whole row is sum_c mult_c P^c, candidates of each twist
+        # kept with their zero multiplicities, whether b mixes twists or repeats one
+        for name in SMALL:
+            cd = fixture_centers[name]
+            multisets = [{c: 1 + c % 3 for c in range(cd.rank)}]
+            multisets += [{c: 2, d: 1} for c in range(cd.rank) for d in range(c + 1, cd.rank)]
+            for ms in multisets:
+                for a in range(cd.base.rank):
+                    for n in (1, 2, 3):
+                        want: dict[RootOfUnity, int] = {}
+                        for c, mult in ms.items():
+                            for omega, k in rotation_spectrum(cd, c, a, n).as_map().items():
+                                want[omega] = want.get(omega, 0) + mult * k
+                        assert semisimple_K(cd, ms, a, n) == want, (name, ms, a, n)
 
 
 class TestBraids:
@@ -147,6 +163,24 @@ class TestBraids:
         md, fr = fixture_data["vec"]
         rep = braid_jm_spectrum(md, 0, 3, 1, 1, fr=fr)
         assert rep.spectrum() == {RootOfUnity(1, 0)}
+
+    def test_each_nu_value_is_computed_once_per_call(self, fixture_data, monkeypatch):
+        # the simples of one twist share their candidates omega, so a braid call takes
+        # each nu^b_{n,k}(a) once, not once per omega
+        md, fr = fixture_data["haagerup-center"]
+        real = spectra.nu_general
+        seen = []
+
+        def recording(cd, b, n, k, a, root_shift=0):
+            seen.append((b, n, k, a))
+            return real(cd, b, n, k, a, root_shift=root_shift)
+
+        monkeypatch.setattr(spectra, "nu_general", recording)
+        for a in range(md.rank):
+            for sign in ("over", "under"):
+                seen.clear()
+                braid_jm_spectrum(md, a, 3, 0, 0, sign=sign, fr=fr)
+                assert seen and len(set(seen)) == len(seen), (a, sign)
 
     def test_jm_equals_sigma_paths(self, fixture_data):
         for name in SMALL + ("haagerup-center",):
@@ -333,7 +367,7 @@ class TestIntegralityGuards:
         with pytest.raises(IntegralityError, match="multiplicity of"):
             rotation_spectrum(cd, 0, 0, 2)
         with pytest.raises(IntegralityError, match="K at omega"):
-            semisimple_K(cd, {0: 1}, 0, 2, RootOfUnity(1, 0))
+            semisimple_K(cd, {0: 1}, 0, 2).get(RootOfUnity(1, 0), 0)
 
 
 class TestRendering:
@@ -384,7 +418,7 @@ class TestMultiplicitiesAgainstDot:
         cd = fixture_centers[name]
         for n in range(1, 5):
             for root_shift in (0, 1):
-                for a in range(cd.base_rank):
+                for a in range(cd.base.rank):
                     for b in range(cd.rank):
                         self._check_row(cd, b, a, n, root_shift)
 
@@ -393,7 +427,7 @@ class TestMultiplicitiesAgainstDot:
         rng = random.Random(67)
         for _ in range(12):
             self._check_row(
-                cd, rng.randrange(cd.rank), rng.randrange(cd.base_rank), rng.randint(1, 4),
+                cd, rng.randrange(cd.rank), rng.randrange(cd.base.rank), rng.randint(1, 4),
                 rng.randint(0, 1),
             )
 
@@ -432,7 +466,7 @@ def test_rows_and_k2_pairs_make_no_field_product(fixture_data, fixture_centers, 
         rows = range(0, cd.rank, 12 if name == "haagerup-center" else 1)
         for n in (2, 3, 4):
             for b in rows:
-                for a in range(cd.base_rank):
+                for a in range(cd.base.rank):
                     rotation_spectrum(cd, b, a, n)
     assert products == [] and reductions == []
     r = md.rank
@@ -472,8 +506,8 @@ def test_integrality_messages_are_unchanged(fixture_data, monkeypatch):
     calls = [
         lambda: rotation_spectrum(cd, 3, 1, 3),
         lambda: rotation_spectrum(cd, 0, 1, 1),
-        lambda: semisimple_K(cd, {0: 2, 3: 1}, 1, 2, RootOfUnity(1, 0)),
-        lambda: semisimple_K(cd, {1: 2, 2: 1}, 1, 3, RootOfUnity.make(15, 2)),
+        lambda: semisimple_K(cd, {0: 2, 3: 1}, 1, 2).get(RootOfUnity(1, 0), 0),
+        lambda: semisimple_K(cd, {1: 2, 2: 1}, 1, 3).get(RootOfUnity.make(15, 2), 0),
     ]
     messages = []
     for patch in (off_rational, negative):
