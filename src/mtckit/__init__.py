@@ -7,9 +7,9 @@ data for rotation operators and braid-group elements.
 
 from .center import center_for, deligne_square
 from .dataio import catalog, catalog_ring, parse_expr, parse_file
-from .fusion_ring import fuse, hom_dim, power_decompose, verlinde
+from .fusion_ring import fuse, power_decompose, verlinde
 from .indicators import gfs_matrix, nu2_direct, nu_general, sl2_word
-from .modular_data import construct, derive_invariants, reverse, validate
+from .modular_data import construct, derive_invariants, validate
 from .spectra import (
     braid_jm_spectrum,
     render_report,
@@ -30,11 +30,9 @@ __all__ = [
     "construct",
     "validate",
     "derive_invariants",
-    "reverse",
     "verlinde",
     "fuse",
     "power_decompose",
-    "hom_dim",
     "center_for",
     "deligne_square",
     "sl2_word",

@@ -22,7 +22,6 @@ __all__ = [
     "ModularityError",
     "verlinde",
     "power_decompose",
-    "hom_dim",
     "fuse",
 ]
 
@@ -177,8 +176,3 @@ def power_decompose(fr: FusionRing, a: int | ObjectMultiset, n: int) -> ObjectMu
         if isinstance(a, int):
             fr._powers[(a, n)] = out
     return dict(out)
-
-
-def hom_dim(fr: FusionRing, b: int, a: int | ObjectMultiset, n: int) -> int:
-    """dim Hom(b, a^(tensor n)), the multiplicity of b in the power decomposition."""
-    return power_decompose(fr, a, n).get(b, 0)

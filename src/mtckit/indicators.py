@@ -152,9 +152,6 @@ class IndicatorTable:
     col_labels: tuple[str, ...]
     values: tuple[tuple[Cyclotomic, ...], ...]
 
-    def entry(self, row: int, col: int) -> Cyclotomic:
-        return self.values[row][col]
-
 
 def gfs_matrix(cd: CenterData, m: int, l: int, word: Sl2Word | None = None) -> IndicatorTable:
     """The indicator table via the center's SL2(Z) representation: pi(g) A.

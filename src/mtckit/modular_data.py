@@ -29,7 +29,6 @@ __all__ = [
     "construct",
     "validate",
     "derive_invariants",
-    "reverse",
 ]
 
 
@@ -295,10 +294,3 @@ def validate(md: ModularData) -> ValidationReport:
     checks.append(CheckResult("unit row real positive", pos))
 
     return ValidationReport(tuple(checks))
-
-
-def reverse(md: ModularData) -> ModularData:
-    """The same category with reversed braiding: S~_{a,b} = S_{a-bar,b}, twists inverted."""
-    s = tuple(tuple(md.s[md.dual[a]][b] for b in range(md.rank)) for a in range(md.rank))
-    theta = tuple(t.inverse() for t in md.theta)
-    return ModularData(labels=md.labels, s=s, theta=theta, unit=md.unit, dual=md.dual)

@@ -8,17 +8,21 @@ value theta_a^-1 omega occurs with multiplicity K^{a-bar^(l+m) (x) b~}(omega).
 
 Roots of unity (twists, candidate eigenvalues, omega) are handled by
 exponent as RootOfUnity. Over the n candidates lambda_0 zeta_n^j the
-multiplicities are an inverse DFT of the indicator sequence, and each one
-is an exact root sum (cyclo.root_sums): the exponents of lambda^-k are
-plain ints, every nu value is packed once into one int, each lambda^-k
-multiplies by a left shift, and each sum is read off one big-int remainder
-modulo Phi_L(2^w), with the 1/n in its denominator. No two field values are
-multiplied, and no sum of a row is reduced as a polynomial. Tensor powers
-are kept on the fusion ring; the n = 2 braid values (k2_pairs) take nu_{2,1}
-from the packed twisted S rows of indicators.nu2_direct, without the
-center, and form (omega^-1 nu + N) / 2 as root sums too. The K row of a
-semisimple center object (semisimple_K) is linear in it: the rotation rows'
-routine runs once per twist over its simples' mult-weighted nu sequence.
+multiplicities are an inverse DFT of an indicator sequence, and one routine
+(_candidate_counts) computes and gates them all: given a twist, n and the
+sequence nu_0..nu_{n-1}, it returns each candidate lambda with the count
+(1/n) sum_k nu_k lambda^-k. Each count is an exact root sum
+(cyclo.root_sums): the exponents of lambda^-k are plain ints, every nu value
+is packed once into one int, each lambda^-k multiplies by a left shift, and
+each sum is read off one big-int remainder modulo Phi_L(2^w), with the 1/n
+in its denominator. No two field values are multiplied, and no sum of a row
+is reduced as a polynomial. Its callers differ only in the sequence they
+pass. A rotation row passes nu^b_{n,k}(a); the K row of a semisimple center
+object (semisimple_K) passes, per twist, its simples' mult-weighted sum of
+those; the n = 2 braid values (k2_pairs) pass (N^b_{c-bar,a,a}, nu_{2,1})
+at the twist theta_c/theta_b, with nu_{2,1} from the packed twisted S rows
+of indicators.nu2_direct, without the center. Tensor powers are kept on the
+fusion ring.
 
 Every multiplicity must be a non-negative rational integer; anything else
 raises IntegralityError, which doubles as an end-to-end data check. Its
@@ -75,9 +79,6 @@ class SpectrumRow:
     def as_map(self) -> dict[RootOfUnity, int]:
         return dict(zip(self.eigenvalues, self.multiplicities))
 
-    def total(self) -> int:
-        return sum(self.multiplicities)
-
 
 @dataclasses.dataclass(frozen=True)
 class SpectrumReport:
@@ -85,15 +86,6 @@ class SpectrumReport:
     source: str
     params: tuple[tuple[str, str], ...]
     rows: tuple[SpectrumRow, ...]
-
-    def spectrum(self) -> set[RootOfUnity]:
-        """The union of eigenvalues with nonzero multiplicity over all rows."""
-        out: set[RootOfUnity] = set()
-        for row in self.rows:
-            for ev, mult in zip(row.eigenvalues, row.multiplicities):
-                if mult:
-                    out.add(ev)
-        return out
 
 
 def _rotation_candidates(theta_b: RootOfUnity, n: int) -> list[RootOfUnity]:
@@ -108,27 +100,27 @@ def _rotation_candidates(theta_b: RootOfUnity, n: int) -> list[RootOfUnity]:
     return [RootOfUnity.make(n * q, base + q * i) for i in range(n)]
 
 
-def _candidate_sums(
-    cd: CenterData, group: ObjectMultiset, a: int | ObjectMultiset, n: int, root_shift: int = 0
-) -> tuple[list[RootOfUnity], list[Cyclotomic]]:
-    # the candidates lambda of the one twist of group = {simple: int weight}, and for each
-    # sum_c weight_c P^c_{n,a}(lambda^-1), with P = (1/n) sum_{k<n} nu^c_{n,k}(a) lambda^-k
-    theta = cd.theta[next(iter(group))]
-    cands, order = _rotation_candidates(theta, n), n * theta.order
-    nus = (cyclo.dot(group.values(), [nu_general(cd, c, n, k, a, root_shift=root_shift)
-                                      for c in group]) for k in range(n))
+def _candidate_counts(
+    theta: RootOfUnity, n: int, nus, describe
+) -> list[tuple[RootOfUnity, int]]:
+    # each candidate lambda (lambda^n = theta^-1) with its count
+    # (1/n) sum_{k<n} nus[k] lambda^-k, gated with describe(lambda) as its name;
+    # nus is only read once the candidates passed the order check
+    cands = _rotation_candidates(theta, n)
+    order = n * theta.order
     rows = ([-k * lam.exponent_at(order) for k in range(n)] for lam in cands)
-    return cands, cyclo.root_sums(nus, rows, order, n)
+    values = cyclo.root_sums(nus, rows, order, n)
+    return [
+        (lam, _require_count(value, lambda lam=lam: describe(lam)))
+        for lam, value in zip(cands, values)
+    ]
 
 
-def _turn_sorted_row(label: str, eigen: list[RootOfUnity], mults: list[int]) -> SpectrumRow:
-    # eigenvalues in turn order, each with its multiplicity
-    order = sorted(range(len(eigen)), key=lambda i: eigen[i].turn())
-    return SpectrumRow(
-        label=label,
-        eigenvalues=tuple(eigen[i] for i in order),
-        multiplicities=tuple(mults[i] for i in order),
-    )
+def _braid_row(label: str, prefactor: RootOfUnity, pairs) -> SpectrumRow:
+    # the eigenvalues prefactor * omega of the (omega, K) pairs are distinct,
+    # so their turn order fixes the row
+    row = sorted(((prefactor * omega, k) for omega, k in pairs), key=lambda p: p[0].turn())
+    return SpectrumRow(label, tuple(ev for ev, _ in row), tuple(k for _, k in row))
 
 
 def rotation_spectrum(
@@ -143,17 +135,16 @@ def rotation_spectrum(
     b is a center simple; candidates are exactly the n-th roots of
     theta_b^-1 and zero-multiplicity candidates are kept in the row.
     """
-    cands, values = _candidate_sums(cd, {b: 1}, a, n, root_shift)
-    mults = [
-        _require_count(
-            value,
-            lambda lam=lam: f"multiplicity of {cyclo.format_root(lam)} on "
-            f"Hom({cd.labels[b]}, a^{n})",
-        )
-        for lam, value in zip(cands, values)
-    ]
+    pairs = _candidate_counts(
+        cd.theta[b],
+        n,
+        (nu_general(cd, b, n, k, a, root_shift=root_shift) for k in range(n)),
+        lambda lam: f"multiplicity of {cyclo.format_root(lam)} on Hom({cd.labels[b]}, a^{n})",
+    )
     return SpectrumRow(
-        label=cd.labels[b], eigenvalues=tuple(cands), multiplicities=tuple(mults)
+        label=cd.labels[b],
+        eigenvalues=tuple(lam for lam, _ in pairs),
+        multiplicities=tuple(k for _, k in pairs),
     )
 
 
@@ -194,8 +185,10 @@ def semisimple_K(
             out[theta.inverse()] = sum(
                 m * hom_dim_under_forgetful(cd, c, a, 1) for c, m in group.items())
             continue
-        for omega, value in zip(*_candidate_sums(cd, group, a, n)):
-            out[omega] = _require_count(value, lambda: f"K at omega = {cyclo.format_root(omega)}")
+        nus = (cyclo.dot(group.values(), [nu_general(cd, c, n, k, a) for c in group])
+               for k in range(n))
+        out.update(_candidate_counts(
+            theta, n, nus, lambda omega: f"K at omega = {cyclo.format_root(omega)}"))
     return out
 
 
@@ -235,9 +228,7 @@ def braid_jm_spectrum(
             cd.pair_index(*((b, c) if under else (c, b))): mult for c, mult in wrap.items() if mult
         }
         k_row = semisimple_K(cd, center_ms, a, n1)
-        # the eigenvalues are distinct, so their turn order fixes the row
-        eigen = [prefactor * omega for omega in k_row]
-        rows.append(_turn_sorted_row(md.labels[b], eigen, list(k_row.values())))
+        rows.append(_braid_row(md.labels[b], prefactor, k_row.items()))
     return SpectrumReport(
         kind="braid-jm",
         source="",
@@ -258,35 +249,22 @@ def k2_pairs(
     """The two admissible omega with K^{c (x) b~}_{2,omega} for the braid square.
 
     K = [omega^2 = theta_b/theta_c] (omega^-1 nu^{c (x) b~}_{2,1}(a) +
-    N^b_{c-bar,a,a}) / 2, computed without constructing the center.
+    N^b_{c-bar,a,a}) / 2, computed without constructing the center: the two
+    omega are the n = 2 candidates of the twist theta_c/theta_b, and the
+    sequence is (N, nu). The two counts sum to N, since the omega^-1 sum to 0.
     """
-    ratio = md.theta[b] / md.theta[c]
-    omegas = (
-        RootOfUnity.make(2 * ratio.order, ratio.exponent),
-        RootOfUnity.make(2 * ratio.order, ratio.exponent + ratio.order),
-    )
-    nu = nu2_direct(md, fr, c, b, a)
     cbar = md.dual[c]
     n_hom = sum(
         fr.table[b][cbar][e] * fr.table[e][a][a]
         for e in range(md.rank)
         if fr.table[e][a][a]
     )
-    # (omega^-1 nu + n_hom) / 2 for both omega, one exact root sum each
-    order = 2 * ratio.order
-    values = cyclo.root_sums(
-        (nu, n_hom), ([-omega.exponent_at(order), 0] for omega in omegas), order, 2
-    )
-    out = [
-        (omega, _require_count(value, lambda w=omega: f"K^(2) at omega = {cyclo.format_root(w)}"))
-        for omega, value in zip(omegas, values)
-    ]
-    if n_hom > 0 and not any(k for _, k in out):
-        raise IntegralityError(
-            f"nonzero hom space but no admissible eigenvalue for "
-            f"(c={md.labels[c]}, b={md.labels[b]}, a={md.labels[a]})"
-        )
-    return tuple(out)
+    return tuple(_candidate_counts(
+        md.theta[c] / md.theta[b],
+        2,
+        (n_hom, nu2_direct(md, fr, c, b, a)),
+        lambda omega: f"K^(2) at omega = {cyclo.format_root(omega)}",
+    ))
 
 
 def sigma_spectrum_n2(
@@ -306,12 +284,9 @@ def sigma_spectrum_n2(
     else:
         raise ValueError(f"unknown braid {braid!r}")
     theta_a_inv = md.theta[a].inverse()
-    rows = []
-    for b in range(md.rank):
-        pairs = k2_pairs(md, fr, c, b, a)
-        eigen = [theta_a_inv * omega for omega, _ in pairs]
-        mults = [k for _, k in pairs]
-        rows.append(_turn_sorted_row(md.labels[b], eigen, mults))
+    rows = [
+        _braid_row(md.labels[b], theta_a_inv, k2_pairs(md, fr, c, b, a)) for b in range(md.rank)
+    ]
     return SpectrumReport(
         kind=f"braid-{braid}",
         source="",

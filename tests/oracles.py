@@ -506,3 +506,27 @@ def idft(xs: list) -> list:
     from mtckit import cyclo
 
     return cyclo.root_sums(xs, _dft_rows(len(xs), -1), len(xs) or 1, len(xs) or 1)
+
+
+# ---------------------------------------------------------------------------
+# the reversed braiding and the set of eigenvalues of a report, by definition
+
+
+def reverse(md):
+    """The same category with reversed braiding: S~_{a,b} = S_{a-bar,b}, twists inverted.
+
+    The under-crossing braids read the forward center with each pair's
+    factors swapped; this builds the reversed data itself, as their oracle.
+    """
+    from mtckit.modular_data import ModularData
+
+    s = tuple(tuple(md.s[md.dual[a]][b] for b in range(md.rank)) for a in range(md.rank))
+    theta = tuple(t.inverse() for t in md.theta)
+    return ModularData(labels=md.labels, s=s, theta=theta, unit=md.unit, dual=md.dual)
+
+
+def spectrum(report) -> set:
+    """The union of eigenvalues with nonzero multiplicity over all rows of a report."""
+    return {
+        ev for row in report.rows for ev, mult in zip(row.eigenvalues, row.multiplicities) if mult
+    }

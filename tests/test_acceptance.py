@@ -105,7 +105,7 @@ def test_criterion_04_sum_rules(fixture_data, fixture_centers):
             for b in range(cd.rank):
                 for a in range(cd.base.rank):
                     row = rotation_spectrum(cd, b, a, n)
-                    assert row.total() == hom_dim_under_forgetful(cd, b, a, n), (
+                    assert sum(row.multiplicities) == hom_dim_under_forgetful(cd, b, a, n), (
                         name, n, b, a,
                     )
                     rows += 1

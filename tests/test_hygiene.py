@@ -3,7 +3,8 @@ no environment knob beyond the documented one, no field sum started
 at the order-1 zero, no root-of-unity sum built from field products, no
 root of unity entering indicators or spectra as a field value, no
 module-level cache beyond the ones that exist, no verlinde call outside
-ModularData.ring, no control flow through a caught DescentError, and no
+ModularData.ring, no multiplicity summed or gated outside
+spectra._candidate_counts, no control flow through a caught DescentError, and no
 library name that a hook of the benchmark's tracer (mtcbench/spans.py)
 wraps gone missing."""
 
@@ -298,6 +299,16 @@ class ModularData:
 """
     found = list(_calls_by_scope(ast.parse(source), "verlinde"))
     assert found == ["", "ring_of", "ModularData.ring"]
+
+
+def test_one_routine_sums_and_gates_every_multiplicity():
+    # rotation rows, K rows and K^2 pairs are each an inverse DFT of an
+    # indicator sequence; only the shared routine takes the root sums and
+    # gates them, so no caller builds candidates or a message path of its own
+    tree = ast.parse((SRC / "spectra.py").read_text())
+    for name in ("root_sums", "_require_count"):
+        scopes = list(_calls_by_scope(tree, name))
+        assert scopes == ["_candidate_counts"], f"{name} called from {scopes}"
 
 
 def _descent_handlers(tree):
