@@ -57,6 +57,8 @@ class CenterData:
 
     def __post_init__(self):
         self._gfs_cache: dict[tuple[int, int], object] = {}
+        # (n1, b, c) -> the traces of spectra's rotation terms (spectra._trace_entry)
+        self._trace_cache: dict[tuple[int, int, int], object] = {}
 
     @property
     def rank(self) -> int:

@@ -25,7 +25,7 @@ import os
 from fractions import Fraction
 from operator import mul
 
-from ._poly import poly_mulmod, poly_pack, poly_reduce, poly_unpack
+from ._poly import poly_mulmod, poly_pack, poly_reduce, poly_unpack, slot_width
 
 __all__ = [
     "Cyclotomic",
@@ -48,6 +48,7 @@ __all__ = [
     "inverse",
     "galois_apply",
     "descend",
+    "traces",
     "recognize",
     "euler_phi",
     "set_order_limit",
@@ -717,9 +718,34 @@ def galois_apply(x: Cyclotomic, k: int, m: int) -> Cyclotomic:
         y = descend(x, m)
     else:
         y = descend(x.embedded(math.lcm(n, m)), m)
-    if y.order == 1:
+    if y.order == 1 or k == 1:
         return y
     return _galois_same_order(y, k)
+
+
+def traces(x: Cyclotomic) -> tuple[tuple[int, ...], int]:
+    """The traces Tr_{Q(zeta_n)/Q}(zeta_n^s x) for s = 0..n-1, n the order of
+    x, as ints over x's denominator.
+
+    Tr(zeta_n^j) is the Ramanujan sum c_n(j) = mu(n/d) phi(n)/phi(n/d) with
+    d = gcd(j, n) (von Sterneck), so each trace is the integer functional
+    sum_j num_j c_n(s + j) of x's coordinates. All n of them come from one
+    Kronecker product: the coordinates packed in reverse order times the
+    packed c_n(0), ..., c_n(n + phi(n) - 2), whose slot phi(n) - 1 + s is
+    trace s. Each slot sums at most phi(n) products of at most
+    max|num| phi(n).
+    """
+    n, num = x.order, x._num
+    phi = len(num)
+    # c_n(j) by d = gcd(j, n): mu(n/d) is 0 unless n/d = m is squarefree, a product of
+    # distinct primes p of n, and then phi(n)/phi(m) = phi(n) / prod(p - 1)
+    sums = {n: phi}
+    for p in _factorize(n):
+        sums.update({d // p: -c // (p - 1) for d, c in sums.items()})
+    ramanujan = [sums.get(math.gcd(j, n), 0) for j in range(n)]
+    width = slot_width(phi, phi, max(map(abs, num)))
+    product = poly_pack(num[::-1], width) * poly_pack(ramanujan + ramanujan[: phi - 1], width)
+    return tuple(poly_unpack(product, width, n + 2 * phi - 2)[phi - 1 : phi - 1 + n]), x._den
 
 
 def _prime_step(num: list[int], n: int, p: int) -> tuple[list[int], bool]:

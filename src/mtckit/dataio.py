@@ -166,12 +166,24 @@ def parse_expr(text: str) -> Cyclotomic:
 # .mtc files
 
 
+# Input bounds, checked before any entry is parsed: the work of validation and
+# Verlinde grows like rank^4, and a text this long already holds rank-64 data
+MAX_RANK = 64
+MAX_TEXT_CHARS = 4 << 20
+
+
 def parse_file(text: str) -> ModularData:
     """Parse and fully validate a .mtc modular-data file.
 
-    Raises FileFormatError (structure), ExprSyntaxError (entries),
-    ModularDataError (construction), or ValidationFailedError (relations).
+    Raises FileFormatError (structure, or a text longer than MAX_TEXT_CHARS or a
+    rank above MAX_RANK, both refused before any entry is parsed),
+    ExprSyntaxError (entries), ModularDataError (construction), or
+    ValidationFailedError (relations).
     """
+    if len(text) > MAX_TEXT_CHARS:
+        raise FileFormatError(
+            0, f"input of {len(text)} characters exceeds the limit of {MAX_TEXT_CHARS}"
+        )
     rank: int | None = None
     labels: list[str] | None = None
     unit_token: str | None = None
@@ -217,6 +229,8 @@ def parse_file(text: str) -> ModularData:
                 rank = 0
             if rank < 1:
                 raise FileFormatError(line_no, f"bad rank {rest.strip()!r}")
+            if rank > MAX_RANK:
+                raise FileFormatError(line_no, f"rank {rank} exceeds the limit of {MAX_RANK}")
         elif key == "labels":
             labels = rest.split()
         elif key == "unit":

@@ -36,6 +36,7 @@ S_MAT = ((0, -1), (1, 0))
 T_MAT = ((1, 1), (0, 1))
 T_INV_MAT = ((1, -1), (0, 1))
 _TOKEN_MATS = {"s": S_MAT, "t": T_MAT, "T": T_INV_MAT}
+_ONE_ROOT = RootOfUnity(1, 0)
 
 
 def _mat_mul(a, b):
@@ -233,13 +234,18 @@ def nu_general(
     (theta_b^-q, the pinned root's powers) are exponent arithmetic on
     RootOfUnity, and each enters as an index shift (cyclo.times_root); the
     sum over a^g is an int-weighted cyclo.dot of table entries, which takes
-    no field product either. The Galois step is cyclo.galois_apply, so a value outside Q(zeta_{n/g})
-    still fails its descent check.
+    no field product either. The Galois step is cyclo.galois_apply, so a
+    value outside Q(zeta_{n/g}) fails its descent check with DescentError.
+
+    Rotation and K rows (mtckit.spectra) read only k = 0 and k = 1 here: the
+    other k of a row enter as one field trace per divisor g of n, taken from
+    the traces of theta_b^(g/n) nu^b_{n/g,1}, which the center keeps per base
+    simple and whose field is checked in the same way, once per entry.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
     q, k0 = divmod(k, n)
-    prefactor = cd.theta[b].inverse() ** q
+    prefactor = cd.theta[b].inverse() ** q if q else _ONE_ROOT
 
     if k0 == 0:
         base = cyclo.from_rational(hom_dim_under_forgetful(cd, b, a, n))

@@ -7,39 +7,55 @@ one-strand-wrapping elements reduce to rotations on the center: the braid
 value theta_a^-1 omega occurs with multiplicity K^{a-bar^(l+m) (x) b~}(omega).
 
 Roots of unity (twists, candidate eigenvalues, omega) are handled by
-exponent as RootOfUnity. Over the n candidates lambda_0 zeta_n^j the
-multiplicities are an inverse DFT of an indicator sequence, and one routine
-(_candidate_counts) computes and gates them all: given a twist, n and the
-sequence nu_0..nu_{n-1}, it returns each candidate lambda with the count
-(1/n) sum_k nu_k lambda^-k. Each count is an exact root sum
-(cyclo.root_sums): the exponents of lambda^-k are plain ints, every nu value
-is packed once into one int, each lambda^-k multiplies by a left shift, and
-each sum is read off one big-int remainder modulo Phi_L(2^w), with the 1/n
-in its denominator. No two field values are multiplied, and no sum of a row
-is reduced as a polynomial. Its callers differ only in the sequence they
-pass. A rotation row passes nu^b_{n,k}(a); the K row of a semisimple center
-object (semisimple_K) passes, per twist, its simples' mult-weighted sum of
-those; the n = 2 braid values (k2_pairs) pass (N^b_{c-bar,a,a}, nu_{2,1})
-at the twist theta_c/theta_b, with nu_{2,1} from the packed twisted S rows
-of indicators.nu2_direct, without the center. Tensor powers are kept on the
-fusion ring.
+exponent as RootOfUnity. One routine (_candidate_counts) computes and gates
+every multiplicity: given a twist, n and the terms of the inverse DFT, it
+returns each candidate lambda with its count. The terms are field traces
+(arXiv:1611.00071; Ng-Schauenburg, arXiv:0806.2493): with rho = theta_b^(1/n)
+the pinned root of indicators._theta_root and mu = (lambda rho)^-1 = zeta_n^s,
+the Galois orbit {nu_{n,k} : gcd(k, n) = g} sums to one trace, so
+
+    P^b_{n,a}(lambda^-1) = (1/n) [nu_0 + sum_{g | n, g < n} Tr_{Q(zeta_n1)/Q}(mu^g x_g)]
+
+with n1 = n/g, x_g = rho^g nu^b_{n1,1}(a^g) in Q(zeta_n1) and nu_0 = dim
+Hom(b, a^(x)n). Each center keeps a trace table, filled as rows read it:
+entry (n1, b, c), for a base simple c, holds the n1 ints Tr(zeta_n1^s x) of
+x = theta_b^(1/n1) nu^b_{n1,1}(c) over one denominator (cyclo.traces), so
+x_g's traces are the mult(a^g, c)-weighted sums of entries and a row adds
+ints. Building an entry reads nu_{n1,1} through nu_general (k = 1), and checks
+that x lies in Q(zeta_n1) as galois_apply does; a value off that field (data
+that breaks the indicator identities) raises cyclo.DescentError. At n1 = 2
+nothing is checked: a rational x is (x, -x), and any other x stays a field
+value. For each (b, c) read the table holds sum n1 ints, one entry per
+divisor n1 of an n asked for, and the order limit (cyclo.get_order_limit)
+bounds every n1: a row's candidates are checked against it before any entry
+is built.
+
+A rotation row sums its own entries; the K row of a semisimple center object
+(semisimple_K) adds, per twist, its simples' entries with int weights; the
+n = 2 braid values (k2_pairs) pass nu_0 = N^b_{c-bar,a,a} and nu_{2,1} from
+the packed twisted S rows of indicators.nu2_direct, with no center and no
+table. Field terms (such as that nu_{2,1}, a non-rational nu_0 or an n1 = 2
+entry outside Q) enter as nu lambda^-k through one cyclo.root_sums call, one
+big-int remainder per candidate. No two field values are multiplied, and no
+sum of a row is reduced as a polynomial. Tensor powers are kept on the fusion
+ring.
 
 Every multiplicity must be a non-negative rational integer; anything else
 raises IntegralityError, which doubles as an end-to-end data check. Its
-message shows the offending value in E(n) form, the value the kernel
-returned.
+message shows the offending value in E(n) form, the exact sum computed.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction
 
 from . import cyclo
 from .center import CenterData, center_for
 from .cyclo import Cyclotomic, RootOfUnity
 from .fusion_ring import FusionRing, ObjectMultiset, power_decompose
-from .indicators import hom_dim_under_forgetful, nu_general, nu2_direct
+from .indicators import _theta_root, hom_dim_under_forgetful, nu_general, nu2_direct
 from .modular_data import ModularData
 
 __all__ = [
@@ -100,16 +116,95 @@ def _rotation_candidates(theta_b: RootOfUnity, n: int) -> list[RootOfUnity]:
     return [RootOfUnity.make(n * q, base + q * i) for i in range(n)]
 
 
+def _trace_entry(cd: CenterData, n1: int, b: int, c: int):
+    # the traces Tr(zeta_n1^s x), s < n1, of x = theta_b^(1/n1) nu^b_{n1,1}(c) with the
+    # pinned root, as (ints, den), built once per center. x must lie in Q(zeta_n1),
+    # which galois_apply checks as it does in nu_general. At n1 = 2 nu_general takes
+    # no Galois step, so nothing is checked: a rational x is (x, -x), and any other
+    # entry is the field value nu_{2,1}(c) itself
+    key = (n1, b, c)
+    entry = cd._trace_cache.get(key)
+    if entry is None:
+        nu = nu_general(cd, b, n1, 1, c)
+        x = cyclo.times_root(nu, _theta_root(cd, b, n1, 0))
+        if n1 > 2:
+            entry = cyclo.traces(cyclo.galois_apply(x, 1, n1))
+        elif (q := x.as_rational()) is not None:
+            entry = (q.numerator, -q.numerator), q.denominator
+        else:
+            entry = nu
+        cd._trace_cache[key] = entry
+    return entry
+
+
+def _row_terms(cd: CenterData, b: int, a, n: int, weight: int, root_shift: int = 0):
+    # the terms (k, weight, entry) of P^b_{n,a}: nu_0 at k = 0, then for each divisor
+    # g < n one trace entry per simple of a^g at k = g. The pinned root with shift
+    # sigma multiplies x_g by zeta_{n/g}^sigma, which moves its traces by sigma
+    yield 0, weight, nu_general(cd, b, n, 0, a)
+    for g in range(1, n):
+        if n % g:
+            continue
+        n1 = n // g
+        shift = root_shift % n1
+        for c, mult in power_decompose(cd.base_ring, a, g).items():
+            if mult:
+                entry = _trace_entry(cd, n1, b, c)
+                if shift and isinstance(entry, tuple):
+                    entry = entry[0][shift:] + entry[0][:shift], entry[1]
+                yield g, weight * mult, entry
+
+
 def _candidate_counts(
-    theta: RootOfUnity, n: int, nus, describe
+    theta: RootOfUnity, n: int, terms, describe, pinned=None
 ) -> list[tuple[RootOfUnity, int]]:
-    # each candidate lambda (lambda^n = theta^-1) with its count
-    # (1/n) sum_{k<n} nus[k] lambda^-k, gated with describe(lambda) as its name;
-    # nus is only read once the candidates passed the order check
+    # each candidate lambda (lambda^n = theta^-1) with its count (1/n) sum_k T_k(lambda),
+    # gated with describe(lambda) as its name. A term (k, weight, entry) adds weight
+    # times T_k, read off its entry:
+    # - traces (ints, den) of x = rho^k nu_{n/k,1}: T_k = Tr(mu^k x) = ints[s mod n/k] / den,
+    #   where rho = pinned() is a root with rho^n = theta and mu = (lambda rho)^-1 = zeta_n^s;
+    # - a rational value nu_0 at k = 0: its own trace, T_0 = nu_0;
+    # - any other value nu, a field term: T_k = nu lambda^-k.
+    # Traces add up as ints over one denominator; field terms go through one root_sums
+    # call. terms and pinned are only read once the candidates passed the order check
     cands = _rotation_candidates(theta, n)
     order = n * theta.order
-    rows = ([-k * lam.exponent_at(order) for k in range(n)] for lam in cands)
-    values = cyclo.root_sums(nus, rows, order, n)
+    den, traced, fields = 1, {}, {}
+    for k, weight, entry in terms:
+        if not isinstance(entry, tuple):
+            q = entry.as_rational() if k == 0 else None
+            if q is None:
+                fields.setdefault(k, []).append((weight, entry))
+                continue
+            entry = (q.numerator,), q.denominator  # nu_0 is its own trace
+        ints, d = entry
+        if den % d:
+            scale = d // math.gcd(den, d)
+            den *= scale
+            traced = {m: [scale * t for t in row] for m, row in traced.items()}
+        weight *= den // d
+        row = traced.get(len(ints))
+        traced[len(ints)] = ([weight * t for t in ints] if row is None
+                             else [u + weight * t for u, t in zip(row, ints)])
+    const = traced.pop(1, (0,))[0]  # the n1 = 1 traces, nu_0, are the same for every lambda
+    sums = [const] * n
+    if traced:
+        s0 = -(cands[0].exponent_at(order) + pinned().exponent_at(order)) // theta.order
+        for row in traced.values():
+            m = len(row)
+            sums = [t + row[(s0 - i) % m] for i, t in enumerate(sums)]
+    if fields:
+        # the field terms and the constant traces by one root_sums call; the others,
+        # which only data that failed its checks gives, are added after
+        ks = [0, *fields]
+        values = [const if den == 1 else Fraction(const, den)]
+        values += [cyclo.dot(*zip(*fields[k])) for k in fields]
+        rows = ([-k * lam.exponent_at(order) for k in ks] for lam in cands)
+        values = cyclo.root_sums(values, rows, order, n)
+        if traced:
+            values = [v + Fraction(t - const, n * den) for v, t in zip(values, sums)]
+    else:
+        values = [Cyclotomic._make(1, [t], n * den) for t in sums]
     return [
         (lam, _require_count(value, lambda lam=lam: describe(lam)))
         for lam, value in zip(cands, values)
@@ -138,8 +233,9 @@ def rotation_spectrum(
     pairs = _candidate_counts(
         cd.theta[b],
         n,
-        (nu_general(cd, b, n, k, a, root_shift=root_shift) for k in range(n)),
+        _row_terms(cd, b, a, n, 1, root_shift),
         lambda lam: f"multiplicity of {cyclo.format_root(lam)} on Hom({cd.labels[b]}, a^{n})",
+        lambda: _theta_root(cd, b, n, root_shift),
     )
     return SpectrumRow(
         label=cd.labels[b],
@@ -185,10 +281,15 @@ def semisimple_K(
             out[theta.inverse()] = sum(
                 m * hom_dim_under_forgetful(cd, c, a, 1) for c, m in group.items())
             continue
-        nus = (cyclo.dot(group.values(), [nu_general(cd, c, n, k, a) for c in group])
-               for k in range(n))
+        # the simples of one twist share the pinned root, so their terms add up
+        c0 = next(iter(group))
         out.update(_candidate_counts(
-            theta, n, nus, lambda omega: f"K at omega = {cyclo.format_root(omega)}"))
+            theta,
+            n,
+            (term for c, mult in group.items() for term in _row_terms(cd, c, a, n, mult)),
+            lambda omega: f"K at omega = {cyclo.format_root(omega)}",
+            lambda: _theta_root(cd, c0, n, 0),
+        ))
     return out
 
 
@@ -262,7 +363,7 @@ def k2_pairs(
     return tuple(_candidate_counts(
         md.theta[c] / md.theta[b],
         2,
-        (n_hom, nu2_direct(md, fr, c, b, a)),
+        ((0, 1, cyclo.from_rational(n_hom)), (1, 1, nu2_direct(md, fr, c, b, a))),
         lambda omega: f"K^(2) at omega = {cyclo.format_root(omega)}",
     ))
 

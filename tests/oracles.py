@@ -530,3 +530,79 @@ def spectrum(report) -> set:
     return {
         ev for row in report.rows for ev, mult in zip(row.eigenvalues, row.multiplicities) if mult
     }
+
+
+# ---------------------------------------------------------------------------
+# rotation rows, K rows and K^2 pairs by the per-k route: the inverse DFT of the
+# whole indicator sequence nu_{n,k}, k < n, one nu_general call per k, summed by
+# one cyclo.root_sums call. The library sums one field trace per divisor of n
+# instead (mtckit.spectra._candidate_counts); this is the route it replaced.
+
+
+def _candidate_counts_by_k(theta, n, nus, describe):
+    from mtckit import cyclo
+    from mtckit.spectra import _require_count, _rotation_candidates
+
+    cands = _rotation_candidates(theta, n)
+    order = n * theta.order
+    rows = ([-k * lam.exponent_at(order) for k in range(n)] for lam in cands)
+    values = cyclo.root_sums(nus, rows, order, n)
+    return [
+        (lam, _require_count(value, lambda lam=lam: describe(lam)))
+        for lam, value in zip(cands, values)
+    ]
+
+
+def rotation_spectrum_by_k(cd, b, a, n, root_shift=0):
+    """spectra.rotation_spectrum's (eigenvalues, multiplicities) by the per-k route."""
+    from mtckit import cyclo
+    from mtckit.indicators import nu_general
+
+    pairs = _candidate_counts_by_k(
+        cd.theta[b],
+        n,
+        (nu_general(cd, b, n, k, a, root_shift=root_shift) for k in range(n)),
+        lambda lam: f"multiplicity of {cyclo.format_root(lam)} on Hom({cd.labels[b]}, a^{n})",
+    )
+    return tuple(lam for lam, _ in pairs), tuple(k for _, k in pairs)
+
+
+def semisimple_K_by_k(cd, b, a, n):
+    """spectra.semisimple_K by the per-k route."""
+    from mtckit import cyclo
+    from mtckit.indicators import hom_dim_under_forgetful, nu_general
+
+    groups = {}
+    for c, mult in b.items():
+        if mult:
+            groups.setdefault(cd.theta[c], {})[c] = mult
+    out = {}
+    for theta, group in groups.items():
+        if n == 1:  # the one-strand rotation is the identity: P^c_{1,a} is dim Hom(c, a)
+            out[theta.inverse()] = sum(
+                m * hom_dim_under_forgetful(cd, c, a, 1) for c, m in group.items())
+            continue
+        nus = (cyclo.dot(group.values(), [nu_general(cd, c, n, k, a) for c in group])
+               for k in range(n))
+        out.update(_candidate_counts_by_k(
+            theta, n, nus, lambda omega: f"K at omega = {cyclo.format_root(omega)}"))
+    return out
+
+
+def k2_pairs_by_k(md, fr, c, b, a):
+    """spectra.k2_pairs by the per-k route: the sequence (N^b_{c-bar,a,a}, nu_{2,1})."""
+    from mtckit import cyclo
+    from mtckit.indicators import nu2_direct
+
+    cbar = md.dual[c]
+    n_hom = sum(
+        fr.table[b][cbar][e] * fr.table[e][a][a]
+        for e in range(md.rank)
+        if fr.table[e][a][a]
+    )
+    return tuple(_candidate_counts_by_k(
+        md.theta[c] / md.theta[b],
+        2,
+        (n_hom, nu2_direct(md, fr, c, b, a)),
+        lambda omega: f"K^(2) at omega = {cyclo.format_root(omega)}",
+    ))

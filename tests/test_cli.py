@@ -183,6 +183,53 @@ def test_rank_below_one_is_usage_error(tmp_path, capsys, rank):
     assert (code, out, err) == (2, "", f"error: line 1: bad rank '{rank}'\n")
 
 
+def test_rank_above_the_bound_is_usage_error(tmp_path, capsys):
+    # refused at the rank line, before any S entry is parsed (these are not even valid)
+    from mtckit import dataio
+
+    path = tmp_path / "big.mtc"
+    path.write_text(f"rank {dataio.MAX_RANK + 1}\nS:\nnot an entry\nT:\n1\n")
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out, err) == (
+        2, "", f"error: line 1: rank {dataio.MAX_RANK + 1} exceeds the limit of {dataio.MAX_RANK}\n"
+    )
+
+
+def test_text_above_the_bound_is_usage_error(tmp_path, capsys):
+    # a valid vec file padded by a comment past the bound is refused before parsing
+    from mtckit import dataio
+
+    text = "rank 1\nS:\n1\nT:\n1\n"
+    text += "#" * (dataio.MAX_TEXT_CHARS + 1 - len(text)) + "\n"
+    path = tmp_path / "long.mtc"
+    path.write_text(text)
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out, err) == (
+        2, "", f"error: input of {len(text)} characters exceeds the limit of {dataio.MAX_TEXT_CHARS}\n"
+    )
+    path.write_text(text[: dataio.MAX_TEXT_CHARS - 1] + "\n")  # at the bound it is read
+    assert run(capsys, "validate", str(path))[0] == 0
+
+
+def test_off_field_indicator_value_exits_three(tmp_path, capsys, monkeypatch):
+    # a nu_{3,1} value off Q(zeta_3) fails its trace entry's subfield check; the
+    # data is read from a file, so the catalog's center keeps no patched entry
+    from mtckit import cyclo, dataio, spectra
+
+    real = spectra.nu_general
+
+    def off_field(cd, b, n, k, a, root_shift=0):
+        v = real(cd, b, n, k, a, root_shift=root_shift)
+        return v + cyclo.zeta(7) if k == 1 else v
+
+    path = tmp_path / "fib.mtc"
+    path.write_text(dataio.format_modular_data(dataio.catalog("fibonacci")))
+    monkeypatch.setattr(spectra, "nu_general", off_field)
+    code, out, err = run(capsys, "rotation", str(path), "--object", "tau", "--n", "3")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: value of order ") and "does not descend to Q(zeta_3)" in err
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "validate", "no/such/file.mtc")
     assert code == 2

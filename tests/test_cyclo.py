@@ -176,6 +176,50 @@ class TestGalois:
             assert (x + y).conjugate() == x.conjugate() + y.conjugate()
 
 
+    def test_identity_checks_the_field(self):
+        # k = 1 returns the value at order m, after the same descent check
+        x = galois_apply(zeta(12) ** 8, 1, 3)
+        assert (x.order, x) == (3, zeta(3) ** 2)
+        assert galois_apply(from_rational(Fraction(7, 3)), 1, 4).order == 4
+        with pytest.raises(DescentError):
+            galois_apply(zeta(12), 1, 3)
+
+
+class TestTraces:
+    @staticmethod
+    def _trace(x, n):
+        # the sum of the Galois conjugates of x over Q, by galois_apply
+        units = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
+        return sum((galois_apply(x, k, n) for k in units[1:]), galois_apply(x, units[0], n))
+
+    def test_sum_of_conjugates(self):
+        # Tr(zeta_n^s x) for every s < n, with denominators, at orders with repeated,
+        # several and single prime factors
+        rng = random.Random(23)
+        for n in (1, 2, 3, 4, 6, 8, 9, 12, 13, 15, 30, 36, 39, 60):
+            for _ in range(3):
+                x = rand_cyclotomic(rng, n).embedded(n)
+                ints, den = cyclo.traces(x)
+                assert len(ints) == n
+                for s, t in enumerate(ints):
+                    want = self._trace(cyclo.times_root(x, RootOfUnity.make(n, s)), n)
+                    assert want == Fraction(t, den), (n, s)
+
+    def test_ramanujan_sums_at_large_order(self):
+        # Tr(zeta_n^j) = c_n(j) = mu(n/d) phi(n)/phi(n/d), d = gcd(j, n), read off
+        # the traces of 1 at n = 1,200 (phi = 320) and of zeta_n^j for a few j
+        n = 1200
+        ints, den = cyclo.traces(from_rational(1).embedded(n))
+        mobius = {1: 1, 2: -1, 3: -1, 5: -1, 6: 1, 10: 1, 15: 1, 30: -1}
+        for j in range(n):
+            m = n // math.gcd(j, n)
+            c = mobius.get(m, 0) * cyclo.euler_phi(n) // cyclo.euler_phi(m)
+            assert (ints[j], den) == (c, 1), j
+        for j in (1, 7, 319, 320, 1199):
+            shifted, _ = cyclo.traces(root_of_unity(n, j).embedded(n))
+            assert shifted == ints[j:] + ints[:j]
+
+
 class TestDescent:
     def test_examples(self):
         minus_one = from_rational(-1).embedded(12)

@@ -4,7 +4,8 @@ at the order-1 zero, no root-of-unity sum built from field products, no
 root of unity entering indicators or spectra as a field value, no
 module-level cache beyond the ones that exist, no verlinde call outside
 ModularData.ring, no multiplicity summed or gated outside
-spectra._candidate_counts, no control flow through a caught DescentError, and no
+spectra._candidate_counts, no Galois step in spectra outside
+spectra._trace_entry, no control flow through a caught DescentError, and no
 library name that a hook of the benchmark's tracer (mtcbench/spans.py)
 wraps gone missing."""
 
@@ -309,6 +310,14 @@ def test_one_routine_sums_and_gates_every_multiplicity():
     for name in ("root_sums", "_require_count"):
         scopes = list(_calls_by_scope(tree, name))
         assert scopes == ["_candidate_counts"], f"{name} called from {scopes}"
+
+
+def test_only_trace_entries_take_a_galois_step():
+    # a rotation or K row reads each divisor's Galois orbit as a trace from the
+    # center's table; only _trace_entry checks a value's field, once per entry
+    tree = ast.parse((SRC / "spectra.py").read_text())
+    scopes = list(_calls_by_scope(tree, "galois_apply"))
+    assert scopes == ["_trace_entry"], f"galois_apply called from {scopes}"
 
 
 def _descent_handlers(tree):

@@ -168,6 +168,7 @@ class TestBraids:
         # the simples of one twist share their candidates omega, so a braid call takes
         # each nu^b_{n,k}(a) once, not once per omega
         md, fr = fixture_data["haagerup-center"]
+        md = dataclasses.replace(md)  # a fresh center: trace entries read the patched nu_general
         real = spectra.nu_general
         seen = []
 
@@ -368,11 +369,12 @@ class TestIntegralityGuards:
             for a in range(4):
                 sigma_spectrum_n2(bad, fr, a)
 
-    def test_non_integer_indicators_raise(self, fixture_centers, monkeypatch):
-        # with every nu = 1/3, P(1) on Hom(1, 1^(x)2) is 1/3
+    def test_non_integer_indicators_raise(self, fixture_data, monkeypatch):
+        # with every nu = 1/3, P(1) on Hom(1, 1^(x)2) is 1/3; the center is fresh, as
+        # its trace entries keep the patched values
         from mtckit import spectra
 
-        cd = fixture_centers["vec"]
+        cd = deligne_square(*fixture_data["vec"])
         monkeypatch.setattr(
             spectra, "nu_general", lambda *args, **kwargs: cyclo.from_rational(Fraction(1, 3))
         )
@@ -444,11 +446,78 @@ class TestMultiplicitiesAgainstDot:
             )
 
 
-def test_rows_and_k2_pairs_make_no_field_product(fixture_data, fixture_centers, monkeypatch):
-    # no field value is multiplied anywhere, nu_general included: roots enter as
-    # index shifts, and every multiplicity is one integer remainder, so no root
-    # sum is reduced as a polynomial outside nu_general's Galois step
-    products, reductions, inside_nu = [], [], []
+ALL = SMALL + ("haagerup-center",)
+# every braid shape (n, l, m) of the benchmark's spectra-sweep: all with n <= 3
+BRAID_SHAPES = ((2, 0, 0), (2, 1, 0), (2, 0, 1), (3, 0, 0), (3, 1, 0), (3, 0, 1),
+                (3, 1, 1), (3, 2, 0), (3, 0, 2))
+
+
+class TestTracesAgainstTheRouteByK:
+    """The trace route (one field trace per divisor of n, from the center's table)
+    against the per-k route it replaced: one nu_general call per k and one
+    root_sums call (oracles.*_by_k)."""
+
+    @pytest.mark.parametrize("name", ALL)
+    def test_every_rotation_row(self, fixture_centers, name):
+        cd = fixture_centers[name]
+        big = name == "haagerup-center"
+        for n in range(1, 5 if big else 7):
+            for b in range(0, cd.rank, 12 if big else 1):
+                for a in range(cd.base.rank):
+                    for root_shift in (0, 1):
+                        row = rotation_spectrum(cd, b, a, n, root_shift=root_shift)
+                        want = oracles.rotation_spectrum_by_k(cd, b, a, n, root_shift=root_shift)
+                        assert (row.eigenvalues, row.multiplicities) == want, (
+                            name, b, a, n, root_shift)
+
+    @pytest.mark.parametrize("sign", ("over", "under"))
+    def test_k_rows_of_every_braid_shape(self, fixture_data, monkeypatch, sign):
+        real, checked = spectra.semisimple_K, []
+
+        def checking(cd, b, a, n):
+            got = real(cd, b, a, n)
+            assert got == oracles.semisimple_K_by_k(cd, b, a, n), (b, a, n)
+            checked.append(n)
+            return got
+
+        monkeypatch.setattr(spectra, "semisimple_K", checking)
+        for name in ALL:
+            md, fr = fixture_data[name]
+            for a in range(md.rank):
+                for n, l, m in BRAID_SHAPES:
+                    braid_jm_spectrum(md, a, n, l, m, sign=sign, fr=fr)
+        assert set(checked) == {1, 2, 3}
+
+    @pytest.mark.parametrize("name", ALL)
+    def test_every_k2_triple(self, fixture_data, name):
+        md, fr = fixture_data[name]
+        r = md.rank
+        for c in range(r):
+            for b in range(r):
+                for a in range(r):
+                    assert k2_pairs(md, fr, c, b, a) == oracles.k2_pairs_by_k(md, fr, c, b, a)
+
+
+def test_semion_row_at_n_1200_sums_to_the_hom_dimension(fixture_data, fixture_centers):
+    # 1,200 candidates from one trace entry per divisor of 1,200: n = 1,200 is within
+    # the order limit for the row b = 0 (twist 1)
+    md, fr = fixture_data["semion"]
+    cd = fixture_centers["semion"]
+    a = md.index_of("s")
+    row = rotation_spectrum(cd, 0, a, 1200)
+    assert len(row.multiplicities) == 1200
+    powers = power_decompose(fr, a, 1200)
+    want = sum(cd.a_matrix[0][c] * mult for c, mult in powers.items())
+    assert sum(row.multiplicities) == want == 1
+
+
+def test_rows_and_k2_pairs_make_no_field_product(fixture_data, monkeypatch):
+    # a warm rotation row, K row or K^2 pair multiplies no field values and reduces
+    # no polynomial: nu_0 is a hom dimension, every other term is read off the
+    # center's trace table as ints, and a K^2 pair's field term is one integer
+    # remainder. The tables are warmed here, on fresh centers, so the test does not
+    # depend on which tests ran before; each entry is built once, on the first pass
+    products, reductions, built = [], [], []
     mul, reduce, nu_general = cyclo.Cyclotomic.__mul__, cyclo.poly_reduce, spectra.nu_general
 
     def counting_mul(self, other):
@@ -456,45 +525,54 @@ def test_rows_and_k2_pairs_make_no_field_product(fixture_data, fixture_centers, 
         return mul(self, other)
 
     def counting_reduce(p, mod):
-        if not inside_nu:
-            reductions.append(len(p))
+        reductions.append(len(p))
         return reduce(p, mod)
 
-    def marked_nu(*args, **kwargs):
-        inside_nu.append(None)
-        try:
-            return nu_general(*args, **kwargs)
-        finally:
-            inside_nu.pop()
+    def recording_nu(cd, b, n, k, a, root_shift=0):
+        if k == 1:  # only a trace entry reads nu_{n,1}
+            built.append((id(cd), b, n, a))
+        return nu_general(cd, b, n, k, a, root_shift=root_shift)
 
+    monkeypatch.setattr(spectra, "nu_general", recording_nu)
+    centers = {
+        name: deligne_square(*fixture_data[name])
+        for name in ("semion", "toric-code", "fibonacci", "haagerup-center")
+    }
     md, fr = fixture_data["haagerup-center"]
-    k2_pairs(md, fr, 0, 0, 0)  # lifts and packs the twisted S rows once per modular data
+
+    def sweep():
+        for name, cd in centers.items():
+            rows = range(0, cd.rank, 12 if name == "haagerup-center" else 1)
+            mixed = {c: 1 + c % 3 for c in rows}  # a K row over several twists
+            for n in (2, 3, 4):
+                for a in range(cd.base.rank):
+                    for b in rows:
+                        rotation_spectrum(cd, b, a, n)
+                    semisimple_K(cd, mixed, a, n)
+        r = md.rank
+        for c in range(r):
+            for b in range(r):
+                for a in range(r):
+                    k2_pairs(md, fr, c, b, a)
+
+    sweep()  # builds the trace entries and the K^2 rows
+    assert built and len(set(built)) == len(built)
+    first = len(built)
     monkeypatch.setattr(cyclo.Cyclotomic, "__mul__", counting_mul)
     monkeypatch.setattr(cyclo.Cyclotomic, "__rmul__", counting_mul)
     monkeypatch.setattr(cyclo, "poly_reduce", counting_reduce)
-    monkeypatch.setattr(spectra, "nu_general", marked_nu)
-    for name in ("semion", "toric-code", "fibonacci", "haagerup-center"):
-        cd = fixture_centers[name]
-        rows = range(0, cd.rank, 12 if name == "haagerup-center" else 1)
-        for n in (2, 3, 4):
-            for b in rows:
-                for a in range(cd.base.rank):
-                    rotation_spectrum(cd, b, a, n)
-    assert products == [] and reductions == []
-    r = md.rank
-    for c in range(r):
-        for b in range(r):
-            for a in range(r):
-                k2_pairs(md, fr, c, b, a)
-    assert products == [] and reductions == []
+    sweep()
+    assert products == [] and reductions == [] and len(built) == first
 
 
 # IntegralityError texts, pinned byte for byte: each names the exact sum the
-# kernel (cyclo.root_sums) returned, with no value rebuilt for the message.
+# kernel returned, with no value rebuilt for the message. Under the k = 1 fault
+# the two n = 3 calls stop earlier: their trace entry x = rho nu_{3,1} lies off
+# Q(zeta_3), so its subfield check raises DescentError (exit 3, like the others).
 INTEGRALITY_MESSAGES = [
-    "multiplicity of 1 on Hom((tau,tau), a^3) = 1 + 1/3*E(7) is not a non-negative integer",
+    "value of order 21 does not descend to Q(zeta_3); first mismatch at power-basis coordinate 0",
     "K at omega = 1 = 3 + 3/2*E(7) is not a non-negative integer",
-    "K at omega = E(15)^2 = 2 + 2/3*E(105) is not a non-negative integer",
+    "value of order 420 does not descend to Q(zeta_3); first mismatch at power-basis coordinate 0",
     "multiplicity of 1 on Hom((tau,tau), a^3) = -2/3 is not a non-negative integer",
     "multiplicity of 1 on Hom((1,1), a^1) = -5 is not a non-negative integer",
     "K at omega = 1 = -9/2 is not a non-negative integer",
@@ -504,7 +582,6 @@ INTEGRALITY_MESSAGES = [
 
 def test_integrality_messages_are_unchanged(fixture_data, monkeypatch):
     md, fr = fixture_data["fibonacci"]
-    cd = deligne_square(md, fr)
     real = spectra.nu_general
 
     def off_rational(cd, b, n, k, a, root_shift=0):
@@ -516,22 +593,26 @@ def test_integrality_messages_are_unchanged(fixture_data, monkeypatch):
         return v - 5 if k == 0 else v
 
     calls = [
-        lambda: rotation_spectrum(cd, 3, 1, 3),
-        lambda: rotation_spectrum(cd, 0, 1, 1),
-        lambda: semisimple_K(cd, {0: 2, 3: 1}, 1, 2).get(RootOfUnity(1, 0), 0),
-        lambda: semisimple_K(cd, {1: 2, 2: 1}, 1, 3).get(RootOfUnity.make(15, 2), 0),
+        lambda cd: rotation_spectrum(cd, 3, 1, 3),
+        lambda cd: rotation_spectrum(cd, 0, 1, 1),
+        lambda cd: semisimple_K(cd, {0: 2, 3: 1}, 1, 2).get(RootOfUnity(1, 0), 0),
+        lambda cd: semisimple_K(cd, {1: 2, 2: 1}, 1, 3).get(RootOfUnity.make(15, 2), 0),
     ]
     messages = []
     for patch in (off_rational, negative):
+        # the patch reaches nu_0 and the trace entries, which live on the center,
+        # so each patch gets a fresh one
+        cd = deligne_square(md, fr)
         monkeypatch.setattr(spectra, "nu_general", patch)
         for call in calls:
             try:
-                call()
-            except IntegralityError as exc:
+                call(cd)
+            except (IntegralityError, cyclo.DescentError) as exc:
                 messages.append(str(exc))
     assert messages == INTEGRALITY_MESSAGES
 
     monkeypatch.setattr(spectra, "nu_general", real)
+    cd = deligne_square(md, fr)
     assert rotation_spectrum(cd, 0, 1, 1).multiplicities == (0,)  # the unpatched -5 + 5
     direct = spectra.nu2_direct
     monkeypatch.setattr(
