@@ -201,9 +201,12 @@ def deligne_square(md: ModularData, fr: FusionRing) -> CenterData:
 
 
 def center_for(md: ModularData, fr: FusionRing | None = None) -> CenterData:
-    """deligne_square(md, fr or md.ring), kept on md after the first use; it
-    serves both braidings of md (see spectra.braid_jm_spectrum)."""
+    """deligne_square(md, md.ring), kept on md after the first use; it serves
+    both braidings of md (see spectra.braid_jm_spectrum). A ring fr other
+    than md.ring (by identity or by its table) raises ValueError."""
+    if fr is not None and fr is not md.ring and fr != md.ring:
+        raise ValueError("fr is not the fusion ring of md")
     cd = vars(md).get("_center")
     if cd is None:
-        cd = vars(md)["_center"] = deligne_square(md, md.ring if fr is None else fr)
+        cd = vars(md)["_center"] = deligne_square(md, md.ring)
     return cd

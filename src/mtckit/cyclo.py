@@ -527,14 +527,18 @@ def dot(coeffs, values) -> Cyclotomic:
 def times_root(x: Cyclotomic, root: RootOfUnity) -> Cyclotomic:
     """root.value() * x as an index shift: the same value at the same order,
     with no field product. A root of order 1 or 2 keeps x's order, and a zero
-    rational stays the order-1 ZERO."""
+    rational stays the order-1 ZERO. At the common order L, x is packed with
+    its numerators spread L/order(x) slots apart (Packing) and shifted by the
+    root's exponent, so no slot folded modulo x^L - 1 holds two numerators,
+    and one remainder reduces it."""
     if root.order <= 2:
         return x if root.order == 1 else -x
     if x.order == 1 and not x._num[0]:
         return ZERO
     order = math.lcm(root.order, x.order)
-    p = index_map(x._num, x.order, order, 1, root.exponent_at(order))
-    return Cyclotomic._make(order, poly_reduce(p, cyclotomic_polynomial(order)), x._den)
+    p = Packing(order, max(map(abs, x._num)))
+    value = poly_pack(x._num, p.width * (order // x.order)) << (root.exponent_at(order) * p.width)
+    return Cyclotomic._make(order, p.unpack(p.reduce(value)), x._den)
 
 
 def root_sums(values, exponent_rows, order: int, den: int = 1) -> list[Cyclotomic]:

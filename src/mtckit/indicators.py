@@ -205,13 +205,10 @@ def hom_dim_under_forgetful(cd: CenterData, b: int, a: int | ObjectMultiset, n: 
     return sum(arow[c] * mult for c, mult in powers.items())
 
 
-def _theta_root(cd: CenterData, b: int, n: int, shift: int) -> RootOfUnity:
-    # theta_b = zeta_M^t with M the center conductor; the pinned n-th root is
-    # zeta_{Mn}^t (shift selects the alternative root for independence tests)
-    m_cond = cd.conductor
-    t = cd.theta[b]
-    exp = t.exponent_at(m_cond) + shift * m_cond
-    return RootOfUnity.make(m_cond * n, exp)
+def _theta_root(theta: RootOfUnity, n: int, shift: int) -> RootOfUnity:
+    # theta = zeta_q^e in lowest terms; the pinned n-th root is zeta_{nq}^(e + shift q)
+    # (shift selects the alternative root for independence tests)
+    return RootOfUnity.make(n * theta.order, theta.exponent + shift * theta.order)
 
 
 def nu_general(
@@ -237,10 +234,12 @@ def nu_general(
     no field product either. The Galois step is cyclo.galois_apply, so a
     value outside Q(zeta_{n/g}) fails its descent check with DescentError.
 
-    Rotation and K rows (mtckit.spectra) read only k = 0 and k = 1 here: the
-    other k of a row enter as one field trace per divisor g of n, taken from
-    the traces of theta_b^(g/n) nu^b_{n/g,1}, which the center keeps per base
-    simple and whose field is checked in the same way, once per entry.
+    Rotation and K rows (mtckit.spectra) read only k = 0 and k = 1 here, and
+    each value they read becomes a trace entry whose field is checked in the
+    same way: nu_0 must be rational, and the other k of a row enter as one
+    field trace per divisor g of n, taken from the traces of theta_b^(g/n)
+    nu^b_{n/g,1}, which the center keeps per base simple once its value is
+    checked to lie in Q(zeta_{n/g}), at every n/g, 2 included.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -260,7 +259,7 @@ def nu_general(
     if k1 == 1:
         # theta^{-k0/n} * theta^{g/n} = 1 when k0 == g
         return cyclo.times_root(nu1, prefactor)
-    root = _theta_root(cd, b, n, root_shift)
+    root = _theta_root(cd.theta[b], n, root_shift)
     result = cyclo.galois_apply(cyclo.times_root(nu1, root**g), k1, n1)
     return cyclo.times_root(result, prefactor * root ** (-k0))
 

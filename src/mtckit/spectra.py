@@ -9,7 +9,7 @@ value theta_a^-1 omega occurs with multiplicity K^{a-bar^(l+m) (x) b~}(omega).
 Roots of unity (twists, candidate eigenvalues, omega) are handled by
 exponent as RootOfUnity. One routine (_candidate_counts) computes and gates
 every multiplicity: given a twist, n and the terms of the inverse DFT, it
-returns each candidate lambda with its count. The terms are field traces
+returns each candidate lambda with its count. Every term is a field trace
 (arXiv:1611.00071; Ng-Schauenburg, arXiv:0806.2493): with rho = theta_b^(1/n)
 the pinned root of indicators._theta_root and mu = (lambda rho)^-1 = zeta_n^s,
 the Galois orbit {nu_{n,k} : gcd(k, n) = g} sums to one trace, so
@@ -17,28 +17,26 @@ the Galois orbit {nu_{n,k} : gcd(k, n) = g} sums to one trace, so
     P^b_{n,a}(lambda^-1) = (1/n) [nu_0 + sum_{g | n, g < n} Tr_{Q(zeta_n1)/Q}(mu^g x_g)]
 
 with n1 = n/g, x_g = rho^g nu^b_{n1,1}(a^g) in Q(zeta_n1) and nu_0 = dim
-Hom(b, a^(x)n). Each center keeps a trace table, filled as rows read it:
-entry (n1, b, c), for a base simple c, holds the n1 ints Tr(zeta_n1^s x) of
-x = theta_b^(1/n1) nu^b_{n1,1}(c) over one denominator (cyclo.traces), so
-x_g's traces are the mult(a^g, c)-weighted sums of entries and a row adds
-ints. Building an entry reads nu_{n1,1} through nu_general (k = 1), and checks
-that x lies in Q(zeta_n1) as galois_apply does; a value off that field (data
-that breaks the indicator identities) raises cyclo.DescentError. At n1 = 2
-nothing is checked: a rational x is (x, -x), and any other x stays a field
-value. For each (b, c) read the table holds sum n1 ints, one entry per
-divisor n1 of an n asked for, and the order limit (cyclo.get_order_limit)
-bounds every n1: a row's candidates are checked against it before any entry
-is built.
+Hom(b, a^(x)n), the trace at n1 = 1. A term is an entry (_entry): the n1 ints
+Tr(zeta_n1^s x), s < n1, of its value x over one denominator (cyclo.traces),
+after a check that x lies in Q(zeta_n1) as galois_apply makes; a value off
+that field (data that breaks the indicator identities) raises
+cyclo.DescentError. So every count is an integer sum of entries. Each center
+keeps a trace table, filled as rows read it: entry (n1, b, c), for a base
+simple c, is that of x = theta_b^(1/n1) nu^b_{n1,1}(c), so x_g's traces are
+the mult(a^g, c)-weighted sums of entries and a row adds ints. Building an
+entry reads nu_{n1,1} through nu_general (k = 1). For each (b, c) read the
+table holds sum n1 ints, one entry per divisor n1 of an n asked for, and the
+order limit (cyclo.get_order_limit) bounds every n1: a row's candidates are
+checked against it before any entry is built.
 
 A rotation row sums its own entries; the K row of a semisimple center object
 (semisimple_K) adds, per twist, its simples' entries with int weights; the
-n = 2 braid values (k2_pairs) pass nu_0 = N^b_{c-bar,a,a} and nu_{2,1} from
-the packed twisted S rows of indicators.nu2_direct, with no center and no
-table. Field terms (such as that nu_{2,1}, a non-rational nu_0 or an n1 = 2
-entry outside Q) enter as nu lambda^-k through one cyclo.root_sums call, one
-big-int remainder per candidate. No two field values are multiplied, and no
-sum of a row is reduced as a polynomial. Tensor powers are kept on the fusion
-ring.
+n = 2 braid values (k2_pairs) pass nu_0 = N^b_{c-bar,a,a} and the entry of
+theta^(1/2) nu_{2,1}, with nu_{2,1} from the packed twisted S rows of
+indicators.nu2_direct, with no center and no table. No two field values are
+multiplied, and no sum of a row is reduced as a polynomial. Tensor powers are
+kept on the fusion ring.
 
 Every multiplicity must be a non-negative rational integer; anything else
 raises IntegralityError, which doubles as an end-to-end data check. Its
@@ -116,32 +114,31 @@ def _rotation_candidates(theta_b: RootOfUnity, n: int) -> list[RootOfUnity]:
     return [RootOfUnity.make(n * q, base + q * i) for i in range(n)]
 
 
+def _entry(x: Cyclotomic, n1: int):
+    # the traces Tr(zeta_n1^s x), s < n1, as (ints, den). x must lie in Q(zeta_n1), which
+    # galois_apply checks as it does in nu_general; a rational x at n1 <= 2 is read
+    # directly, as its own trace (n1 = 1) or (x, -x)
+    if n1 <= 2 and (q := x.as_rational()) is not None:
+        return (q.numerator,) if n1 == 1 else (q.numerator, -q.numerator), q.denominator
+    return cyclo.traces(cyclo.galois_apply(x, 1, n1))
+
+
 def _trace_entry(cd: CenterData, n1: int, b: int, c: int):
-    # the traces Tr(zeta_n1^s x), s < n1, of x = theta_b^(1/n1) nu^b_{n1,1}(c) with the
-    # pinned root, as (ints, den), built once per center. x must lie in Q(zeta_n1),
-    # which galois_apply checks as it does in nu_general. At n1 = 2 nu_general takes
-    # no Galois step, so nothing is checked: a rational x is (x, -x), and any other
-    # entry is the field value nu_{2,1}(c) itself
+    # the entry of x = theta_b^(1/n1) nu^b_{n1,1}(c) with the pinned root, built once
+    # per center
     key = (n1, b, c)
     entry = cd._trace_cache.get(key)
     if entry is None:
-        nu = nu_general(cd, b, n1, 1, c)
-        x = cyclo.times_root(nu, _theta_root(cd, b, n1, 0))
-        if n1 > 2:
-            entry = cyclo.traces(cyclo.galois_apply(x, 1, n1))
-        elif (q := x.as_rational()) is not None:
-            entry = (q.numerator, -q.numerator), q.denominator
-        else:
-            entry = nu
-        cd._trace_cache[key] = entry
+        x = cyclo.times_root(nu_general(cd, b, n1, 1, c), _theta_root(cd.theta[b], n1, 0))
+        entry = cd._trace_cache[key] = _entry(x, n1)
     return entry
 
 
 def _row_terms(cd: CenterData, b: int, a, n: int, weight: int, root_shift: int = 0):
-    # the terms (k, weight, entry) of P^b_{n,a}: nu_0 at k = 0, then for each divisor
-    # g < n one trace entry per simple of a^g at k = g. The pinned root with shift
-    # sigma multiplies x_g by zeta_{n/g}^sigma, which moves its traces by sigma
-    yield 0, weight, nu_general(cd, b, n, 0, a)
+    # the terms (weight, entry) of P^b_{n,a}: nu_0 at n1 = 1, then for each divisor
+    # g < n one trace entry at n1 = n/g per simple of a^g. The pinned root with shift
+    # sigma multiplies x_g by zeta_{n1}^sigma, which moves its traces by sigma
+    yield weight, _entry(nu_general(cd, b, n, 0, a), 1)
     for g in range(1, n):
         if n % g:
             continue
@@ -150,34 +147,24 @@ def _row_terms(cd: CenterData, b: int, a, n: int, weight: int, root_shift: int =
         for c, mult in power_decompose(cd.base_ring, a, g).items():
             if mult:
                 entry = _trace_entry(cd, n1, b, c)
-                if shift and isinstance(entry, tuple):
+                if shift:
                     entry = entry[0][shift:] + entry[0][:shift], entry[1]
-                yield g, weight * mult, entry
+                yield weight * mult, entry
 
 
 def _candidate_counts(
-    theta: RootOfUnity, n: int, terms, describe, pinned=None
+    theta: RootOfUnity, n: int, terms, describe, root_shift: int = 0
 ) -> list[tuple[RootOfUnity, int]]:
-    # each candidate lambda (lambda^n = theta^-1) with its count (1/n) sum_k T_k(lambda),
-    # gated with describe(lambda) as its name. A term (k, weight, entry) adds weight
-    # times T_k, read off its entry:
-    # - traces (ints, den) of x = rho^k nu_{n/k,1}: T_k = Tr(mu^k x) = ints[s mod n/k] / den,
-    #   where rho = pinned() is a root with rho^n = theta and mu = (lambda rho)^-1 = zeta_n^s;
-    # - a rational value nu_0 at k = 0: its own trace, T_0 = nu_0;
-    # - any other value nu, a field term: T_k = nu lambda^-k.
-    # Traces add up as ints over one denominator; field terms go through one root_sums
-    # call. terms and pinned are only read once the candidates passed the order check
+    # each candidate lambda (lambda^n = theta^-1) with its count, (1/n) times the sum
+    # of its terms, gated with describe(lambda) as its name. A term (weight, (ints, den))
+    # is the entry of x = rho^g nu_{n1,1}, n1 = n/g, rho = _theta_root(theta, n,
+    # root_shift): with mu = (lambda rho)^-1 = zeta_n^s it adds weight Tr(mu^g x) =
+    # weight ints[s mod n1] / den. The n1 = 1 entry, nu_0, is the same for every
+    # lambda. Entries add up as ints over one denominator; terms are only read once
+    # the candidates passed the order check
     cands = _rotation_candidates(theta, n)
-    order = n * theta.order
-    den, traced, fields = 1, {}, {}
-    for k, weight, entry in terms:
-        if not isinstance(entry, tuple):
-            q = entry.as_rational() if k == 0 else None
-            if q is None:
-                fields.setdefault(k, []).append((weight, entry))
-                continue
-            entry = (q.numerator,), q.denominator  # nu_0 is its own trace
-        ints, d = entry
+    den, traced = 1, {}
+    for weight, (ints, d) in terms:
         if den % d:
             scale = d // math.gcd(den, d)
             den *= scale
@@ -186,28 +173,17 @@ def _candidate_counts(
         row = traced.get(len(ints))
         traced[len(ints)] = ([weight * t for t in ints] if row is None
                              else [u + weight * t for u, t in zip(row, ints)])
-    const = traced.pop(1, (0,))[0]  # the n1 = 1 traces, nu_0, are the same for every lambda
-    sums = [const] * n
+    sums = [traced.pop(1, (0,))[0]] * n
     if traced:
-        s0 = -(cands[0].exponent_at(order) + pinned().exponent_at(order)) // theta.order
+        order = n * theta.order
+        rho = _theta_root(theta, n, root_shift)
+        s0 = -(cands[0].exponent_at(order) + rho.exponent_at(order)) // theta.order
         for row in traced.values():
             m = len(row)
             sums = [t + row[(s0 - i) % m] for i, t in enumerate(sums)]
-    if fields:
-        # the field terms and the constant traces by one root_sums call; the others,
-        # which only data that failed its checks gives, are added after
-        ks = [0, *fields]
-        values = [const if den == 1 else Fraction(const, den)]
-        values += [cyclo.dot(*zip(*fields[k])) for k in fields]
-        rows = ([-k * lam.exponent_at(order) for k in ks] for lam in cands)
-        values = cyclo.root_sums(values, rows, order, n)
-        if traced:
-            values = [v + Fraction(t - const, n * den) for v, t in zip(values, sums)]
-    else:
-        values = [Cyclotomic._make(1, [t], n * den) for t in sums]
     return [
-        (lam, _require_count(value, lambda lam=lam: describe(lam)))
-        for lam, value in zip(cands, values)
+        (lam, _require_count(Cyclotomic._make(1, [t], n * den), lambda lam=lam: describe(lam)))
+        for lam, t in zip(cands, sums)
     ]
 
 
@@ -235,7 +211,7 @@ def rotation_spectrum(
         n,
         _row_terms(cd, b, a, n, 1, root_shift),
         lambda lam: f"multiplicity of {cyclo.format_root(lam)} on Hom({cd.labels[b]}, a^{n})",
-        lambda: _theta_root(cd, b, n, root_shift),
+        root_shift,
     )
     return SpectrumRow(
         label=cd.labels[b],
@@ -282,13 +258,11 @@ def semisimple_K(
                 m * hom_dim_under_forgetful(cd, c, a, 1) for c, m in group.items())
             continue
         # the simples of one twist share the pinned root, so their terms add up
-        c0 = next(iter(group))
         out.update(_candidate_counts(
             theta,
             n,
             (term for c, mult in group.items() for term in _row_terms(cd, c, a, n, mult)),
             lambda omega: f"K at omega = {cyclo.format_root(omega)}",
-            lambda: _theta_root(cd, c0, n, 0),
         ))
     return out
 
@@ -352,7 +326,9 @@ def k2_pairs(
     K = [omega^2 = theta_b/theta_c] (omega^-1 nu^{c (x) b~}_{2,1}(a) +
     N^b_{c-bar,a,a}) / 2, computed without constructing the center: the two
     omega are the n = 2 candidates of the twist theta_c/theta_b, and the
-    sequence is (N, nu). The two counts sum to N, since the omega^-1 sum to 0.
+    terms are N and the entry of rho nu (rho the pinned root of that twist),
+    a value that must be rational. The two counts sum to N, since the
+    omega^-1 sum to 0.
     """
     cbar = md.dual[c]
     n_hom = sum(
@@ -360,10 +336,12 @@ def k2_pairs(
         for e in range(md.rank)
         if fr.table[e][a][a]
     )
+    theta = md.theta[c] / md.theta[b]
+    x = cyclo.times_root(nu2_direct(md, fr, c, b, a), _theta_root(theta, 2, 0))
     return tuple(_candidate_counts(
-        md.theta[c] / md.theta[b],
+        theta,
         2,
-        ((0, 1, cyclo.from_rational(n_hom)), (1, 1, nu2_direct(md, fr, c, b, a))),
+        ((1, ((n_hom,), 1)), (1, _entry(x, 2))),
         lambda omega: f"K^(2) at omega = {cyclo.format_root(omega)}",
     ))
 

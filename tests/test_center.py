@@ -282,6 +282,22 @@ def test_the_center_lives_and_dies_with_its_data(fixture_data):
     assert alive() is None
 
 
+def test_the_center_is_built_on_the_data_ring(fixture_data, fixture_centers):
+    # center_for builds on md.ring and refuses any other ring, so no ring a first
+    # caller passed stays on the data for later callers
+    from mtckit.spectra import rotation_spectrum
+
+    md, _ = fixture_data["fibonacci"]
+    fresh = dataclasses.replace(md)
+    with pytest.raises(ValueError):
+        center_for(fresh, fixture_data["semion"][1])
+    cd = center_for(fresh, verlinde(fresh))  # an equal ring is the same ring
+    assert center_for(fresh) is cd and cd.base_ring is fresh.ring
+    tau = fresh.index_of("tau")
+    b = cd.pair_index(tau, tau)
+    assert rotation_spectrum(cd, b, tau, 3) == rotation_spectrum(fixture_centers["fibonacci"], b, tau, 3)
+
+
 def test_corrupt_twists_rejected(fixture_data):
     # all-trivial twists break the Gauss-sum identity; the pipeline must
     # refuse to build a center from them (at charge recognition or at the

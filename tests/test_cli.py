@@ -212,11 +212,13 @@ def test_text_above_the_bound_is_usage_error(tmp_path, capsys):
 
 
 def test_off_field_indicator_value_exits_three(tmp_path, capsys, monkeypatch):
-    # a nu_{3,1} value off Q(zeta_3) fails its trace entry's subfield check; the
-    # data is read from a file, so the catalog's center keeps no patched entry
+    # a nu_{n,1} value off Q(zeta_n) fails its trace entry's subfield check, at n = 3
+    # and at n = 2, where the entry is rational, and so does an off-Q nu_{2,1} of a
+    # braid generator's K^2 pair; the data is read from a file, so the catalog's
+    # center keeps no patched entry
     from mtckit import cyclo, dataio, spectra
 
-    real = spectra.nu_general
+    real, direct = spectra.nu_general, spectra.nu2_direct
 
     def off_field(cd, b, n, k, a, root_shift=0):
         v = real(cd, b, n, k, a, root_shift=root_shift)
@@ -225,9 +227,15 @@ def test_off_field_indicator_value_exits_three(tmp_path, capsys, monkeypatch):
     path = tmp_path / "fib.mtc"
     path.write_text(dataio.format_modular_data(dataio.catalog("fibonacci")))
     monkeypatch.setattr(spectra, "nu_general", off_field)
-    code, out, err = run(capsys, "rotation", str(path), "--object", "tau", "--n", "3")
-    assert (code, out) == (3, "")
-    assert err.startswith("error: value of order ") and "does not descend to Q(zeta_3)" in err
+    monkeypatch.setattr(spectra, "nu2_direct", lambda *args: direct(*args) + cyclo.zeta(7))
+    for argv, field in (
+        (("rotation", "--object", "tau", "--n", "3"), "Q(zeta_3)"),
+        (("rotation", "--object", "tau", "--n", "2"), "Q(zeta_2)"),
+        (("report", "--braid-sigma", "--object", "tau"), "Q(zeta_2)"),
+    ):
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("error: value of order ") and f"does not descend to {field}" in err
 
 
 def test_missing_file_is_usage_error(capsys):

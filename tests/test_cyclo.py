@@ -220,6 +220,47 @@ class TestTraces:
             assert shifted == ints[j:] + ints[:j]
 
 
+class TestTimesRoot:
+    @staticmethod
+    def _by_index_map(x, root):
+        # the product reduced as a polynomial: the shifted numerators by index_map at
+        # the common order, then poly_reduce modulo Phi of that order
+        if root.order <= 2:
+            return x if root.order == 1 else -x
+        if x.order == 1 and not x._num[0]:
+            return cyclo.ZERO
+        order = math.lcm(root.order, x.order)
+        p = cyclo.index_map(x._num, x.order, order, 1, root.exponent_at(order))
+        return cyclo.Cyclotomic._make(
+            order, _poly.poly_reduce(p, cyclo.cyclotomic_polynomial(order)), x._den
+        )
+
+    def test_matches_the_reduced_index_map(self):
+        # order, numerators and denominator agree for every order L <= 120 and every
+        # root zeta_L^e, on a random value at L or at a divisor of L (numerators
+        # spread apart) with small or wide numerators, a rational and a zero
+        rng = random.Random(31)
+        for order in range(1, 121):
+            divisors = [d for d in range(1, order + 1) if order % d == 0]
+            zero = cyclo.Cyclotomic(order, (0,) * cyclo.euler_phi(order), 1)
+            for e in range(order):
+                root = RootOfUnity.make(order, e)
+                at = order if e % 2 else rng.choice(divisors)
+                bits = 134 if e % 3 == 0 else 5  # numerators past 10^40, or below 16
+                half = 1 << (bits - 1)
+                num = [rng.getrandbits(bits) - half for _ in range(cyclo.euler_phi(at))]
+                values = (
+                    cyclo.Cyclotomic._make(at, num, rng.randint(1, 6)),
+                    from_rational(Fraction(rng.randint(-50, 50), rng.randint(1, 9))),
+                    zero if e % 2 else cyclo.ZERO,
+                )
+                for x in values:
+                    got, want = cyclo.times_root(x, root), self._by_index_map(x, root)
+                    assert (got.order, got._num, got._den) == (want.order, want._num, want._den), (
+                        order, e, x
+                    )
+
+
 class TestDescent:
     def test_examples(self):
         minus_one = from_rational(-1).embedded(12)

@@ -5,7 +5,7 @@ root of unity entering indicators or spectra as a field value, no
 module-level cache beyond the ones that exist, no verlinde call outside
 ModularData.ring, no multiplicity summed or gated outside
 spectra._candidate_counts, no Galois step in spectra outside
-spectra._trace_entry, no control flow through a caught DescentError, and no
+spectra._entry, no control flow through a caught DescentError, and no
 library name that a hook of the benchmark's tracer (mtcbench/spans.py)
 wraps gone missing."""
 
@@ -304,20 +304,23 @@ class ModularData:
 
 def test_one_routine_sums_and_gates_every_multiplicity():
     # rotation rows, K rows and K^2 pairs are each an inverse DFT of an
-    # indicator sequence; only the shared routine takes the root sums and
-    # gates them, so no caller builds candidates or a message path of its own
+    # indicator sequence, summed as integer traces; only the shared routine
+    # gates them, so no caller builds candidates or a message path of its own,
+    # and no multiplicity is summed as field values
     tree = ast.parse((SRC / "spectra.py").read_text())
-    for name in ("root_sums", "_require_count"):
+    scopes = list(_calls_by_scope(tree, "_require_count"))
+    assert scopes == ["_candidate_counts"], f"_require_count called from {scopes}"
+    for name in ("root_sums", "dot"):
         scopes = list(_calls_by_scope(tree, name))
-        assert scopes == ["_candidate_counts"], f"{name} called from {scopes}"
+        assert scopes == [], f"{name} called from {scopes}"
 
 
 def test_only_trace_entries_take_a_galois_step():
-    # a rotation or K row reads each divisor's Galois orbit as a trace from the
-    # center's table; only _trace_entry checks a value's field, once per entry
+    # every term of a rotation row, K row or K^2 pair is a trace entry; only
+    # _entry checks a value's field, once per entry
     tree = ast.parse((SRC / "spectra.py").read_text())
     scopes = list(_calls_by_scope(tree, "galois_apply"))
-    assert scopes == ["_trace_entry"], f"galois_apply called from {scopes}"
+    assert scopes == ["_entry"], f"galois_apply called from {scopes}"
 
 
 def _descent_handlers(tree):

@@ -567,11 +567,11 @@ def test_rows_and_k2_pairs_make_no_field_product(fixture_data, monkeypatch):
 
 # IntegralityError texts, pinned byte for byte: each names the exact sum the
 # kernel returned, with no value rebuilt for the message. Under the k = 1 fault
-# the two n = 3 calls stop earlier: their trace entry x = rho nu_{3,1} lies off
-# Q(zeta_3), so its subfield check raises DescentError (exit 3, like the others).
+# the n = 2 and n = 3 calls stop earlier: their trace entry x = rho nu_{n,1} lies
+# off Q(zeta_n), so its subfield check raises DescentError (exit 3, like the others).
 INTEGRALITY_MESSAGES = [
     "value of order 21 does not descend to Q(zeta_3); first mismatch at power-basis coordinate 0",
-    "K at omega = 1 = 3 + 3/2*E(7) is not a non-negative integer",
+    "value of order 140 does not descend to Q(zeta_2); first mismatch at power-basis coordinate 0",
     "value of order 420 does not descend to Q(zeta_3); first mismatch at power-basis coordinate 0",
     "multiplicity of 1 on Hom((tau,tau), a^3) = -2/3 is not a non-negative integer",
     "multiplicity of 1 on Hom((1,1), a^1) = -5 is not a non-negative integer",
@@ -619,9 +619,11 @@ def test_integrality_messages_are_unchanged(fixture_data, monkeypatch):
         spectra, "nu2_direct",
         lambda *args: direct(*args) + Fraction(1, 3) * cyclo.zeta(3),
     )
-    with pytest.raises(IntegralityError) as exc:
+    with pytest.raises(cyclo.DescentError) as exc:
         k2_pairs(md, fr, 0, 1, 1)
-    assert str(exc.value) == "K^(2) at omega = E(5) = 1/6*E(15)^2 is not a non-negative integer"
+    assert str(exc.value) == (
+        "value of order 60 does not descend to Q(zeta_2); first mismatch at power-basis coordinate 8"
+    )
 
 
 def test_semion_row_at_large_n_sums_to_the_hom_dimension(fixture_data, fixture_centers):
