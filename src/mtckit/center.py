@@ -57,7 +57,8 @@ class CenterData:
 
     def __post_init__(self):
         self._gfs_cache: dict[tuple[int, int], object] = {}
-        # (n1, b, c) -> the traces of spectra's rotation terms (spectra._trace_entry)
+        # (n1, b, c) -> the traces of spectra's rotation terms for n1 >= 3
+        # (spectra._trace_entry); the n1 = 2 ones live on the base modular data
         self._trace_cache: dict[tuple[int, int, int], object] = {}
 
     @property

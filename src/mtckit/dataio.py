@@ -13,8 +13,8 @@ float literals exist anywhere in the format.
 
 .mtc files are line-based: `rank N`, `labels ...`, optional `unit LABEL`,
 then `S:` followed by rank rows of rank comma-separated expressions, then
-`T:` followed by one row of rank comma-separated expressions. `#` starts a
-comment.
+`T:` followed by one row of rank comma-separated expressions. Each directive
+appears at most once. `#` starts a comment.
 """
 
 from __future__ import annotations
@@ -175,8 +175,9 @@ MAX_TEXT_CHARS = 4 << 20
 def parse_file(text: str) -> ModularData:
     """Parse and fully validate a .mtc modular-data file.
 
-    Raises FileFormatError (structure, or a text longer than MAX_TEXT_CHARS or a
-    rank above MAX_RANK, both refused before any entry is parsed),
+    Raises FileFormatError (structure, including a directive given twice, or a
+    text longer than MAX_TEXT_CHARS or a rank above MAX_RANK, both refused before
+    any entry is parsed),
     ExprSyntaxError (entries), ModularDataError (construction), or
     ValidationFailedError (relations).
     """
@@ -192,6 +193,7 @@ def parse_file(text: str) -> ModularData:
 
     lines = text.splitlines()
     i = 0
+    seen: dict[str, int] = {}  # directive -> its line
 
     def next_content_line() -> tuple[int, str] | None:
         nonlocal i
@@ -222,6 +224,9 @@ def parse_file(text: str) -> ModularData:
             break
         line_no, raw = item
         key, _, rest = raw.partition(" ")
+        if key in seen:  # a second one would silently replace the first
+            raise FileFormatError(line_no, f"directive {key!r} repeats the one on line {seen[key]}")
+        seen[key] = line_no
         if key == "rank":
             try:
                 rank = int(rest.strip())

@@ -234,12 +234,12 @@ def nu_general(
     no field product either. The Galois step is cyclo.galois_apply, so a
     value outside Q(zeta_{n/g}) fails its descent check with DescentError.
 
-    Rotation and K rows (mtckit.spectra) read only k = 0 and k = 1 here, and
-    each value they read becomes a trace entry whose field is checked in the
-    same way: nu_0 must be rational, and the other k of a row enter as one
-    field trace per divisor g of n, taken from the traces of theta_b^(g/n)
-    nu^b_{n/g,1}, which the center keeps per base simple once its value is
-    checked to lie in Q(zeta_{n/g}), at every n/g, 2 included.
+    Rotation and K rows (mtckit.spectra) read only k = 1 here, at n >= 3. A
+    row's nu_0 is hom_dim_under_forgetful, and its other k enter as one field
+    trace per divisor g of n, taken from the traces of theta_b^(g/n)
+    nu^b_{n/g,1}, kept per base simple once the value is checked to lie in
+    Q(zeta_{n/g}): the center keeps them for n/g >= 3, and at n/g = 2 the
+    value is nu2_direct's closed form, whose table the modular data keeps.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -266,9 +266,10 @@ def nu_general(
 
 def _k2_rows(md: ModularData, fr: FusionRing, n_sum: int):
     # U[c][d] = theta_d^2 S_{c,d} and V[b][e] = theta_e^-2 S_{b-bar,e}, S lifted once to the
-    # order L of S and every theta^2; packed again if an N^a sum n_sum outgrows the width
+    # order L of S and every theta^2; packed again if an N^a sum n_sum outgrows the width.
+    # The last slot keeps nu2_direct's w rows, which are packed at that width too
     rows = vars(md).get("_k2_rows")
-    if rows is None or n_sum > rows[-1]:
+    if rows is None or n_sum > rows[4]:
         twists = [t**2 for t in md.theta]
         order = math.lcm(*(v.order for row in md.s for v in row), *(t.order for t in twists))
         cells, den = cyclo.lift(md.s, order)
@@ -278,9 +279,14 @@ def _k2_rows(md: ModularData, fr: FusionRing, n_sum: int):
         v = [[cyclo.index_map(x, order, order, 1, -e) for x, e in zip(cells[i], shifts)]
              for i in md.dual]
         n_sum = max(sum(map(sum, mat)) for mat in fr.table)
-        # a slot of U_c[d] w_d sums phi(L) coefficient products; |w_d| <= n_sum max|V|
-        p = cyclo.Packing(order, len(cells[0][0]) * n_sum * cyclo.max_abs(u) * cyclo.max_abs(v))
-        rows = vars(md)["_k2_rows"] = (p, p.pack(u), p.pack(v), den * den, n_sum)
+        # U and V are kept reduced modulo Phi_L, which can grow each max|.| by the order's
+        # growth G; a slot of U_c[d] w_d sums phi(L) coefficient products, and |w_d| <=
+        # n_sum G max|V|
+        growth = cyclo._order_constants(order).growth
+        p = cyclo.Packing(order, len(cells[0][0]) * n_sum * growth * growth
+                          * cyclo.max_abs(u) * cyclo.max_abs(v))
+        u, v = ([[p.reduce(x) for x in row] for row in p.pack(m)] for m in (u, v))
+        rows = vars(md)["_k2_rows"] = (p, u, v, den * den, n_sum, {})
     return rows
 
 
@@ -289,9 +295,17 @@ def nu2_direct(md: ModularData, fr: FusionRing, c: int, b: int, a: int) -> Cyclo
 
     sum_{d,e} U_{c,d} N^a_{d,e} V_{b,e}, U_{c,d} = theta_d^2 S_{c,d}, V_{b,e} =
     theta_e^-2 S_{b-bar,e}; exact and independent of the center. With U and V
-    packed once per modular data, a value is one packed dot product of U_c
-    with w_d = sum_e N^a_{d,e} V_{b,e}, reduced once: no field product.
+    packed and reduced once per modular data, a value is one packed dot product
+    of U_c with w_d = sum_e N^a_{d,e} V_{b,e}, reduced once: no field product.
+    The row w is kept per (b, N^a), so the values at every c of one (b, a)
+    share it.
     """
-    p, u, v, den, _ = _k2_rows(md, fr, sum(map(sum, fr.table[a])))
-    w = [sum(map(mul, row, v[b])) for row in fr.table[a]]
-    return Cyclotomic._make(p.order, p.unpack(p.reduce(sum(map(mul, u[c], w)))), den)
+    rows, key = vars(md).get("_k2_rows"), (b, fr.table[a])
+    # a kept w row was built at a width that holds N^a's sum; only a new one checks it
+    w = None if rows is None else rows[5].get(key)
+    if w is None:
+        rows = _k2_rows(md, fr, sum(map(sum, fr.table[a])))
+        w = rows[5][key] = [sum(map(mul, row, rows[2][b])) for row in fr.table[a]]
+    p, u, _, den = rows[:4]
+    value = p.reduce(sum(map(mul, u[c], w)))
+    return Cyclotomic._make(p.order, p.unpack(value), den) if value else cyclo.ZERO

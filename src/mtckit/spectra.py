@@ -17,26 +17,29 @@ the Galois orbit {nu_{n,k} : gcd(k, n) = g} sums to one trace, so
     P^b_{n,a}(lambda^-1) = (1/n) [nu_0 + sum_{g | n, g < n} Tr_{Q(zeta_n1)/Q}(mu^g x_g)]
 
 with n1 = n/g, x_g = rho^g nu^b_{n1,1}(a^g) in Q(zeta_n1) and nu_0 = dim
-Hom(b, a^(x)n), the trace at n1 = 1. A term is an entry (_entry): the n1 ints
-Tr(zeta_n1^s x), s < n1, of its value x over one denominator (cyclo.traces),
-after a check that x lies in Q(zeta_n1) as galois_apply makes; a value off
-that field (data that breaks the indicator identities) raises
-cyclo.DescentError. So every count is an integer sum of entries. Each center
-keeps a trace table, filled as rows read it: entry (n1, b, c), for a base
-simple c, is that of x = theta_b^(1/n1) nu^b_{n1,1}(c), so x_g's traces are
-the mult(a^g, c)-weighted sums of entries and a row adds ints. Building an
-entry reads nu_{n1,1} through nu_general (k = 1). For each (b, c) read the
-table holds sum n1 ints, one entry per divisor n1 of an n asked for, and the
-order limit (cyclo.get_order_limit) bounds every n1: a row's candidates are
-checked against it before any entry is built.
+Hom(b, a^(x)n) (hom_dim_under_forgetful), the trace at n1 = 1. A term is an
+entry (_entry): the n1 ints Tr(zeta_n1^s x), s < n1, of its value x over one
+denominator (cyclo.traces), after a check that x lies in Q(zeta_n1) as
+galois_apply makes; a value off that field (data that breaks the indicator
+identities) raises cyclo.DescentError. So every count is an integer sum of
+entries. Entries are kept in trace tables, filled as rows read them: entry
+(n1, b, c), for a base simple c, is that of x = theta_b^(1/n1) nu^b_{n1,1}(c),
+so x_g's traces are the mult(a^g, c)-weighted sums of entries and a row adds
+ints. At n1 >= 3 each center keeps the table, and building an entry reads
+nu_{n1,1} through nu_general (k = 1). At n1 = 2 the value is the closed double
+sum of indicators.nu2_direct over the base data, and the table lives on the
+modular data for the ring it was built with (_n2_entry): the center simple
+b = c (x) d~ reads the entry of (c, d, a), so rows build no gfs_matrix(2, 1).
+For each (b, c) read the tables hold sum n1 ints, one entry per divisor n1 of
+an n asked for, and the order limit (cyclo.get_order_limit) bounds every n1: a
+row's candidates are checked against it before any entry is built.
 
 A rotation row sums its own entries; the K row of a semisimple center object
 (semisimple_K) adds, per twist, its simples' entries with int weights; the
-n = 2 braid values (k2_pairs) pass nu_0 = N^b_{c-bar,a,a} and the entry of
-theta^(1/2) nu_{2,1}, with nu_{2,1} from the packed twisted S rows of
-indicators.nu2_direct, with no center and no table. No two field values are
-multiplied, and no sum of a row is reduced as a polynomial. Tensor powers are
-kept on the fusion ring.
+n = 2 braid values (k2_pairs) pass nu_0 = N^b_{c-bar,a,a} and the n = 2 entry
+of (c, b, a), the one the center's rows read, with no center. No two field
+values are multiplied, and no sum of a row is reduced as a polynomial. Tensor
+powers are kept on the fusion ring.
 
 Every multiplicity must be a non-negative rational integer; anything else
 raises IntegralityError, which doubles as an end-to-end data check. Its
@@ -116,16 +119,34 @@ def _rotation_candidates(theta_b: RootOfUnity, n: int) -> list[RootOfUnity]:
 
 def _entry(x: Cyclotomic, n1: int):
     # the traces Tr(zeta_n1^s x), s < n1, as (ints, den). x must lie in Q(zeta_n1), which
-    # galois_apply checks as it does in nu_general; a rational x at n1 <= 2 is read
-    # directly, as its own trace (n1 = 1) or (x, -x)
-    if n1 <= 2 and (q := x.as_rational()) is not None:
-        return (q.numerator,) if n1 == 1 else (q.numerator, -q.numerator), q.denominator
+    # galois_apply checks as it does in nu_general; a rational x at n1 = 2 is read
+    # directly, as (x, -x)
+    if n1 == 2 and (q := x.as_rational()) is not None:
+        return (q.numerator, -q.numerator), q.denominator
     return cyclo.traces(cyclo.galois_apply(x, 1, n1))
 
 
+def _n2_entry(md: ModularData, fr: FusionRing, theta: RootOfUnity, pair: int, a: int):
+    # the entry of x = rho nu^{c (x) b~}_{2,1}(a), pair = c rank + b (the center's index
+    # of c (x) b~) and rho = _theta_root(theta, 2, 0) with theta = theta_c/theta_b, from
+    # the closed form nu2_direct, built once. The table is kept on md for the ring it
+    # was built with; another fr starts a new one
+    table = vars(md).get("_n2_entries")
+    if table is None or table[0] is not fr:
+        table = vars(md)["_n2_entries"] = (fr, {})
+    entries, key = table[1], (pair, a)
+    entry = entries.get(key)
+    if entry is None:
+        x = nu2_direct(md, fr, *divmod(pair, md.rank), a)
+        entry = entries[key] = _entry(cyclo.times_root(x, _theta_root(theta, 2, 0)), 2)
+    return entry
+
+
 def _trace_entry(cd: CenterData, n1: int, b: int, c: int):
-    # the entry of x = theta_b^(1/n1) nu^b_{n1,1}(c) with the pinned root, built once
-    # per center
+    # the entry of x = theta_b^(1/n1) nu^b_{n1,1}(c) with the pinned root, built once:
+    # at n1 = 2 from the base data's closed form, else per center
+    if n1 == 2:
+        return _n2_entry(cd.base, cd.base_ring, cd.theta[b], b, c)
     key = (n1, b, c)
     entry = cd._trace_cache.get(key)
     if entry is None:
@@ -138,7 +159,7 @@ def _row_terms(cd: CenterData, b: int, a, n: int, weight: int, root_shift: int =
     # the terms (weight, entry) of P^b_{n,a}: nu_0 at n1 = 1, then for each divisor
     # g < n one trace entry at n1 = n/g per simple of a^g. The pinned root with shift
     # sigma multiplies x_g by zeta_{n1}^sigma, which moves its traces by sigma
-    yield weight, _entry(nu_general(cd, b, n, 0, a), 1)
+    yield weight, ((hom_dim_under_forgetful(cd, b, a, n),), 1)
     for g in range(1, n):
         if n % g:
             continue
@@ -327,7 +348,9 @@ def k2_pairs(
     N^b_{c-bar,a,a}) / 2, computed without constructing the center: the two
     omega are the n = 2 candidates of the twist theta_c/theta_b, and the
     terms are N and the entry of rho nu (rho the pinned root of that twist),
-    a value that must be rational. The two counts sum to N, since the
+    a value that must be rational. That entry is read from the n = 2 table
+    that md keeps for fr, which the center's rows share; it is built from
+    indicators.nu2_direct on first use. The two counts sum to N, since the
     omega^-1 sum to 0.
     """
     cbar = md.dual[c]
@@ -337,11 +360,10 @@ def k2_pairs(
         if fr.table[e][a][a]
     )
     theta = md.theta[c] / md.theta[b]
-    x = cyclo.times_root(nu2_direct(md, fr, c, b, a), _theta_root(theta, 2, 0))
     return tuple(_candidate_counts(
         theta,
         2,
-        ((1, ((n_hom,), 1)), (1, _entry(x, 2))),
+        ((1, ((n_hom,), 1)), (1, _n2_entry(md, fr, theta, c * md.rank + b, a))),
         lambda omega: f"K^(2) at omega = {cyclo.format_root(omega)}",
     ))
 

@@ -183,6 +183,17 @@ def test_rank_below_one_is_usage_error(tmp_path, capsys, rank):
     assert (code, out, err) == (2, "", f"error: line 1: bad rank '{rank}'\n")
 
 
+def test_repeated_directive_is_usage_error(tmp_path, capsys):
+    # a second T: section would turn the semion into the anti-semion
+    from mtckit import dataio
+
+    text = dataio.format_modular_data(dataio.catalog("semion"))
+    path = tmp_path / "twice.mtc"
+    path.write_text(text + "T:\n1, -E(4)\n")
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out, err) == (2, "", "error: line 9: directive 'T:' repeats the one on line 7\n")
+
+
 def test_rank_above_the_bound_is_usage_error(tmp_path, capsys):
     # refused at the rank line, before any S entry is parsed (these are not even valid)
     from mtckit import dataio

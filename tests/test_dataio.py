@@ -154,6 +154,25 @@ class TestParseFile:
         with pytest.raises(FileFormatError):
             parse_file("rang 1\nS:\n1\nT:\n1\n")
 
+    @pytest.mark.parametrize("directive, extra", (
+        ("rank", "rank 2"),
+        ("labels", "labels a b"),
+        ("unit", "unit 1"),
+        ("S:", "S:\n1, 1\n1, -1"),
+        # a second T: used to win: these are the anti-semion twists
+        ("T:", "T:\n1, -E(4)"),
+    ))
+    def test_repeated_directive_is_refused_at_its_line(self, fixture_data, directive, extra):
+        text = format_modular_data(fixture_data["semion"][0])  # one line per directive
+        first = text.splitlines().index(next(
+            line for line in text.splitlines() if line.partition(" ")[0] == directive)) + 1
+        lines = text.count("\n")
+        with pytest.raises(FileFormatError) as info:
+            parse_file(text + extra + "\n")
+        assert info.value.line_no == lines + 1
+        assert str(info.value) == (
+            f"line {lines + 1}: directive {directive!r} repeats the one on line {first}")
+
 
 class TestCatalog:
     def test_names(self):

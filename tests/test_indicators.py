@@ -405,7 +405,7 @@ class TestNu2Direct:
 
 class TestCrossRoute:
     def test_nu2_direct_equals_gfs(self, fixture_data, fixture_centers):
-        for name in SMALL:
+        for name in SMALL + ("haagerup-center",):
             md, fr = fixture_data[name]
             cd = fixture_centers[name]
             table = gfs_matrix(cd, 2, 1)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,9 +7,9 @@ import pytest
 
 import oracles
 from mtckit import cyclo, spectra
-from mtckit.center import deligne_square
+from mtckit.center import center_for, deligne_square
 from mtckit.cyclo import RootOfUnity
-from mtckit.fusion_ring import power_decompose, verlinde
+from mtckit.fusion_ring import FusionRing, power_decompose, verlinde
 from mtckit.indicators import hom_dim_under_forgetful
 from mtckit.modular_data import ModularData
 from mtckit.spectra import (
@@ -195,15 +196,16 @@ class TestBraids:
                 assert rows_data(jm3) == rows_data(sg3), (name, a)
 
     def test_k2_pairs_equal_the_center_route(self, fixture_data, fixture_centers):
-        # each K^2 triple is the n = 2 K row of the one center simple c (x) b~,
-        # which semisimple_K computes on the center from nu_general
+        # each K^2 triple is the n = 2 K row of the one center simple c (x) b~. K^2
+        # pairs and the center's rows read one table of closed-form entries, so the
+        # row comes from the per-k route, through nu_general and gfs_matrix(2, 1)
         for name, (md, fr) in fixture_data.items():
             cd = fixture_centers[name]
             for c in range(md.rank):
                 for b in range(md.rank):
                     want_b = {cd.pair_index(c, b): 1}
                     for a in range(md.rank):
-                        want = tuple(semisimple_K(cd, want_b, a, 2).items())
+                        want = tuple(oracles.semisimple_K_by_k(cd, want_b, a, 2).items())
                         assert k2_pairs(md, fr, c, b, a) == want, (name, c, b, a)
 
     def test_row_sums_are_hom_dims(self, fixture_data):
@@ -370,18 +372,30 @@ class TestIntegralityGuards:
                 sigma_spectrum_n2(bad, fr, a)
 
     def test_non_integer_indicators_raise(self, fixture_data, monkeypatch):
-        # with every nu = 1/3, P(1) on Hom(1, 1^(x)2) is 1/3; the center is fresh, as
-        # its trace entries keep the patched values
+        # on vec, nu_{n,1} = 1/3 (nu_general, read by the n1 = 3 entries, or the closed
+        # form nu2_direct, read by the n1 = 2 ones) or nu_0 = 2 (hom_dim_under_forgetful)
+        # makes some P on Hom(1, 1^(x)n) a non-integer: 5/9 at n = 3, 2/3 and 3/2 at
+        # n = 2. The data is fresh for each patch, as the trace entries keep its values
         from mtckit import spectra
 
-        cd = deligne_square(*fixture_data["vec"])
-        monkeypatch.setattr(
-            spectra, "nu_general", lambda *args, **kwargs: cyclo.from_rational(Fraction(1, 3))
-        )
-        with pytest.raises(IntegralityError, match="multiplicity of"):
-            rotation_spectrum(cd, 0, 0, 2)
-        with pytest.raises(IntegralityError, match="K at omega"):
-            semisimple_K(cd, {0: 1}, 0, 2).get(RootOfUnity(1, 0), 0)
+        md, fr = fixture_data["vec"]
+        hom = spectra.hom_dim_under_forgetful
+
+        def third(*args, **kwargs):
+            return cyclo.from_rational(Fraction(1, 3))
+
+        for seam, patch, n in (
+            ("nu_general", third, 3),
+            ("nu2_direct", third, 2),
+            ("hom_dim_under_forgetful", lambda *args: hom(*args) + 1, 2),
+        ):
+            cd = deligne_square(dataclasses.replace(md), fr)
+            with monkeypatch.context() as patched:
+                patched.setattr(spectra, seam, patch)
+                with pytest.raises(IntegralityError, match="multiplicity of"):
+                    rotation_spectrum(cd, 0, 0, n)
+                with pytest.raises(IntegralityError, match="K at omega"):
+                    semisimple_K(cd, {0: 1}, 0, n).get(RootOfUnity(1, 0), 0)
 
 
 class TestRendering:
@@ -513,10 +527,10 @@ def test_semion_row_at_n_1200_sums_to_the_hom_dimension(fixture_data, fixture_ce
 
 def test_rows_and_k2_pairs_make_no_field_product(fixture_data, monkeypatch):
     # a warm rotation row, K row or K^2 pair multiplies no field values and reduces
-    # no polynomial: nu_0 is a hom dimension, every other term is read off the
-    # center's trace table as ints, and a K^2 pair's field term is one integer
-    # remainder. The tables are warmed here, on fresh centers, so the test does not
-    # depend on which tests ran before; each entry is built once, on the first pass
+    # no polynomial: nu_0 is a hom dimension, and every other term is read off a trace
+    # table as ints, the center's at n1 >= 3 and the modular data's n = 2 table at
+    # n1 = 2. The center tables are warmed here, on fresh centers, so the test does
+    # not depend on which tests ran before; each entry is built once, on the first pass
     products, reductions, built = [], [], []
     mul, reduce, nu_general = cyclo.Cyclotomic.__mul__, cyclo.poly_reduce, spectra.nu_general
 
@@ -565,6 +579,52 @@ def test_rows_and_k2_pairs_make_no_field_product(fixture_data, monkeypatch):
     assert products == [] and reductions == [] and len(built) == first
 
 
+def test_n2_entries_are_one_table_on_the_modular_data(fixture_data, monkeypatch):
+    # the n1 = 2 entries of rotation rows, K rows and braids and the entries of the
+    # K^2 pairs are one table of closed-form values, kept on the modular data for
+    # its ring: rows fill it, K^2 pairs then call no nu2_direct, and no n1 = 2 entry
+    # builds gfs_matrix(2, 1) or an entry of the center's own table
+    md = dataclasses.replace(fixture_data["haagerup-center"][0])  # no n = 2 table yet
+    fr, r = md.ring, md.rank
+    cd = center_for(md, fr)
+    closed, direct = [], spectra.nu2_direct
+
+    def counting(md, fr, c, b, a):
+        closed.append((fr, c, b, a))
+        return direct(md, fr, c, b, a)
+
+    monkeypatch.setattr(spectra, "nu2_direct", counting)
+    for b in range(cd.rank):
+        for a in range(r):
+            rotation_spectrum(cd, b, a, 2)
+    assert len(set(closed)) == len(closed) == r**3
+    closed.clear()
+    for c, b, a in itertools.product(range(r), repeat=3):
+        k2_pairs(md, fr, c, b, a)
+    mixed = {c: 1 + c % 3 for c in range(0, cd.rank, 5)}  # a K row over several twists
+    for a in range(r):
+        for n in (2, 4):
+            rotation_spectrum(cd, 7 * a, a, n)
+            semisimple_K(cd, mixed, a, n)
+        for sign in ("over", "under"):
+            for n, l, m in ((2, 0, 0), (3, 1, 0), (3, 0, 1)):
+                braid_jm_spectrum(md, a, n, l, m, sign=sign, fr=fr)
+    assert closed == []
+    assert (2, 1) not in cd._gfs_cache and not [key for key in cd._trace_cache if key[0] == 2]
+
+    # a ring that is not fr (here every N^a_{d,e} doubled) builds entries of its own,
+    # and so does fr after it: neither reads the other's
+    doubled = FusionRing(
+        rank=fr.rank, unit=fr.unit, dual=fr.dual,
+        table=tuple(tuple(tuple(2 * n for n in row) for row in mat) for mat in fr.table),
+    )
+    for ring in (doubled, fr):
+        for c, b, a in itertools.product(range(r), repeat=3):
+            assert k2_pairs(md, ring, c, b, a) == oracles.k2_pairs_by_k(md, ring, c, b, a)
+        assert len(closed) == r**3 and all(t[0] is ring for t in closed)
+        closed.clear()
+
+
 # IntegralityError texts, pinned byte for byte: each names the exact sum the
 # kernel returned, with no value rebuilt for the message. Under the k = 1 fault
 # the n = 2 and n = 3 calls stop earlier: their trace entry x = rho nu_{n,1} lies
@@ -582,15 +642,16 @@ INTEGRALITY_MESSAGES = [
 
 def test_integrality_messages_are_unchanged(fixture_data, monkeypatch):
     md, fr = fixture_data["fibonacci"]
-    real = spectra.nu_general
+    real, direct, hom = spectra.nu_general, spectra.nu2_direct, spectra.hom_dim_under_forgetful
 
     def off_rational(cd, b, n, k, a, root_shift=0):
         v = real(cd, b, n, k, a, root_shift=root_shift)
         return v + cyclo.zeta(7) if k == 1 else v
 
-    def negative(cd, b, n, k, a, root_shift=0):
-        v = real(cd, b, n, k, a, root_shift=root_shift)
-        return v - 5 if k == 0 else v
+    # nu_{n,1} off Q(zeta_n): the n1 >= 3 entries read nu_general, the n1 = 2 ones the
+    # closed form; nu_0 = dim Hom(b, a^n) - 5
+    off_field = {"nu_general": off_rational, "nu2_direct": lambda *args: direct(*args) + cyclo.zeta(7)}
+    negative = {"hom_dim_under_forgetful": lambda *args: hom(*args) - 5}
 
     calls = [
         lambda cd: rotation_spectrum(cd, 3, 1, 3),
@@ -599,28 +660,28 @@ def test_integrality_messages_are_unchanged(fixture_data, monkeypatch):
         lambda cd: semisimple_K(cd, {1: 2, 2: 1}, 1, 3).get(RootOfUnity.make(15, 2), 0),
     ]
     messages = []
-    for patch in (off_rational, negative):
-        # the patch reaches nu_0 and the trace entries, which live on the center,
-        # so each patch gets a fresh one
-        cd = deligne_square(md, fr)
-        monkeypatch.setattr(spectra, "nu_general", patch)
-        for call in calls:
-            try:
-                call(cd)
-            except (IntegralityError, cyclo.DescentError) as exc:
-                messages.append(str(exc))
+    for patches in (off_field, negative):
+        # the patches reach the trace entries, which live on the center and (at n1 = 2)
+        # on the modular data, so each set gets fresh data
+        cd = deligne_square(dataclasses.replace(md), fr)
+        with monkeypatch.context() as patched:
+            for name, patch in patches.items():
+                patched.setattr(spectra, name, patch)
+            for call in calls:
+                try:
+                    call(cd)
+                except (IntegralityError, cyclo.DescentError) as exc:
+                    messages.append(str(exc))
     assert messages == INTEGRALITY_MESSAGES
 
-    monkeypatch.setattr(spectra, "nu_general", real)
-    cd = deligne_square(md, fr)
+    cd = deligne_square(dataclasses.replace(md), fr)
     assert rotation_spectrum(cd, 0, 1, 1).multiplicities == (0,)  # the unpatched -5 + 5
-    direct = spectra.nu2_direct
     monkeypatch.setattr(
         spectra, "nu2_direct",
         lambda *args: direct(*args) + Fraction(1, 3) * cyclo.zeta(3),
     )
     with pytest.raises(cyclo.DescentError) as exc:
-        k2_pairs(md, fr, 0, 1, 1)
+        k2_pairs(dataclasses.replace(md), fr, 0, 1, 1)
     assert str(exc.value) == (
         "value of order 60 does not descend to Q(zeta_2); first mismatch at power-basis coordinate 8"
     )
