@@ -191,10 +191,24 @@ def _high_powers(poly: tuple[int, ...], n: int):
 
 class _OrderConstants:
     """What one cyclotomic order n needs, derived once: Phi_n, and for the
-    packed reduction (Packing) its growth."""
+    packed reduction (Packing) its growth, its height and Phi_n packed at
+    each slot width asked for."""
 
     def __init__(self, n: int, poly: tuple[int, ...]):
         self.n, self.poly = n, poly
+        self._moduli: dict[int, int] = {}
+
+    @functools.cached_property
+    def height(self) -> int:
+        """The largest |coefficient| of Phi_n."""
+        return max(map(abs, self.poly))
+
+    def modulus(self, width: int) -> int:
+        """Phi_n packed with width bits a slot, Q = Phi_n(2^width)."""
+        packed = self._moduli.get(width)
+        if packed is None:
+            packed = self._moduli[width] = poly_pack(self.poly, width)
+        return packed
 
     @functools.cached_property
     def growth(self) -> int:
@@ -625,8 +639,8 @@ class Packing:
     def __init__(self, order: int, bound: int):
         c = _order_constants(order)
         self.order, self.deg = order, len(c.poly) - 1
-        self.width = (2 * bound * c.growth + max(map(abs, c.poly))).bit_length()
-        self.modulus = poly_pack(c.poly, self.width)
+        self.width = (2 * bound * c.growth + c.height).bit_length()
+        self.modulus = c.modulus(self.width)
 
     def pack(self, cells) -> list[list[int]]:
         return [[poly_pack(c, self.width) for c in row] for row in cells]

@@ -9,7 +9,7 @@ value theta_a^-1 omega occurs with multiplicity K^{a-bar^(l+m) (x) b~}(omega).
 Roots of unity (twists, candidate eigenvalues, omega) are handled by
 exponent as RootOfUnity. One routine (_candidate_counts) computes and gates
 every multiplicity: given a twist, n and the terms of the inverse DFT, it
-returns each candidate lambda with its count. Every term is a field trace
+returns the candidates lambda and their counts. Every term is a field trace
 (arXiv:1611.00071; Ng-Schauenburg, arXiv:0806.2493): with rho = theta_b^(1/n)
 the pinned root of indicators._theta_root and mu = (lambda rho)^-1 = zeta_n^s,
 the Galois orbit {nu_{n,k} : gcd(k, n) = g} sums to one trace, so
@@ -42,8 +42,13 @@ values are multiplied, and no sum of a row is reduced as a polynomial. Tensor
 powers are kept on the fusion ring.
 
 Every multiplicity must be a non-negative rational integer; anything else
-raises IntegralityError, which doubles as an end-to-end data check. Its
-message shows the offending value in E(n) form, the exact sum computed.
+raises IntegralityError, which doubles as an end-to-end data check. A count
+is gated as an int: the quotient of its sum by n times the denominator, with
+no remainder and not negative. Only a count that fails becomes a field value,
+so that the message shows it in E(n) form, the exact sum computed. The
+candidates of one twist and n, with their offset into the trace slots, are a
+frame built once and kept on the modular data (_candidate_frame); the order
+limit is checked on every call.
 """
 
 from __future__ import annotations
@@ -105,16 +110,41 @@ class SpectrumReport:
     rows: tuple[SpectrumRow, ...]
 
 
-def _rotation_candidates(theta_b: RootOfUnity, n: int) -> list[RootOfUnity]:
-    # all lambda = zeta_{n q}^j with lambda^n = theta_b^-1 (q = order of theta_b);
-    # the row's field holds them all, so a too large n fails here, before any work
+def _check_candidates(theta_b: RootOfUnity, n: int) -> None:
+    # the row's field holds every candidate, so a too large n fails here, before any work
     if n < 1:
         raise ValueError("rotation power n must be >= 1")
+    cyclo.check_order(n * theta_b.order)
+
+
+def _rotation_candidates(theta_b: RootOfUnity, n: int) -> list[RootOfUnity]:
+    # all lambda = zeta_{n q}^j with lambda^n = theta_b^-1 (q = order of theta_b)
+    _check_candidates(theta_b, n)
     q = theta_b.order
-    cyclo.check_order(n * q)
     base = (-theta_b.exponent) % q
     # base + q i < n q grows with i, so the list is already in turn order
     return [RootOfUnity.make(n * q, base + q * i) for i in range(n)]
+
+
+def _offset(theta: RootOfUnity, n: int, first: RootOfUnity, root_shift: int) -> int:
+    # s0 with (first rho)^-1 = zeta_n^s0, rho = _theta_root(theta, n, root_shift): the
+    # candidate i after first has mu = zeta_n^(s0 - i)
+    order = n * theta.order
+    rho = _theta_root(theta, n, root_shift)
+    return -(first.exponent_at(order) + rho.exponent_at(order)) // theta.order
+
+
+def _candidate_frame(md: ModularData, theta: RootOfUnity, n: int):
+    # (candidates, s0) of one twist and n at the pinned root, built once and kept on
+    # md: it depends on neither b nor a. The order limit is checked on every call,
+    # so a lowered limit refuses a frame built before it
+    _check_candidates(theta, n)
+    frames = vars(md).setdefault("_candidate_frames", {})
+    frame = frames.get((theta, n))
+    if frame is None:
+        cands = tuple(_rotation_candidates(theta, n))
+        frame = frames[theta, n] = cands, _offset(theta, n, cands[0], 0)
+    return frame
 
 
 def _entry(x: Cyclotomic, n1: int):
@@ -174,16 +204,21 @@ def _row_terms(cd: CenterData, b: int, a, n: int, weight: int, root_shift: int =
 
 
 def _candidate_counts(
-    theta: RootOfUnity, n: int, terms, describe, root_shift: int = 0
-) -> list[tuple[RootOfUnity, int]]:
-    # each candidate lambda (lambda^n = theta^-1) with its count, (1/n) times the sum
+    md: ModularData, theta: RootOfUnity, n: int, terms, describe, root_shift: int = 0
+) -> tuple[tuple[RootOfUnity, ...], tuple[int, ...]]:
+    # the candidates lambda (lambda^n = theta^-1) and their counts, (1/n) times the sum
     # of its terms, gated with describe(lambda) as its name. A term (weight, (ints, den))
     # is the entry of x = rho^g nu_{n1,1}, n1 = n/g, rho = _theta_root(theta, n,
     # root_shift): with mu = (lambda rho)^-1 = zeta_n^s it adds weight Tr(mu^g x) =
     # weight ints[s mod n1] / den. The n1 = 1 entry, nu_0, is the same for every
     # lambda. Entries add up as ints over one denominator; terms are only read once
-    # the candidates passed the order check
-    cands = _rotation_candidates(theta, n)
+    # the candidates passed the order check. The candidates and s0 come from md's
+    # frame for (theta, n); a shifted root's s0 is computed here and not kept.
+    # Each count is gated as an int quotient: only a count that is no non-negative
+    # integer becomes a field value, for its message in E(n) form
+    cands, s0 = _candidate_frame(md, theta, n)
+    if root_shift:
+        s0 = _offset(theta, n, cands[0], root_shift)
     den, traced = 1, {}
     for weight, (ints, d) in terms:
         if den % d:
@@ -195,17 +230,16 @@ def _candidate_counts(
         traced[len(ints)] = ([weight * t for t in ints] if row is None
                              else [u + weight * t for u, t in zip(row, ints)])
     sums = [traced.pop(1, (0,))[0]] * n
-    if traced:
-        order = n * theta.order
-        rho = _theta_root(theta, n, root_shift)
-        s0 = -(cands[0].exponent_at(order) + rho.exponent_at(order)) // theta.order
-        for row in traced.values():
-            m = len(row)
-            sums = [t + row[(s0 - i) % m] for i, t in enumerate(sums)]
-    return [
-        (lam, _require_count(Cyclotomic._make(1, [t], n * den), lambda lam=lam: describe(lam)))
-        for lam, t in zip(cands, sums)
-    ]
+    for row in traced.values():
+        m = len(row)
+        sums = [t + row[(s0 - i) % m] for i, t in enumerate(sums)]
+    total_den, counts = n * den, []
+    for lam, t in zip(cands, sums):
+        count, rest = divmod(t, total_den)
+        if rest or count < 0:  # raises: t / total_den is no non-negative integer
+            _require_count(Cyclotomic._make(1, [t], total_den), lambda: describe(lam))
+        counts.append(count)
+    return cands, tuple(counts)
 
 
 def _braid_row(label: str, prefactor: RootOfUnity, pairs) -> SpectrumRow:
@@ -227,18 +261,15 @@ def rotation_spectrum(
     b is a center simple; candidates are exactly the n-th roots of
     theta_b^-1 and zero-multiplicity candidates are kept in the row.
     """
-    pairs = _candidate_counts(
+    eigenvalues, multiplicities = _candidate_counts(
+        cd.base,
         cd.theta[b],
         n,
         _row_terms(cd, b, a, n, 1, root_shift),
         lambda lam: f"multiplicity of {cyclo.format_root(lam)} on Hom({cd.labels[b]}, a^{n})",
         root_shift,
     )
-    return SpectrumRow(
-        label=cd.labels[b],
-        eigenvalues=tuple(lam for lam, _ in pairs),
-        multiplicities=tuple(k for _, k in pairs),
-    )
+    return SpectrumRow(label=cd.labels[b], eigenvalues=eigenvalues, multiplicities=multiplicities)
 
 
 def rotation_report(
@@ -246,7 +277,7 @@ def rotation_report(
 ) -> SpectrumReport:
     # every row's field order is checked before any row's work
     for theta_b in dict.fromkeys(cd.theta):
-        _rotation_candidates(theta_b, n)
+        _check_candidates(theta_b, n)
     rows = tuple(rotation_spectrum(cd, b, a, n) for b in range(cd.rank))
     a_desc = cd.base.labels[a] if isinstance(a, int) else str(a)
     return SpectrumReport(
@@ -279,12 +310,13 @@ def semisimple_K(
                 m * hom_dim_under_forgetful(cd, c, a, 1) for c, m in group.items())
             continue
         # the simples of one twist share the pinned root, so their terms add up
-        out.update(_candidate_counts(
+        out.update(zip(*_candidate_counts(
+            cd.base,
             theta,
             n,
             (term for c, mult in group.items() for term in _row_terms(cd, c, a, n, mult)),
             lambda omega: f"K at omega = {cyclo.format_root(omega)}",
-        ))
+        )))
     return out
 
 
@@ -360,12 +392,13 @@ def k2_pairs(
         if fr.table[e][a][a]
     )
     theta = md.theta[c] / md.theta[b]
-    return tuple(_candidate_counts(
+    return tuple(zip(*_candidate_counts(
+        md,
         theta,
         2,
         ((1, ((n_hom,), 1)), (1, _n2_entry(md, fr, theta, c * md.rank + b, a))),
         lambda omega: f"K^(2) at omega = {cyclo.format_root(omega)}",
-    ))
+    )))
 
 
 def sigma_spectrum_n2(

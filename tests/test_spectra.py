@@ -579,6 +579,67 @@ def test_rows_and_k2_pairs_make_no_field_product(fixture_data, monkeypatch):
     assert products == [] and reductions == [] and len(built) == first
 
 
+def test_warm_rows_build_no_field_value(fixture_data, monkeypatch):
+    # once the trace tables and the candidate frames are warm, a rotation row, K row or
+    # K^2 pair builds no Cyclotomic at all: every count is an int quotient, and only a
+    # failed gate would build the value for its message. The tables are warmed here,
+    # on fresh centers, so the test does not depend on which tests ran before
+    built, init = [], cyclo.Cyclotomic.__init__
+
+    def counting_init(self, order, num, den):
+        built.append(order)
+        init(self, order, num, den)
+
+    data = {name: fixture_data[name] for name in SMALL + ("haagerup-center",)}
+    centers = {name: deligne_square(md, fr) for name, (md, fr) in data.items()}
+
+    def sweep():
+        for name, cd in centers.items():
+            rows = range(0, cd.rank, 12 if name == "haagerup-center" else 1)
+            mixed = {c: 1 + c % 3 for c in rows}  # a K row over several twists
+            for n in (1, 2, 3, 4):
+                for a in range(cd.base.rank):
+                    for b in rows:
+                        rotation_spectrum(cd, b, a, n)
+                    semisimple_K(cd, mixed, a, n)
+            md, fr = data[name]
+            for c, b, a in itertools.product(range(md.rank), repeat=3):
+                k2_pairs(md, fr, c, b, a)
+
+    sweep()  # builds the trace entries, the n = 2 tables and the frames
+    monkeypatch.setattr(cyclo.Cyclotomic, "__init__", counting_init)
+    sweep()
+    assert built == []
+
+
+def test_a_kept_frame_still_meets_the_order_limit(fixture_data, fixture_centers, monkeypatch):
+    # the candidates of a (twist, n) are kept once built, but every row checks the
+    # order limit again: a lowered limit refuses the row before any term is read
+    md, _ = fixture_data["haagerup-center"]
+    cd = fixture_centers["haagerup-center"]
+    a, n = md.index_of("x6"), 4
+    b = max(range(cd.rank), key=lambda b: cd.theta[b].order)
+    want = rotation_spectrum(cd, b, a, n)
+    read, hom = [], spectra.hom_dim_under_forgetful
+
+    def recording(*args):
+        read.append(args)
+        return hom(*args)
+
+    monkeypatch.setattr(spectra, "hom_dim_under_forgetful", recording)
+    old = cyclo.get_order_limit()
+    cyclo.set_order_limit(n * cd.theta[b].order - 1)
+    try:
+        with pytest.raises(cyclo.CycloDomainError):
+            rotation_spectrum(cd, b, a, n)
+        with pytest.raises(cyclo.CycloDomainError):
+            semisimple_K(cd, {b: 1}, a, n)
+    finally:
+        cyclo.set_order_limit(old)
+    assert read == []
+    assert rotation_spectrum(cd, b, a, n) == want
+
+
 def test_n2_entries_are_one_table_on_the_modular_data(fixture_data, monkeypatch):
     # the n1 = 2 entries of rotation rows, K rows and braids and the entries of the
     # K^2 pairs are one table of closed-form values, kept on the modular data for
@@ -685,6 +746,43 @@ def test_integrality_messages_are_unchanged(fixture_data, monkeypatch):
     assert str(exc.value) == (
         "value of order 60 does not descend to Q(zeta_2); first mismatch at power-basis coordinate 8"
     )
+
+
+def test_k2_integrality_message_is_pinned(fixture_data):
+    # the toric code with theta_f moved to i (criterion 10's inconsistent data): each
+    # braid generator row with a != 1 meets a half-integer K^(2) at omega = 1 first
+    md, fr = fixture_data["toric-code"]
+    theta = list(md.theta)
+    theta[md.index_of("f")] = RootOfUnity.make(4, 1)
+    bad = ModularData(labels=md.labels, s=md.s, theta=tuple(theta), unit=md.unit, dual=md.dual)
+    messages = []
+    for a in range(md.rank):
+        try:
+            sigma_spectrum_n2(bad, fr, a)
+        except IntegralityError as exc:
+            messages.append((a, str(exc)))
+    text = "K^(2) at omega = 1 = 1/2 is not a non-negative integer"
+    assert messages == [(1, text), (2, text), (3, text)]
+
+
+def test_a_shifted_root_leaves_the_unshifted_row_as_it_was(fixture_data):
+    # a row at root_shift = 1 between two root_shift = 0 calls of the same (b, a, n)
+    # changes nothing the second call reads, on data whose rows start fresh
+    md, fr = fixture_data["fibonacci"]
+    md = dataclasses.replace(md)
+    cd = deligne_square(md, fr)
+    uneven = 0
+    for n in (3, 4):
+        for b in range(cd.rank):
+            for a in range(md.rank):
+                first = rotation_spectrum(cd, b, a, n)
+                shifted = rotation_spectrum(cd, b, a, n, root_shift=1)
+                assert rotation_spectrum(cd, b, a, n) == first, (b, a, n)
+                assert (shifted.eigenvalues, shifted.multiplicities) == (
+                    oracles.rotation_spectrum_by_k(cd, b, a, n, root_shift=1)
+                ) == (first.eigenvalues, first.multiplicities), (b, a, n)
+                uneven += len(set(first.multiplicities)) > 1
+    assert uneven  # a row read with a moved offset would differ
 
 
 def test_semion_row_at_large_n_sums_to_the_hom_dimension(fixture_data, fixture_centers):
