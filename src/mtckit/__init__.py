@@ -8,7 +8,7 @@ data for rotation operators and braid-group elements.
 from .center import center_for, deligne_square
 from .dataio import catalog, catalog_ring, parse_expr, parse_file
 from .fusion_ring import fuse, power_decompose, verlinde
-from .indicators import gfs_matrix, nu2_direct, nu_general, sl2_word
+from .indicators import gfs_matrix, nu2_direct, nu_direct, nu_general, sl2_word
 from .modular_data import construct, derive_invariants, validate
 from .spectra import (
     braid_jm_spectrum,
@@ -16,7 +16,6 @@ from .spectra import (
     rotation_report,
     rotation_spectrum,
     semisimple_K,
-    sigma_spectrum_n2,
 )
 
 __version__ = "0.1.0"
@@ -38,11 +37,11 @@ __all__ = [
     "sl2_word",
     "gfs_matrix",
     "nu_general",
+    "nu_direct",
     "nu2_direct",
     "rotation_spectrum",
     "rotation_report",
     "semisimple_K",
     "braid_jm_spectrum",
-    "sigma_spectrum_n2",
     "render_report",
 ]

@@ -19,7 +19,7 @@ forgetful matrix A once, after the whole word.
 
 center_for keeps the center on its ModularData, and it serves both braidings:
 the center of the reversed braiding, C~ (x) C, is this one with each pair's
-factors swapped (Mueger).
+factors swapped (Mueger). Every center reads the ring md.ring (check_ring).
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ Pair = tuple[Working, Working]
 @dataclasses.dataclass
 class CenterData:
     base: ModularData
-    base_ring: FusionRing
     labels: tuple[str, ...]
     theta: tuple[RootOfUnity, ...]
     unit: int
@@ -57,9 +56,6 @@ class CenterData:
 
     def __post_init__(self):
         self._gfs_cache: dict[tuple[int, int], object] = {}
-        # (n1, b, c) -> the traces of spectra's rotation terms for n1 >= 3
-        # (spectra._trace_entry); the n1 = 2 ones live on the base modular data
-        self._trace_cache: dict[tuple[int, int, int], object] = {}
 
     @property
     def rank(self) -> int:
@@ -160,12 +156,22 @@ def _content_free(x: Working) -> Working:
     return [[[v // g for v in c] for c in row] for row in cells], den // g
 
 
-def deligne_square(md: ModularData, fr: FusionRing) -> CenterData:
+def check_ring(md: ModularData, fr: FusionRing | None) -> None:
+    """Raise ValueError unless fr is None or md.ring, by identity or by its table."""
+    if fr is not None and fr is not md.ring and fr != md.ring:
+        raise ValueError("fr is not the fusion ring of md")
+
+
+def deligne_square(md: ModularData, fr: FusionRing | None = None) -> CenterData:
     """Center data for Z = C (x) C~ from validated base modular data.
 
-    Asserts the anomaly-freeness xi_Z = 1 (the Gauss-sum identity
-    tau+ tau- = D); failure means the inputs are corrupt.
+    The forgetful matrix is read off md.ring; a ring fr other than md.ring
+    raises ValueError (check_ring). Asserts the anomaly-freeness xi_Z = 1
+    (the Gauss-sum identity tau+ tau- = D); failure means the inputs are
+    corrupt.
     """
+    check_ring(md, fr)
+    table = md.ring.table
     r = md.rank
     inv = md.invariants
     dims = inv.dims
@@ -186,12 +192,9 @@ def deligne_square(md: ModularData, fr: FusionRing) -> CenterData:
     dual = tuple(
         md.dual[a] * r + md.dual[b] for a in range(r) for b in range(r)
     )
-    a_matrix = tuple(
-        tuple(fr.table[c][a][b] for c in range(r)) for a in range(r) for b in range(r)
-    )
+    a_matrix = tuple(tuple(table[c][a][b] for c in range(r)) for a in range(r) for b in range(r))
     return CenterData(
         base=md,
-        base_ring=fr,
         labels=labels,
         theta=theta,
         unit=md.unit * r + md.unit,
@@ -202,12 +205,11 @@ def deligne_square(md: ModularData, fr: FusionRing) -> CenterData:
 
 
 def center_for(md: ModularData, fr: FusionRing | None = None) -> CenterData:
-    """deligne_square(md, md.ring), kept on md after the first use; it serves
-    both braidings of md (see spectra.braid_jm_spectrum). A ring fr other
-    than md.ring (by identity or by its table) raises ValueError."""
-    if fr is not None and fr is not md.ring and fr != md.ring:
-        raise ValueError("fr is not the fusion ring of md")
+    """deligne_square(md), kept on md after the first use; it serves both
+    braidings of md (see spectra.braid_jm_spectrum). A ring fr other than
+    md.ring raises ValueError (check_ring)."""
+    check_ring(md, fr)
     cd = vars(md).get("_center")
     if cd is None:
-        cd = vars(md)["_center"] = deligne_square(md, md.ring)
+        cd = vars(md)["_center"] = deligne_square(md)
     return cd

@@ -150,10 +150,9 @@ def _cmd_rotation(args) -> int:
 
 def _cmd_braid(args) -> int:
     md, source = _load_source(args.source)
-    fr = md.ring
     a = _object(md, args.object)
     sign = "under" if args.under else "over"
-    report = spectra.braid_jm_spectrum(md, a, args.n, args.l, args.m, sign=sign, fr=fr)
+    report = spectra.braid_jm_spectrum(md, a, args.n, args.l, args.m, sign=sign)
     report = dataclasses.replace(report, source=source)
     _emit(spectra.render_report(report, args.format), args.out)
     return EXIT_OK
@@ -161,11 +160,11 @@ def _cmd_braid(args) -> int:
 
 def _cmd_report(args) -> int:
     md, source = _load_source(args.source)
-    fr = md.ring
     a = _object(md, args.object)
-    braid = "sigma" if args.braid_sigma else "sigma-triple"
-    report = spectra.sigma_spectrum_n2(md, fr, a, braid=braid)
-    report = dataclasses.replace(report, source=source)
+    # sigma_i is the wrapping braid (n, l, m) = (2, 0, 0), sigma_i sigma_{i+1} sigma_i is (3, 1, 0)
+    kind, n, l = ("braid-sigma", 2, 0) if args.braid_sigma else ("braid-sigma-triple", 3, 1)
+    report = dataclasses.replace(spectra.braid_jm_spectrum(md, a, n, l, 0), kind=kind,
+                                 source=source, params=(("object", md.labels[a]),))
     _emit(spectra.render_report(report, args.format), args.out)
     return EXIT_OK
 

@@ -3,9 +3,9 @@
 Route one evaluates the SL2(Z) representation of the center on a word g
 with (1,0) g^-1 = (m,l) and multiplies the forgetful matrix A. Route two
 derives nu_{n,k} from the single-rotation column nu_{n,1} by a Galois
-automorphism, after pinning a root theta^(1/n); the two must agree, and
-the n = 2 case additionally has a closed-form double sum over the base
-data (nu2_direct) to check against.
+automorphism, after pinning a root theta^(1/n); the two must agree. The
+column nu_{n,1} also has a closed double sum over the base data (nu_direct),
+which builds no SL2(Z) state; it is all that rotation and braid spectra read.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 from operator import mul
 
 from . import cyclo
-from .center import CenterData
+from .center import CenterData, check_ring
 from .cyclo import Cyclotomic, RootOfUnity
 from .fusion_ring import FusionRing, ObjectMultiset, power_decompose
 from .modular_data import ModularData
@@ -28,6 +28,7 @@ __all__ = [
     "matrix_tokens",
     "gfs_matrix",
     "nu_general",
+    "nu_direct",
     "nu2_direct",
     "hom_dim_under_forgetful",
 ]
@@ -200,7 +201,7 @@ def _gfs_apply(cd: CenterData, m: int, l: int, word: Sl2Word) -> IndicatorTable:
 
 def hom_dim_under_forgetful(cd: CenterData, b: int, a: int | ObjectMultiset, n: int) -> int:
     """dim Hom(b, a^(x)n) for a center simple b and base object a."""
-    powers = power_decompose(cd.base_ring, a, n)
+    powers = power_decompose(cd.base.ring, a, n)
     arow = cd.a_matrix[b]
     return sum(arow[c] * mult for c, mult in powers.items())
 
@@ -234,12 +235,8 @@ def nu_general(
     no field product either. The Galois step is cyclo.galois_apply, so a
     value outside Q(zeta_{n/g}) fails its descent check with DescentError.
 
-    Rotation and K rows (mtckit.spectra) read only k = 1 here, at n >= 3. A
-    row's nu_0 is hom_dim_under_forgetful, and its other k enter as one field
-    trace per divisor g of n, taken from the traces of theta_b^(g/n)
-    nu^b_{n/g,1}, kept per base simple once the value is checked to lie in
-    Q(zeta_{n/g}): the center keeps them for n/g >= 3, and at n/g = 2 the
-    value is nu2_direct's closed form, whose table the modular data keeps.
+    Rotation and K rows (mtckit.spectra) do not read this route: they take
+    nu_{n,1} from nu_direct's closed form and sum field traces for other k.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -253,7 +250,7 @@ def nu_general(
     g = math.gcd(k0, n)
     n1, k1 = n // g, k0 // g
     table = gfs_matrix(cd, n1, 1)
-    a_pow = power_decompose(cd.base_ring, a, g)
+    a_pow = power_decompose(cd.base.ring, a, g)
     nu1 = cyclo.dot(a_pow.values(), (table.values[b][c] for c in a_pow))
 
     if k1 == 1:
@@ -264,13 +261,14 @@ def nu_general(
     return cyclo.times_root(result, prefactor * root ** (-k0))
 
 
-def _k2_rows(md: ModularData, fr: FusionRing, n_sum: int):
-    # U[c][d] = theta_d^2 S_{c,d} and V[b][e] = theta_e^-2 S_{b-bar,e}, S lifted once to the
-    # order L of S and every theta^2; packed again if an N^a sum n_sum outgrows the width.
-    # The last slot keeps nu2_direct's w rows, which are packed at that width too
-    rows = vars(md).get("_k2_rows")
-    if rows is None or n_sum > rows[4]:
-        twists = [t**2 for t in md.theta]
+def _twisted_rows(md: ModularData, n: int):
+    # U[c][d] = theta_d^n S_{c,d} and V[b][e] = theta_e^-n S_{b-bar,e}, S lifted once per n
+    # to the order L of S and every theta^n, packed at a width that holds every N^a sum
+    # of md.ring. The last slot keeps nu_direct's w rows, packed at that width too
+    rows = vars(md).setdefault("_twisted_rows", {})
+    kept = rows.get(n)
+    if kept is None:
+        twists = [t**n for t in md.theta]
         order = math.lcm(*(v.order for row in md.s for v in row), *(t.order for t in twists))
         cells, den = cyclo.lift(md.s, order)
         shifts = [t.exponent_at(order) for t in twists]
@@ -278,7 +276,7 @@ def _k2_rows(md: ModularData, fr: FusionRing, n_sum: int):
              for row in cells]
         v = [[cyclo.index_map(x, order, order, 1, -e) for x, e in zip(cells[i], shifts)]
              for i in md.dual]
-        n_sum = max(sum(map(sum, mat)) for mat in fr.table)
+        n_sum = max(sum(map(sum, mat)) for mat in md.ring.table)
         # U and V are kept reduced modulo Phi_L, which can grow each max|.| by the order's
         # growth G; a slot of U_c[d] w_d sums phi(L) coefficient products, and |w_d| <=
         # n_sum G max|V|
@@ -286,26 +284,28 @@ def _k2_rows(md: ModularData, fr: FusionRing, n_sum: int):
         p = cyclo.Packing(order, len(cells[0][0]) * n_sum * growth * growth
                           * cyclo.max_abs(u) * cyclo.max_abs(v))
         u, v = ([[p.reduce(x) for x in row] for row in p.pack(m)] for m in (u, v))
-        rows = vars(md)["_k2_rows"] = (p, u, v, den * den, n_sum, {})
-    return rows
+        kept = rows[n] = (p, u, v, den * den, {})
+    return kept
+
+
+def nu_direct(md: ModularData, n: int, c: int, b: int, a: int) -> Cyclotomic:
+    """nu^{c (x) b~}_{n,1}(a), n >= 1, as the closed double sum over the base data.
+
+    sum_{d,e} U_{c,d} N^a_{d,e} V_{b,e}, U_{c,d} = theta_d^n S_{c,d}, V_{b,e} =
+    theta_e^-n S_{b-bar,e}, N from md.ring (Ng-Schauenburg, arXiv:0806.2493):
+    gfs_matrix(n, 1) of the center, with no center. With U and V packed once
+    per n, a value is one packed dot product of U_c with w_d = sum_e N^a_{d,e}
+    V_{b,e}, reduced once: no field product. w is kept per (n, b, a).
+    """
+    p, u, v, den, ws = _twisted_rows(md, n)
+    w = ws.get((b, a))
+    if w is None:
+        w = ws[b, a] = [sum(map(mul, row, v[b])) for row in md.ring.table[a]]
+    value = p.reduce(sum(map(mul, u[c], w)))
+    return Cyclotomic._make(p.order, p.unpack(value), den) if value else cyclo.ZERO
 
 
 def nu2_direct(md: ModularData, fr: FusionRing, c: int, b: int, a: int) -> Cyclotomic:
-    """nu^{c (x) b~}_{2,1}(a) as the closed double sum over the base data.
-
-    sum_{d,e} U_{c,d} N^a_{d,e} V_{b,e}, U_{c,d} = theta_d^2 S_{c,d}, V_{b,e} =
-    theta_e^-2 S_{b-bar,e}; exact and independent of the center. With U and V
-    packed and reduced once per modular data, a value is one packed dot product
-    of U_c with w_d = sum_e N^a_{d,e} V_{b,e}, reduced once: no field product.
-    The row w is kept per (b, N^a), so the values at every c of one (b, a)
-    share it.
-    """
-    rows, key = vars(md).get("_k2_rows"), (b, fr.table[a])
-    # a kept w row was built at a width that holds N^a's sum; only a new one checks it
-    w = None if rows is None else rows[5].get(key)
-    if w is None:
-        rows = _k2_rows(md, fr, sum(map(sum, fr.table[a])))
-        w = rows[5][key] = [sum(map(mul, row, rows[2][b])) for row in fr.table[a]]
-    p, u, _, den = rows[:4]
-    value = p.reduce(sum(map(mul, u[c], w)))
-    return Cyclotomic._make(p.order, p.unpack(value), den) if value else cyclo.ZERO
+    """nu^{c (x) b~}_{2,1}(a), nu_direct at n = 2; fr must be md.ring (check_ring)."""
+    check_ring(md, fr)
+    return nu_direct(md, 2, c, b, a)

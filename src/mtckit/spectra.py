@@ -22,16 +22,12 @@ entry (_entry): the n1 ints Tr(zeta_n1^s x), s < n1, of its value x over one
 denominator (cyclo.traces), after a check that x lies in Q(zeta_n1) as
 galois_apply makes; a value off that field (data that breaks the indicator
 identities) raises cyclo.DescentError. So every count is an integer sum of
-entries. Entries are kept in trace tables, filled as rows read them: entry
-(n1, b, c), for a base simple c, is that of x = theta_b^(1/n1) nu^b_{n1,1}(c),
-so x_g's traces are the mult(a^g, c)-weighted sums of entries and a row adds
-ints. At n1 >= 3 each center keeps the table, and building an entry reads
-nu_{n1,1} through nu_general (k = 1). At n1 = 2 the value is the closed double
-sum of indicators.nu2_direct over the base data, and the table lives on the
-modular data for the ring it was built with (_n2_entry): the center simple
-b = c (x) d~ reads the entry of (c, d, a), so rows build no gfs_matrix(2, 1).
-For each (b, c) read the tables hold sum n1 ints, one entry per divisor n1 of
-an n asked for, and the order limit (cyclo.get_order_limit) bounds every n1: a
+entries. They are kept in one table on the base modular data, filled as rows
+read them (_trace_entry): entry (n1, b, c), for a base simple c, is that of
+x = theta_b^(1/n1) nu^b_{n1,1}(c) with nu from the closed form
+indicators.nu_direct, so a row adds ints and builds no SL2(Z) state. For each
+(b, c) read the table holds sum n1 ints, one entry per divisor n1 of an n
+asked for, and the order limit (cyclo.get_order_limit) bounds every n1: a
 row's candidates are checked against it before any entry is built.
 
 A rotation row sums its own entries; the K row of a semisimple center object
@@ -39,7 +35,7 @@ A rotation row sums its own entries; the K row of a semisimple center object
 n = 2 braid values (k2_pairs) pass nu_0 = N^b_{c-bar,a,a} and the n = 2 entry
 of (c, b, a), the one the center's rows read, with no center. No two field
 values are multiplied, and no sum of a row is reduced as a polynomial. Tensor
-powers are kept on the fusion ring.
+powers are kept on md.ring, the one fusion ring every row reads.
 
 Every multiplicity must be a non-negative rational integer; anything else
 raises IntegralityError, which doubles as an end-to-end data check. A count
@@ -58,10 +54,10 @@ import math
 from fractions import Fraction
 
 from . import cyclo
-from .center import CenterData, center_for
+from .center import CenterData, center_for, check_ring
 from .cyclo import Cyclotomic, RootOfUnity
 from .fusion_ring import FusionRing, ObjectMultiset, power_decompose
-from .indicators import _theta_root, hom_dim_under_forgetful, nu_general, nu2_direct
+from .indicators import _theta_root, hom_dim_under_forgetful, nu_direct
 from .modular_data import ModularData
 
 __all__ = [
@@ -72,7 +68,6 @@ __all__ = [
     "rotation_report",
     "semisimple_K",
     "braid_jm_spectrum",
-    "sigma_spectrum_n2",
     "k2_pairs",
     "render_report",
 ]
@@ -156,32 +151,19 @@ def _entry(x: Cyclotomic, n1: int):
     return cyclo.traces(cyclo.galois_apply(x, 1, n1))
 
 
-def _n2_entry(md: ModularData, fr: FusionRing, theta: RootOfUnity, pair: int, a: int):
-    # the entry of x = rho nu^{c (x) b~}_{2,1}(a), pair = c rank + b (the center's index
-    # of c (x) b~) and rho = _theta_root(theta, 2, 0) with theta = theta_c/theta_b, from
-    # the closed form nu2_direct, built once. The table is kept on md for the ring it
-    # was built with; another fr starts a new one
-    table = vars(md).get("_n2_entries")
-    if table is None or table[0] is not fr:
-        table = vars(md)["_n2_entries"] = (fr, {})
-    entries, key = table[1], (pair, a)
+def _trace_entry(md: ModularData, n1: int, b: int, c: int):
+    # the entry of x = rho nu^b_{n1,1}(c), b = left (x) right~ = left rank + right and
+    # rho = _theta_root(theta_b, n1, 0), from the closed form, built once and kept on md
+    entries = vars(md).get("_trace_entries")
+    if entries is None:
+        entries = vars(md)["_trace_entries"] = {}
+    key = (n1, b, c)
     entry = entries.get(key)
     if entry is None:
-        x = nu2_direct(md, fr, *divmod(pair, md.rank), a)
-        entry = entries[key] = _entry(cyclo.times_root(x, _theta_root(theta, 2, 0)), 2)
-    return entry
-
-
-def _trace_entry(cd: CenterData, n1: int, b: int, c: int):
-    # the entry of x = theta_b^(1/n1) nu^b_{n1,1}(c) with the pinned root, built once:
-    # at n1 = 2 from the base data's closed form, else per center
-    if n1 == 2:
-        return _n2_entry(cd.base, cd.base_ring, cd.theta[b], b, c)
-    key = (n1, b, c)
-    entry = cd._trace_cache.get(key)
-    if entry is None:
-        x = cyclo.times_root(nu_general(cd, b, n1, 1, c), _theta_root(cd.theta[b], n1, 0))
-        entry = cd._trace_cache[key] = _entry(x, n1)
+        left, right = divmod(b, md.rank)
+        root = _theta_root(md.theta[left] / md.theta[right], n1, 0)
+        x = cyclo.times_root(nu_direct(md, n1, left, right, c), root)
+        entry = entries[key] = _entry(x, n1)
     return entry
 
 
@@ -195,9 +177,9 @@ def _row_terms(cd: CenterData, b: int, a, n: int, weight: int, root_shift: int =
             continue
         n1 = n // g
         shift = root_shift % n1
-        for c, mult in power_decompose(cd.base_ring, a, g).items():
+        for c, mult in power_decompose(cd.base.ring, a, g).items():
             if mult:
-                entry = _trace_entry(cd, n1, b, c)
+                entry = _trace_entry(cd.base, n1, b, c)
                 if shift:
                     entry = entry[0][shift:] + entry[0][:shift], entry[1]
                 yield weight * mult, entry
@@ -240,13 +222,6 @@ def _candidate_counts(
             _require_count(Cyclotomic._make(1, [t], total_den), lambda: describe(lam))
         counts.append(count)
     return cands, tuple(counts)
-
-
-def _braid_row(label: str, prefactor: RootOfUnity, pairs) -> SpectrumRow:
-    # the eigenvalues prefactor * omega of the (omega, K) pairs are distinct,
-    # so their turn order fixes the row
-    row = sorted(((prefactor * omega, k) for omega, k in pairs), key=lambda p: p[0].turn())
-    return SpectrumRow(label, tuple(ev for ev, _ in row), tuple(k for _, k in row))
 
 
 def rotation_spectrum(
@@ -348,15 +323,17 @@ def braid_jm_spectrum(
     n1 = n - (l + m)
     under = sign == "under"
     prefactor = md.theta[a] if under else md.theta[a].inverse()
-    wrap = power_decompose(cd.base_ring, md.dual[a], l + m)
+    wrap = power_decompose(md.ring, md.dual[a], l + m)
 
     rows = []
     for b in range(md.rank):
         center_ms: ObjectMultiset = {
             cd.pair_index(*((b, c) if under else (c, b))): mult for c, mult in wrap.items() if mult
         }
-        k_row = semisimple_K(cd, center_ms, a, n1)
-        rows.append(_braid_row(md.labels[b], prefactor, k_row.items()))
+        # the eigenvalues prefactor * omega are distinct, so their turn order fixes the row
+        k_row = semisimple_K(cd, center_ms, a, n1).items()
+        row = sorted(((prefactor * omega, k) for omega, k in k_row), key=lambda p: p[0].turn())
+        rows.append(SpectrumRow(md.labels[b], tuple(ev for ev, _ in row), tuple(k for _, k in row)))
     return SpectrumReport(
         kind="braid-jm",
         source="",
@@ -380,53 +357,21 @@ def k2_pairs(
     N^b_{c-bar,a,a}) / 2, computed without constructing the center: the two
     omega are the n = 2 candidates of the twist theta_c/theta_b, and the
     terms are N and the entry of rho nu (rho the pinned root of that twist),
-    a value that must be rational. That entry is read from the n = 2 table
-    that md keeps for fr, which the center's rows share; it is built from
-    indicators.nu2_direct on first use. The two counts sum to N, since the
-    omega^-1 sum to 0.
+    a value that must be rational. That entry is read from md's trace table,
+    which the center's rows share; it is built from indicators.nu_direct on
+    first use. The two counts sum to N, since the omega^-1 sum to 0. fr must
+    be md.ring (center.check_ring).
     """
-    cbar = md.dual[c]
-    n_hom = sum(
-        fr.table[b][cbar][e] * fr.table[e][a][a]
-        for e in range(md.rank)
-        if fr.table[e][a][a]
-    )
-    theta = md.theta[c] / md.theta[b]
+    check_ring(md, fr)
+    table, cbar = md.ring.table, md.dual[c]
+    n_hom = sum(table[b][cbar][e] * table[e][a][a] for e in range(md.rank) if table[e][a][a])
     return tuple(zip(*_candidate_counts(
         md,
-        theta,
+        md.theta[c] / md.theta[b],
         2,
-        ((1, ((n_hom,), 1)), (1, _n2_entry(md, fr, theta, c * md.rank + b, a))),
+        ((1, ((n_hom,), 1)), (1, _trace_entry(md, 2, c * md.rank + b, a))),
         lambda omega: f"K^(2) at omega = {cyclo.format_root(omega)}",
     )))
-
-
-def sigma_spectrum_n2(
-    md: ModularData, fr: FusionRing, a: int, braid: str = "sigma"
-) -> SpectrumReport:
-    """Braid-generator spectra via the self-contained n = 2 formula.
-
-    braid="sigma" is the generator (conjugating object is the unit);
-    braid="sigma-triple" is sigma_i sigma_{i+1} sigma_i (conjugating object
-    a-bar). Serves as the fast path and as an oracle against
-    braid_jm_spectrum on (2,0,0) and (3,1,0).
-    """
-    if braid == "sigma":
-        c = md.unit
-    elif braid == "sigma-triple":
-        c = md.dual[a]
-    else:
-        raise ValueError(f"unknown braid {braid!r}")
-    theta_a_inv = md.theta[a].inverse()
-    rows = [
-        _braid_row(md.labels[b], theta_a_inv, k2_pairs(md, fr, c, b, a)) for b in range(md.rank)
-    ]
-    return SpectrumReport(
-        kind=f"braid-{braid}",
-        source="",
-        params=(("object", md.labels[a]),),
-        rows=tuple(rows),
-    )
 
 
 # ---------------------------------------------------------------------------

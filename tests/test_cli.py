@@ -229,16 +229,10 @@ def test_off_field_indicator_value_exits_three(tmp_path, capsys, monkeypatch):
     # center keeps no patched entry
     from mtckit import cyclo, dataio, spectra
 
-    real, direct = spectra.nu_general, spectra.nu2_direct
-
-    def off_field(cd, b, n, k, a, root_shift=0):
-        v = real(cd, b, n, k, a, root_shift=root_shift)
-        return v + cyclo.zeta(7) if k == 1 else v
-
+    direct = spectra.nu_direct
     path = tmp_path / "fib.mtc"
     path.write_text(dataio.format_modular_data(dataio.catalog("fibonacci")))
-    monkeypatch.setattr(spectra, "nu_general", off_field)
-    monkeypatch.setattr(spectra, "nu2_direct", lambda *args: direct(*args) + cyclo.zeta(7))
+    monkeypatch.setattr(spectra, "nu_direct", lambda *args: direct(*args) + cyclo.zeta(7))
     for argv, field in (
         (("rotation", "--object", "tau", "--n", "3"), "Q(zeta_3)"),
         (("rotation", "--object", "tau", "--n", "2"), "Q(zeta_2)"),

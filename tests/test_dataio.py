@@ -221,11 +221,11 @@ class TestSerializeReport:
     def test_haagerup_sigma_golden(self, fixture_data):
         from mtckit import spectra
 
-        md, fr = fixture_data["haagerup-center"]
-        rep = spectra.sigma_spectrum_n2(md, fr, md.index_of("x6"))
+        md, _ = fixture_data["haagerup-center"]
+        rep = spectra.braid_jm_spectrum(md, md.index_of("x6"), 2, 0, 0)  # sigma_i
         rep = spectra.SpectrumReport(
-            kind=rep.kind, source="catalog:haagerup-center",
-            params=rep.params, rows=rep.rows,
+            kind="braid-sigma", source="catalog:haagerup-center",
+            params=(("object", "x6"),), rows=rep.rows,
         )
         assert serialize_report(rep) == (GOLDEN / "haagerup_sigma_x6.txt").read_text()
 

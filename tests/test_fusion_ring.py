@@ -285,6 +285,6 @@ def test_filled_caches_keep_equality_and_hash(fixture_data):
         before = (hash(md2), hash(fr2))
         nu2_direct(md2, fr2, 0, 0, 0)
         power_decompose(fr2, 0, 2)
-        assert "_k2_rows" in vars(md2) and fr2._powers
+        assert "_twisted_rows" in vars(md2) and fr2._powers
         assert md2 == md and fr2 == fr and (hash(md2), hash(fr2)) == before == (hash(md), hash(fr))
         assert repr(md2) == repr(md) and repr(fr2) == repr(fr)

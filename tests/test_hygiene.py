@@ -5,9 +5,10 @@ root of unity entering indicators or spectra as a field value, no
 module-level cache beyond the ones that exist, no verlinde call outside
 ModularData.ring, no multiplicity summed or gated outside
 spectra._candidate_counts, no Galois step in spectra outside
-spectra._entry, no control flow through a caught DescentError, and no
-library name that a hook of the benchmark's tracer (mtcbench/spans.py)
-wraps gone missing."""
+spectra._entry, no indicator in spectra but the closed form that
+spectra._trace_entry reads, no control flow through a caught
+DescentError, and no library name that a hook of the benchmark's tracer
+(mtcbench/spans.py) wraps gone missing."""
 
 import ast
 import importlib.util
@@ -321,6 +322,25 @@ def test_only_trace_entries_take_a_galois_step():
     tree = ast.parse((SRC / "spectra.py").read_text())
     scopes = list(_calls_by_scope(tree, "galois_apply"))
     assert scopes == ["_entry"], f"galois_apply called from {scopes}"
+
+
+def test_rows_read_one_closed_form():
+    # every trace entry of a rotation row, K row, braid or K^2 pair is built from
+    # indicators.nu_direct in _trace_entry, and kept in one table on the modular
+    # data: spectra reaches neither SL2(Z) route, and the center keeps no entries
+    tree = ast.parse((SRC / "spectra.py").read_text())
+    for name in ("nu_general", "gfs_matrix", "nu2_direct"):
+        scopes = list(_calls_by_scope(tree, name))
+        assert scopes == [], f"{name} called from {scopes}"
+    scopes = list(_calls_by_scope(tree, "nu_direct"))
+    assert scopes == ["_trace_entry"], f"nu_direct called from {scopes}"
+    found = [
+        f"{path}:{node.lineno}"
+        for path, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "_trace_cache"
+    ]
+    assert not found, f"a trace table on the center: {found}"
 
 
 def _descent_handlers(tree):

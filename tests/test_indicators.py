@@ -15,6 +15,7 @@ from mtckit.indicators import (
     gfs_matrix,
     matrix_tokens,
     nu2_direct,
+    nu_direct,
     nu_general,
     sl2_word,
 )
@@ -328,8 +329,11 @@ class TestNu2Direct:
         _assert_nu2_matches(md, fr, lambda *t: oracles.nu2_by_dot(md, fr, *t))
 
     def test_takes_no_field_product_or_order_change(self, fixture_data, monkeypatch):
+        # at n = 2 and at n = 3, where theta^3 has other orders than theta^2
         md, fr = fixture_data["haagerup-center"]
         md = dataclasses.replace(md)  # no packed rows yet: the build is counted too
+        assert md.ring == fr  # the ring is built before the count starts
+        assert {(t**2).order for t in md.theta} != {(t**3).order for t in md.theta}
         seen = []
         mul, embedded = cyclo.Cyclotomic.__mul__, cyclo.Cyclotomic.embedded
 
@@ -347,28 +351,30 @@ class TestNu2Direct:
         monkeypatch.setattr(cyclo.Cyclotomic, "embedded", counting_embedded)
         for c, b, a in itertools.product(range(md.rank), repeat=3):
             nu2_direct(md, fr, c, b, a)
+            nu_direct(md, 3, c, b, a)
         assert seen == []
 
     def test_slot_width_is_tight(self, monkeypatch):
-        # rank 3, S all +-m at order 1, theta = 1 and every N^a_{d,e} = n: the
+        # rank 3, S all +-m at order 1, theta^n = 1 and every N^a_{d,e} = k: the
         # value at (c, b) = (0, 0) is +bound and at (0, 1) it is -bound, with
-        # bound = phi(1) * sum_{d,e} N^a_{d,e} * max|U| * max|V| = 9 n m^2.
-        # One bit less must not decode it.
-        r, m, n = 3, 5, 7
-        bound = r * r * n * m * m
+        # bound = phi(1) * sum_{d,e} N^a_{d,e} * max|U| * max|V| = 9 k m^2.
+        # One bit less must not decode it. At n = 3 every theta is zeta_3, so the
+        # rows of theta^3 are at order 1 while those of theta^2 would be at order 3
+        r, m, k = 3, 5, 7
+        bound = r * r * k * m * m
         rows = ((m,) * r, (-m,) * r, (m,) * r)
-        md = ModularData(
-            labels=("x", "y", "z"),
-            s=tuple(tuple(cyclo.from_rational(v) for v in row) for row in rows),
-            theta=(cyclo.RootOfUnity(1, 0),) * r,
-            unit=0,
-            dual=(0, 1, 2),
-        )
-        fr = FusionRing(rank=r, unit=0, dual=(0, 1, 2), table=(((n,) * r,) * r,) * r)
-        assert nu2_direct(md, fr, 0, 0, 0) == bound
-        assert nu2_direct(md, fr, 0, 1, 0) == -bound
-        width = vars(md)["_k2_rows"][0].width
-        assert width == bound.bit_length() + 1
+        fr = FusionRing(rank=r, unit=0, dual=(0, 1, 2), table=(((k,) * r,) * r,) * r)
+
+        def made_up(theta):
+            md = ModularData(
+                labels=("x", "y", "z"),
+                s=tuple(tuple(cyclo.from_rational(v) for v in row) for row in rows),
+                theta=(theta,) * r,
+                unit=0,
+                dual=(0, 1, 2),
+            )
+            vars(md)["ring"] = fr  # S is no modular data, so its ring is handed over
+            return md
 
         class Narrower(cyclo.Packing):
             def __init__(self, order, bound):
@@ -376,19 +382,27 @@ class TestNu2Direct:
                 self.width -= 1
                 self.modulus = poly_pack(cyclo.cyclotomic_polynomial(order), self.width)
 
-        monkeypatch.setattr(cyclo, "Packing", Narrower)
-        for b, want in ((0, bound), (1, -bound)):
-            narrow = dataclasses.replace(md)
-            try:
-                got = nu2_direct(narrow, fr, 0, b, 0)
-            except ValueError:
-                got = None
-            assert vars(narrow)["_k2_rows"][0].width == width - 1
-            assert got != want, b
+        for theta, n in ((cyclo.RootOfUnity(1, 0), 2), (cyclo.RootOfUnity(3, 1), 3)):
+            md = made_up(theta)
+            assert nu_direct(md, n, 0, 0, 0) == bound
+            assert nu_direct(md, n, 0, 1, 0) == -bound
+            width = vars(md)["_twisted_rows"][n][0].width
+            assert width == bound.bit_length() + 1
+            with monkeypatch.context() as patched:
+                patched.setattr(cyclo, "Packing", Narrower)
+                for b, want in ((0, bound), (1, -bound)):
+                    narrow = made_up(theta)
+                    try:
+                        got = nu_direct(narrow, n, 0, b, 0)
+                    except ValueError:
+                        got = None
+                    assert vars(narrow)["_twisted_rows"][n][0].width == width - 1
+                    assert got != want, (n, b)
+        assert nu2_direct(made_up(cyclo.RootOfUnity(1, 0)), fr, 0, 0, 0) == bound
 
-    def test_rows_widen_for_a_larger_ring(self, fixture_data):
-        # rows packed for one ring are rebuilt when a later ring's N^a sums
-        # exceed the width they were packed for
+    def test_another_ring_is_refused(self, fixture_data):
+        # the rows are packed for md.ring, the one ring they read; a ring with
+        # another table is refused, and the values for md.ring stay as they were
         md, fr = fixture_data["fibonacci"]
         md = dataclasses.replace(md)
         want = [oracles.nu2_by_dot(md, fr, 1, 1, a) for a in range(md.rank)]
@@ -399,23 +413,28 @@ class TestNu2Direct:
             dual=fr.dual,
             table=tuple(tuple(tuple(1000 * v for v in row) for row in mat) for mat in fr.table),
         )
-        assert [nu2_direct(md, big, 1, 1, a) for a in range(md.rank)] == [1000 * v for v in want]
+        for a in range(md.rank):
+            with pytest.raises(ValueError, match="not the fusion ring"):
+                nu2_direct(md, big, 1, 1, a)
         assert [nu2_direct(md, fr, 1, 1, a) for a in range(md.rank)] == want
 
 
 class TestCrossRoute:
     def test_nu2_direct_equals_gfs(self, fixture_data, fixture_centers):
-        for name in SMALL + ("haagerup-center",):
-            md, fr = fixture_data[name]
-            cd = fixture_centers[name]
-            table = gfs_matrix(cd, 2, 1)
-            for c in range(md.rank):
-                for b in range(md.rank):
-                    p = cd.pair_index(c, b)
-                    for a in range(md.rank):
-                        assert table.values[p][a] == nu2_direct(md, fr, c, b, a), (
-                            name, c, b, a,
-                        )
+        # the closed form nu_direct(n) against gfs_matrix(n, 1) on every (c, b, a):
+        # n = 1..8 on the small fixtures and semion x fibonacci, 1..6 on haagerup-center
+        product = _deligne_product(fixture_data["semion"], fixture_data["fibonacci"])
+        cases = [(*fixture_data[name], fixture_centers[name], 8) for name in SMALL]
+        cases.append((*fixture_data["haagerup-center"], fixture_centers["haagerup-center"], 6))
+        cases.append((*product, deligne_square(*product), 8))
+        for md, fr, cd, top in cases:
+            for n in range(1, top + 1):
+                table = gfs_matrix(cd, n, 1)
+                for c, b, a in itertools.product(range(md.rank), repeat=3):
+                    got = nu_direct(md, n, c, b, a)
+                    assert table.values[cd.pair_index(c, b)][a] == got, (md.labels, n, c, b, a)
+                    if n == 2:
+                        assert nu2_direct(md, fr, c, b, a) == got
 
     def test_nu_general_matches_gfs_coprime(self, fixture_data, fixture_centers):
         for name in SMALL:

@@ -10,7 +10,7 @@ from mtckit import cyclo, spectra
 from mtckit.center import center_for, deligne_square
 from mtckit.cyclo import RootOfUnity
 from mtckit.fusion_ring import FusionRing, power_decompose, verlinde
-from mtckit.indicators import hom_dim_under_forgetful
+from mtckit.indicators import gfs_matrix, hom_dim_under_forgetful, nu2_direct
 from mtckit.modular_data import ModularData
 from mtckit.spectra import (
     IntegralityError,
@@ -21,7 +21,6 @@ from mtckit.spectra import (
     rotation_report,
     rotation_spectrum,
     semisimple_K,
-    sigma_spectrum_n2,
 )
 
 SMALL = ("vec", "semion", "toric-code", "fibonacci")
@@ -169,15 +168,15 @@ class TestBraids:
         # the simples of one twist share their candidates omega, so a braid call takes
         # each nu^b_{n,k}(a) once, not once per omega
         md, fr = fixture_data["haagerup-center"]
-        md = dataclasses.replace(md)  # a fresh center: trace entries read the patched nu_general
-        real = spectra.nu_general
+        md = dataclasses.replace(md)  # fresh data: trace entries read the patched nu_direct
+        real = spectra.nu_direct
         seen = []
 
-        def recording(cd, b, n, k, a, root_shift=0):
-            seen.append((b, n, k, a))
-            return real(cd, b, n, k, a, root_shift=root_shift)
+        def recording(md, n, c, b, a):
+            seen.append((n, c, b, a))
+            return real(md, n, c, b, a)
 
-        monkeypatch.setattr(spectra, "nu_general", recording)
+        monkeypatch.setattr(spectra, "nu_direct", recording)
         for a in range(md.rank):
             for sign in ("over", "under"):
                 seen.clear()
@@ -189,10 +188,10 @@ class TestBraids:
             md, fr = fixture_data[name]
             for a in range(md.rank):
                 jm = braid_jm_spectrum(md, a, 2, 0, 0, fr=fr)
-                sg = sigma_spectrum_n2(md, fr, a)
+                sg = oracles.sigma_spectrum_n2(md, fr, a)
                 assert rows_data(jm) == rows_data(sg), (name, a)
                 jm3 = braid_jm_spectrum(md, a, 3, 1, 0, fr=fr)
-                sg3 = sigma_spectrum_n2(md, fr, a, braid="sigma-triple")
+                sg3 = oracles.sigma_spectrum_n2(md, fr, a, braid="sigma-triple")
                 assert rows_data(jm3) == rows_data(sg3), (name, a)
 
     def test_k2_pairs_equal_the_center_route(self, fixture_data, fixture_centers):
@@ -237,7 +236,7 @@ class TestBraids:
         md, fr = fixture_data["toric-code"]
         for label in oracles.TORIC_LABELS:
             a = md.index_of(label)
-            rep = sigma_spectrum_n2(md, fr, a)
+            rep = oracles.sigma_spectrum_n2(md, fr, a)
             square = oracles.toric_fuse(label, label)
             scalar = RootOfUnity.make(*reversed(oracles.toric_sigma_scalar(label)))
             for row in rep.rows:
@@ -251,7 +250,7 @@ class TestBraids:
         md, fr = fixture_data["semion"]
         for label in oracles.SEMION_LABELS:
             a = md.index_of(label)
-            rep = sigma_spectrum_n2(md, fr, a)
+            rep = oracles.sigma_spectrum_n2(md, fr, a)
             square = oracles.semion_fuse(label, label)
             scalar = RootOfUnity.make(*reversed(oracles.semion_sigma_scalar(label)))
             for row in rep.rows:
@@ -266,7 +265,7 @@ class TestBraids:
         # channel and e^(3 pi i/5) on the tau channel
         md, fr = fixture_data["fibonacci"]
         tau = md.index_of("tau")
-        rep = sigma_spectrum_n2(md, fr, tau)
+        rep = oracles.sigma_spectrum_n2(md, fr, tau)
         by_label = {row.label: row.as_map() for row in rep.rows}
         assert by_label["1"] == {RootOfUnity(5, 3): 1, RootOfUnity(10, 1): 0}
         assert by_label["tau"] == {RootOfUnity(10, 3): 1, RootOfUnity(5, 4): 0}
@@ -278,8 +277,8 @@ class TestBraids:
         for name in ("toric-code", "semion"):
             md, fr = fixture_data[name]
             for a in range(md.rank):
-                sg = sigma_spectrum_n2(md, fr, a)
-                tr = sigma_spectrum_n2(md, fr, a, braid="sigma-triple")
+                sg = oracles.sigma_spectrum_n2(md, fr, a)
+                tr = oracles.sigma_spectrum_n2(md, fr, a, braid="sigma-triple")
                 r = next(
                     ev for row in sg.rows for ev, m in row.as_map().items() if m
                 )
@@ -296,7 +295,7 @@ class TestBraids:
             rev_fr = verlinde(rev)
             for a in range(md.rank):
                 under = braid_jm_spectrum(md, a, 2, 0, 0, sign="under")
-                straight = sigma_spectrum_n2(rev, rev_fr, a)
+                straight = oracles.sigma_spectrum_n2(rev, rev_fr, a)
                 assert rows_data(under) == rows_data(straight), (name, a)
 
     def test_under_matches_the_reversed_data_up_to_n3(self, fixture_data):
@@ -352,8 +351,8 @@ class TestBraids:
             braid_jm_spectrum(md, 0, 2, 1, 1, fr=fr)
         with pytest.raises(ValueError):
             braid_jm_spectrum(md, 0, 2, 0, 0, sign="sideways", fr=fr)
-        with pytest.raises(ValueError):
-            sigma_spectrum_n2(md, fr, 0, braid="nope")
+        with pytest.raises(ValueError, match="not the fusion ring"):
+            braid_jm_spectrum(md, 0, 2, 0, 0, fr=fixture_data["semion"][1])
 
 
 class TestIntegralityGuards:
@@ -369,11 +368,11 @@ class TestIntegralityGuards:
         )
         with pytest.raises(IntegralityError):
             for a in range(4):
-                sigma_spectrum_n2(bad, fr, a)
+                oracles.sigma_spectrum_n2(bad, fr, a)
 
     def test_non_integer_indicators_raise(self, fixture_data, monkeypatch):
-        # on vec, nu_{n,1} = 1/3 (nu_general, read by the n1 = 3 entries, or the closed
-        # form nu2_direct, read by the n1 = 2 ones) or nu_0 = 2 (hom_dim_under_forgetful)
+        # on vec, nu_{n,1} = 1/3 (the closed form nu_direct, read by the n1 = 3 and the
+        # n1 = 2 entries) or nu_0 = 2 (hom_dim_under_forgetful)
         # makes some P on Hom(1, 1^(x)n) a non-integer: 5/9 at n = 3, 2/3 and 3/2 at
         # n = 2. The data is fresh for each patch, as the trace entries keep its values
         from mtckit import spectra
@@ -385,8 +384,8 @@ class TestIntegralityGuards:
             return cyclo.from_rational(Fraction(1, 3))
 
         for seam, patch, n in (
-            ("nu_general", third, 3),
-            ("nu2_direct", third, 2),
+            ("nu_direct", third, 3),
+            ("nu_direct", third, 2),
             ("hom_dim_under_forgetful", lambda *args: hom(*args) + 1, 2),
         ):
             cd = deligne_square(dataclasses.replace(md), fr)
@@ -409,7 +408,7 @@ class TestRendering:
 
     def test_zero_rows_render(self, fixture_data):
         md, fr = fixture_data["toric-code"]
-        rep = sigma_spectrum_n2(md, fr, md.index_of("e"))
+        rep = oracles.sigma_spectrum_n2(md, fr, md.index_of("e"))
         text = render_report(rep)
         assert "(0, 0)" in text  # hom-dim-zero rows keep all-zero multiplicities
 
@@ -417,7 +416,7 @@ class TestRendering:
         from mtckit import dataio
 
         md, fr = fixture_data["semion"]
-        rep = sigma_spectrum_n2(md, fr, md.index_of("s"))
+        rep = oracles.sigma_spectrum_n2(md, fr, md.index_of("s"))
         text = render_report(rep, fmt="structured")
         for line in text.splitlines():
             if line.startswith("  eigenvalues: "):
@@ -467,7 +466,7 @@ BRAID_SHAPES = ((2, 0, 0), (2, 1, 0), (2, 0, 1), (3, 0, 0), (3, 1, 0), (3, 0, 1)
 
 
 class TestTracesAgainstTheRouteByK:
-    """The trace route (one field trace per divisor of n, from the center's table)
+    """The trace route (one field trace per divisor of n, from the trace table)
     against the per-k route it replaced: one nu_general call per k and one
     root_sums call (oracles.*_by_k)."""
 
@@ -527,12 +526,12 @@ def test_semion_row_at_n_1200_sums_to_the_hom_dimension(fixture_data, fixture_ce
 
 def test_rows_and_k2_pairs_make_no_field_product(fixture_data, monkeypatch):
     # a warm rotation row, K row or K^2 pair multiplies no field values and reduces
-    # no polynomial: nu_0 is a hom dimension, and every other term is read off a trace
-    # table as ints, the center's at n1 >= 3 and the modular data's n = 2 table at
-    # n1 = 2. The center tables are warmed here, on fresh centers, so the test does
-    # not depend on which tests ran before; each entry is built once, on the first pass
+    # no polynomial: nu_0 is a hom dimension, and every other term is read off the
+    # modular data's trace table as ints. The tables are warmed here, on fresh data,
+    # so the test does not depend on which tests ran before; each entry is built
+    # once, on the first pass
     products, reductions, built = [], [], []
-    mul, reduce, nu_general = cyclo.Cyclotomic.__mul__, cyclo.poly_reduce, spectra.nu_general
+    mul, reduce, nu_direct = cyclo.Cyclotomic.__mul__, cyclo.poly_reduce, spectra.nu_direct
 
     def counting_mul(self, other):
         products.append((self, other))
@@ -542,17 +541,17 @@ def test_rows_and_k2_pairs_make_no_field_product(fixture_data, monkeypatch):
         reductions.append(len(p))
         return reduce(p, mod)
 
-    def recording_nu(cd, b, n, k, a, root_shift=0):
-        if k == 1:  # only a trace entry reads nu_{n,1}
-            built.append((id(cd), b, n, a))
-        return nu_general(cd, b, n, k, a, root_shift=root_shift)
+    def recording_nu(md, n, c, b, a):
+        built.append((id(md), n, c, b, a))  # only a trace entry reads nu_{n,1}
+        return nu_direct(md, n, c, b, a)
 
-    monkeypatch.setattr(spectra, "nu_general", recording_nu)
+    monkeypatch.setattr(spectra, "nu_direct", recording_nu)
     centers = {
-        name: deligne_square(*fixture_data[name])
+        name: deligne_square(dataclasses.replace(fixture_data[name][0]))
         for name in ("semion", "toric-code", "fibonacci", "haagerup-center")
     }
-    md, fr = fixture_data["haagerup-center"]
+    md = centers["haagerup-center"].base
+    fr = md.ring
 
     def sweep():
         for name, cd in centers.items():
@@ -569,7 +568,7 @@ def test_rows_and_k2_pairs_make_no_field_product(fixture_data, monkeypatch):
                 for a in range(r):
                     k2_pairs(md, fr, c, b, a)
 
-    sweep()  # builds the trace entries and the K^2 rows
+    sweep()  # builds the trace entries and the packed rows
     assert built and len(set(built)) == len(built)
     first = len(built)
     monkeypatch.setattr(cyclo.Cyclotomic, "__mul__", counting_mul)
@@ -606,7 +605,7 @@ def test_warm_rows_build_no_field_value(fixture_data, monkeypatch):
             for c, b, a in itertools.product(range(md.rank), repeat=3):
                 k2_pairs(md, fr, c, b, a)
 
-    sweep()  # builds the trace entries, the n = 2 tables and the frames
+    sweep()  # builds the trace entries, the packed rows and the frames
     monkeypatch.setattr(cyclo.Cyclotomic, "__init__", counting_init)
     sweep()
     assert built == []
@@ -642,19 +641,20 @@ def test_a_kept_frame_still_meets_the_order_limit(fixture_data, fixture_centers,
 
 def test_n2_entries_are_one_table_on_the_modular_data(fixture_data, monkeypatch):
     # the n1 = 2 entries of rotation rows, K rows and braids and the entries of the
-    # K^2 pairs are one table of closed-form values, kept on the modular data for
-    # its ring: rows fill it, K^2 pairs then call no nu2_direct, and no n1 = 2 entry
-    # builds gfs_matrix(2, 1) or an entry of the center's own table
-    md = dataclasses.replace(fixture_data["haagerup-center"][0])  # no n = 2 table yet
+    # K^2 pairs are one table of closed-form values, kept on the modular data: rows
+    # fill it, K^2 pairs then call no nu_direct at n = 2, and no entry builds a
+    # gfs_matrix. A ring other than md.ring is refused
+    md = dataclasses.replace(fixture_data["haagerup-center"][0])  # no trace table yet
     fr, r = md.ring, md.rank
     cd = center_for(md, fr)
-    closed, direct = [], spectra.nu2_direct
+    closed, direct = [], spectra.nu_direct
 
-    def counting(md, fr, c, b, a):
-        closed.append((fr, c, b, a))
-        return direct(md, fr, c, b, a)
+    def counting(md, n, c, b, a):
+        if n == 2:
+            closed.append((c, b, a))
+        return direct(md, n, c, b, a)
 
-    monkeypatch.setattr(spectra, "nu2_direct", counting)
+    monkeypatch.setattr(spectra, "nu_direct", counting)
     for b in range(cd.rank):
         for a in range(r):
             rotation_spectrum(cd, b, a, 2)
@@ -670,20 +670,77 @@ def test_n2_entries_are_one_table_on_the_modular_data(fixture_data, monkeypatch)
         for sign in ("over", "under"):
             for n, l, m in ((2, 0, 0), (3, 1, 0), (3, 0, 1)):
                 braid_jm_spectrum(md, a, n, l, m, sign=sign, fr=fr)
-    assert closed == []
-    assert (2, 1) not in cd._gfs_cache and not [key for key in cd._trace_cache if key[0] == 2]
+    assert closed == [] and cd._gfs_cache == {}
 
-    # a ring that is not fr (here every N^a_{d,e} doubled) builds entries of its own,
-    # and so does fr after it: neither reads the other's
+    # a ring that is not md.ring (here every N^a_{d,e} doubled) is refused, by K^2
+    # pairs and by the closed form alike
     doubled = FusionRing(
         rank=fr.rank, unit=fr.unit, dual=fr.dual,
         table=tuple(tuple(tuple(2 * n for n in row) for row in mat) for mat in fr.table),
     )
-    for ring in (doubled, fr):
-        for c, b, a in itertools.product(range(r), repeat=3):
-            assert k2_pairs(md, ring, c, b, a) == oracles.k2_pairs_by_k(md, ring, c, b, a)
-        assert len(closed) == r**3 and all(t[0] is ring for t in closed)
-        closed.clear()
+    with pytest.raises(ValueError, match="not the fusion ring"):
+        k2_pairs(md, doubled, 0, 0, 0)
+    with pytest.raises(ValueError, match="not the fusion ring"):
+        nu2_direct(md, doubled, 0, 0, 0)
+    for c, b, a in itertools.product(range(r), repeat=3):
+        assert k2_pairs(md, fr, c, b, a) == oracles.k2_pairs_by_k(md, fr, c, b, a)
+    assert closed == []
+
+
+def test_rows_build_no_sl2_state(fixture_data, monkeypatch):
+    # on fresh data, a rotation report, a K row and both braid signs read the closed
+    # form only: no gfs_matrix table is kept and no SL2(Z) generator is applied
+    from mtckit.center import CenterData
+
+    applied = []
+
+    def counting(name):
+        real = getattr(CenterData, name)
+
+        def counted(self, *args):
+            applied.append(name)
+            return real(self, *args)
+
+        return counted
+
+    for name in ("apply_s", "apply_t"):
+        monkeypatch.setattr(CenterData, name, counting(name))
+    for name in ("fibonacci", "haagerup-center"):
+        md = dataclasses.replace(fixture_data[name][0])
+        cd = center_for(md)
+        a = md.rank - 1
+        rotation_report(cd, a, 6)
+        semisimple_K(cd, {c: 1 + c % 2 for c in range(cd.rank)}, a, 4)
+        for sign in ("over", "under"):
+            for n, l, m in ((2, 0, 0), (3, 1, 0), (4, 1, 0)):
+                braid_jm_spectrum(md, a, n, l, m, sign=sign)
+        assert cd._gfs_cache == {} and applied == [], name
+    gfs_matrix(cd, 3, 1)  # the patched generators do count the SL2(Z) route
+    assert applied
+
+
+def test_every_ring_argument_is_the_data_ring(fixture_data):
+    # a ring passed beside md must be md.ring, by identity or by its table; another
+    # ring is refused before any work, where it used to reach a wrong value's
+    # DescentError (the semion ring on fibonacci data)
+    md = dataclasses.replace(fixture_data["fibonacci"][0])
+    tau, semion_ring = md.index_of("tau"), fixture_data["semion"][1]
+    calls = (
+        lambda fr: deligne_square(md, fr),
+        lambda fr: k2_pairs(md, fr, tau, tau, tau),
+        lambda fr: nu2_direct(md, fr, tau, tau, tau),
+        lambda fr: braid_jm_spectrum(md, tau, 3, 1, 0, fr=fr),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="not the fusion ring"):
+            call(semion_ring)
+    equal = verlinde(md)
+    assert equal is not md.ring
+    for call in calls:
+        call(equal)
+    b = deligne_square(md, equal).pair_index(tau, tau)
+    assert rotation_spectrum(center_for(md), b, tau, 3) == rotation_spectrum(
+        center_for(fixture_data["fibonacci"][0]), b, tau, 3)
 
 
 # IntegralityError texts, pinned byte for byte: each names the exact sum the
@@ -703,15 +760,11 @@ INTEGRALITY_MESSAGES = [
 
 def test_integrality_messages_are_unchanged(fixture_data, monkeypatch):
     md, fr = fixture_data["fibonacci"]
-    real, direct, hom = spectra.nu_general, spectra.nu2_direct, spectra.hom_dim_under_forgetful
+    direct, hom = spectra.nu_direct, spectra.hom_dim_under_forgetful
 
-    def off_rational(cd, b, n, k, a, root_shift=0):
-        v = real(cd, b, n, k, a, root_shift=root_shift)
-        return v + cyclo.zeta(7) if k == 1 else v
-
-    # nu_{n,1} off Q(zeta_n): the n1 >= 3 entries read nu_general, the n1 = 2 ones the
-    # closed form; nu_0 = dim Hom(b, a^n) - 5
-    off_field = {"nu_general": off_rational, "nu2_direct": lambda *args: direct(*args) + cyclo.zeta(7)}
+    # nu_{n,1} off Q(zeta_n), in the closed form every trace entry reads; nu_0 =
+    # dim Hom(b, a^n) - 5
+    off_field = {"nu_direct": lambda *args: direct(*args) + cyclo.zeta(7)}
     negative = {"hom_dim_under_forgetful": lambda *args: hom(*args) - 5}
 
     calls = [
@@ -722,8 +775,8 @@ def test_integrality_messages_are_unchanged(fixture_data, monkeypatch):
     ]
     messages = []
     for patches in (off_field, negative):
-        # the patches reach the trace entries, which live on the center and (at n1 = 2)
-        # on the modular data, so each set gets fresh data
+        # the patches reach the trace entries, which live on the modular data, so each
+        # set gets fresh data
         cd = deligne_square(dataclasses.replace(md), fr)
         with monkeypatch.context() as patched:
             for name, patch in patches.items():
@@ -738,7 +791,7 @@ def test_integrality_messages_are_unchanged(fixture_data, monkeypatch):
     cd = deligne_square(dataclasses.replace(md), fr)
     assert rotation_spectrum(cd, 0, 1, 1).multiplicities == (0,)  # the unpatched -5 + 5
     monkeypatch.setattr(
-        spectra, "nu2_direct",
+        spectra, "nu_direct",
         lambda *args: direct(*args) + Fraction(1, 3) * cyclo.zeta(3),
     )
     with pytest.raises(cyclo.DescentError) as exc:
@@ -758,7 +811,7 @@ def test_k2_integrality_message_is_pinned(fixture_data):
     messages = []
     for a in range(md.rank):
         try:
-            sigma_spectrum_n2(bad, fr, a)
+            oracles.sigma_spectrum_n2(bad, fr, a)
         except IntegralityError as exc:
             messages.append((a, str(exc)))
     text = "K^(2) at omega = 1 = 1/2 is not a non-negative integer"
