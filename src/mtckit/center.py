@@ -14,7 +14,7 @@ entries (the semion S lies in Q(zeta_8) while its center twists have
 order 4), as (cells, den) matrices of mtckit.cyclo, with the base S lifted
 once per center. apply_s multiplies each factor by its S, one packed matrix
 product each (cyclo.matmul); apply_t shifts row a of R by theta_a^power and
-of R' by theta_a^-power and reduces it. contract_a applies R (x) R' to the
+of R' by theta_a^-power (cyclo.mapped). contract_a applies R (x) R' to the
 forgetful matrix A once, after the whole word.
 
 center_for keeps the center on its ModularData, and it serves both braidings:
@@ -30,7 +30,6 @@ import math
 from operator import mul
 
 from . import cyclo
-from ._poly import poly_reduce
 from .cyclo import ConsistencyError, Cyclotomic, RootOfUnity
 from .fusion_ring import FusionRing
 from .modular_data import ModularData
@@ -94,18 +93,13 @@ class CenterData:
 
     def apply_t(self, x: Pair, power: int) -> Pair:
         """T^power: row a of R times theta_a^power and of R' times theta_a^-power,
-        each an index shift at order N and a reduce."""
+        each an index shift at order N (cyclo.mapped)."""
         n = self.working_order
-        mod = cyclo.cyclotomic_polynomial(n)
-        out = []
-        for (cells, den), sign in zip(x, (power, -power)):
-            rows = []
-            for row, t in zip(cells, self._twist_exponents):
-                e = sign * t % n
-                # zeta^e c(zeta): shift the coefficients up by e, then reduce
-                rows.append([poly_reduce([0] * e + c, mod) for c in row] if e else row)
-            out.append((rows, den))
-        return tuple(out)
+        return tuple(
+            ([[cyclo.mapped(c, n, n, 1, sign * t) for c in row]
+              for row, t in zip(cells, self._twist_exponents)], den)
+            for (cells, den), sign in zip(x, (power, -power))
+        )
 
     def apply_s(self, x: Pair) -> Pair:
         """S: (R, R') -> (S R, S' R'), one packed product each (cyclo.matmul)."""

@@ -39,6 +39,7 @@ __all__ = [
     "from_rational",
     "dot",
     "index_map",
+    "mapped",
     "root_sums",
     "times_root",
     "lift",
@@ -321,10 +322,7 @@ class Cyclotomic:
         n = self.order
         if target == n:
             return self
-        if target % n != 0:
-            raise CycloDomainError(f"cannot embed order {n} into order {target}")
-        check_order(target)
-        return Cyclotomic(target, tuple(_spread(self._num, n, target)), self._den)
+        return Cyclotomic(target, tuple(mapped(self._num, n, target)), self._den)
 
     def reduced(self) -> "Cyclotomic":
         """The value represented in its minimal cyclotomic field."""
@@ -439,7 +437,8 @@ class Cyclotomic:
         """Complex conjugation (the Galois automorphism zeta -> zeta^-1)."""
         if self.order == 1:
             return self
-        return _galois_same_order(self, self.order - 1)
+        n = self.order
+        return Cyclotomic(n, tuple(mapped(self._num, n, n, -1)), self._den)
 
     # -- comparison ----------------------------------------------------------
 
@@ -503,9 +502,37 @@ def index_map(coeffs, order: int, target: int, k: int = 1, e: int = 0) -> list[i
     return p
 
 
-def _spread(num, order: int, target: int) -> list[int]:
-    # numerators at order re-expressed at target, a multiple of order
-    return poly_reduce(index_map(num, order, target), cyclotomic_polynomial(target))
+def mapped(coeffs, order: int, target: int, k: int = 1, e: int = 0) -> list[int]:
+    """Numerators at order moved as index_map moves them, reduced modulo Phi_target:
+    the coordinates at target of zeta_target^e sigma_k(x), x the value they hold.
+
+    Every embedding, Galois map and root-of-unity shift of stored numerators
+    takes this one route. target is a multiple of order, coeffs holds at most
+    order numerators and gcd(k, order) = 1, so no two land in one slot modulo
+    x^target - 1; other input raises CycloDomainError. The identity map
+    (target = order, k = 1 and e = 0 modulo them) returns coeffs itself, and
+    a row moved (k = 1) below slot phi(target) is already reduced; any other
+    row is packed (Packing) with its largest |numerator| as the bound and
+    reduced by one remainder.
+    """
+    if target % order or target < order or len(coeffs) > order or math.gcd(k, order) != 1:
+        raise CycloDomainError(f"cannot map {len(coeffs)} numerators at order {order} "
+                               f"into order {target} by zeta -> zeta^{k}")
+    s, e, plain = target // order, e % target, (k - 1) % order == 0
+    if plain and s == 1 and not e:
+        return coeffs
+    deg = len(cyclotomic_polynomial(target)) - 1
+    if plain and e + s * (len(coeffs) - 1) < deg:
+        row = [0] * deg
+        row[e : e + s * len(coeffs) : s] = coeffs
+        return row
+    p = Packing(target, max(map(abs, coeffs), default=0))
+    w = p.width
+    if plain:
+        value = poly_pack(coeffs, w * s) << (e * w)
+    else:
+        value = sum(c << ((k * j % order * s + e) * w) for j, c in enumerate(coeffs) if c)
+    return p.unpack(p.reduce(value))
 
 
 def dot(coeffs, values) -> Cyclotomic:
@@ -541,18 +568,17 @@ def dot(coeffs, values) -> Cyclotomic:
 def times_root(x: Cyclotomic, root: RootOfUnity) -> Cyclotomic:
     """root.value() * x as an index shift: the same value at the same order,
     with no field product. A root of order 1 or 2 keeps x's order, and a zero
-    rational stays the order-1 ZERO. At the common order L, x is packed with
-    its numerators spread L/order(x) slots apart (Packing) and shifted by the
-    root's exponent, so no slot folded modulo x^L - 1 holds two numerators,
-    and one remainder reduces it."""
+    rational stays the order-1 ZERO. Any other product is x's numerators
+    moved to the common order L and shifted by the root's exponent there
+    (mapped)."""
     if root.order <= 2:
         return x if root.order == 1 else -x
     if x.order == 1 and not x._num[0]:
         return ZERO
     order = math.lcm(root.order, x.order)
-    p = Packing(order, max(map(abs, x._num)))
-    value = poly_pack(x._num, p.width * (order // x.order)) << (root.exponent_at(order) * p.width)
-    return Cyclotomic._make(order, p.unpack(p.reduce(value)), x._den)
+    return Cyclotomic._make(
+        order, mapped(x._num, x.order, order, 1, root.exponent_at(order)), x._den
+    )
 
 
 def root_sums(values, exponent_rows, order: int, den: int = 1) -> list[Cyclotomic]:
@@ -597,15 +623,13 @@ def lift(matrix, order: int) -> tuple[list[list[list[int]]], int]:
     """A matrix of ints, Fractions or Cyclotomics as (cells, den) at the order.
 
     Each entry must lie in Q(zeta_order) by its representation: its order
-    divides ``order``. Cell (i, j) times 1/den is entry (i, j) at the order.
+    divides ``order``, else CycloDomainError. Cell (i, j) times 1/den is
+    entry (i, j) at the order.
     """
     check_order(order)
     flat = [v if isinstance(v, Cyclotomic) else from_rational(v) for row in matrix for v in row]
-    for v in flat:
-        if order % v.order:
-            raise CycloDomainError(f"cannot embed order {v.order} into order {order}")
     den = math.lcm(*(v._den for v in flat))
-    cells = [[den // v._den * c for c in _spread(v._num, v.order, order)] for v in flat]
+    cells = [[den // v._den * c for c in mapped(v._num, v.order, order)] for v in flat]
     cols = len(matrix[0])
     return [cells[i : i + cols] for i in range(0, len(cells), cols)], den
 
@@ -688,16 +712,7 @@ def root_of_unity(q: int, k: int) -> Cyclotomic:
         return ONE
     if q == 2:
         return Cyclotomic(1, (-1,), 1)
-    check_order(q)
-    d = euler_phi(q)
-    if k < d:
-        num = [0] * d
-        num[k] = 1
-        return Cyclotomic(q, tuple(num), 1)
-    p = [0] * (k + 1)
-    p[k] = 1
-    poly_reduce(p, cyclotomic_polynomial(q))
-    return Cyclotomic(q, tuple(p), 1)
+    return Cyclotomic(q, tuple(mapped((1,), 1, q, 1, k)), 1)
 
 
 def zeta(n: int) -> Cyclotomic:
@@ -706,13 +721,6 @@ def zeta(n: int) -> Cyclotomic:
 
 # ---------------------------------------------------------------------------
 # Galois automorphisms, descent, inversion
-
-
-def _galois_same_order(x: Cyclotomic, k: int) -> Cyclotomic:
-    # zeta_n -> zeta_n^k on a value already represented at order n; gcd(k, n) = 1
-    n = x.order
-    p = poly_reduce(index_map(x._num, n, n, k), cyclotomic_polynomial(n))
-    return Cyclotomic(n, tuple(p), x._den)
 
 
 def galois_apply(x: Cyclotomic, k: int, m: int) -> Cyclotomic:
@@ -738,7 +746,7 @@ def galois_apply(x: Cyclotomic, k: int, m: int) -> Cyclotomic:
         y = descend(x.embedded(math.lcm(n, m)), m)
     if y.order == 1 or k == 1:
         return y
-    return _galois_same_order(y, k)
+    return Cyclotomic(m, tuple(mapped(y._num, m, m, k)), y._den)
 
 
 def traces(x: Cyclotomic) -> tuple[tuple[int, ...], int]:
@@ -809,7 +817,7 @@ def descend(x: Cyclotomic, m: int) -> Cyclotomic:
             num, step_ok = _prime_step(num, k, p)
             ok, k = ok and step_ok, k // p
     if not ok:
-        back = _spread(num, m, n)
+        back = mapped(num, m, n)
         raise DescentError(n, m, next(i for i, (a, b) in enumerate(zip(x._num, back)) if a != b))
     return Cyclotomic._make(m, num, x._den)
 
@@ -830,7 +838,7 @@ def inverse(x: Cyclotomic) -> Cyclotomic:
     prod = ONE
     for k in range(2, n):
         if math.gcd(k, n) == 1:
-            prod = prod * _galois_same_order(r, k)
+            prod = prod * Cyclotomic(n, tuple(mapped(r._num, n, n, k)), r._den)
     norm = (r * prod).reduced()
     q = norm.as_rational()
     if not q:
@@ -909,7 +917,7 @@ def recognize(x: Cyclotomic) -> tuple[Fraction, RootOfUnity] | None:
     if not any(num):
         return None
     for t in range(0, n, len(num)):
-        coords = poly_reduce(index_map(num, n, n, 1, -t), cyclotomic_polynomial(n)) if t else num
+        coords = mapped(num, n, n, 1, -t) if t else num
         if len(coords) - coords.count(0) == 1:
             j = next(j for j, c in enumerate(coords) if c)
             c = coords[j]

@@ -132,18 +132,22 @@ def verlinde(md: ModularData) -> FusionRing:
     return ring
 
 
-def _as_multiset(a: int | ObjectMultiset) -> ObjectMultiset:
-    if isinstance(a, dict):
-        if any(m < 0 for m in a.values()):
+def _as_multiset(fr: FusionRing, a: int | ObjectMultiset) -> ObjectMultiset:
+    # the one check of a base object on the ring path: every simple lies in 0..rank-1,
+    # so a negative index cannot wrap around, and no multiplicity is negative
+    ms = a if isinstance(a, dict) else {a: 1}
+    for c, m in ms.items():
+        if not 0 <= c < fr.rank:
+            raise ValueError(f"object index {c} is outside 0..{fr.rank - 1}")
+        if m < 0:
             raise ValueError("multiset multiplicities must be non-negative")
-        return a
-    return {a: 1}
+    return ms
 
 
 def fuse(fr: FusionRing, left: int | ObjectMultiset, right: int | ObjectMultiset) -> ObjectMultiset:
-    """Decomposition of (left) (x) (right) into simples."""
-    lm = _as_multiset(left)
-    rm = _as_multiset(right)
+    """Decomposition of (left) (x) (right) into simples (ValueError: _as_multiset)."""
+    lm = _as_multiset(fr, left)
+    rm = _as_multiset(fr, right)
     out: ObjectMultiset = {}
     for a, ma in lm.items():
         if not ma:
@@ -161,7 +165,8 @@ def fuse(fr: FusionRing, left: int | ObjectMultiset, right: int | ObjectMultiset
 def power_decompose(fr: FusionRing, a: int | ObjectMultiset, n: int) -> ObjectMultiset:
     """Multiplicities of each simple in a^(tensor n); a^0 is the unit.
 
-    Each factor is one fusion step, so n above the order limit is refused.
+    Each factor is one fusion step, so n above the order limit is refused,
+    and so is an object outside the ring (_as_multiset), for every n.
     """
     if n < 0:
         raise ValueError("tensor power must be non-negative")
@@ -169,10 +174,11 @@ def power_decompose(fr: FusionRing, a: int | ObjectMultiset, n: int) -> ObjectMu
     if n > limit:
         raise ValueError(f"tensor power {n} exceeds the configured limit {limit}")
     out = fr._powers.get((a, n)) if isinstance(a, int) else None
-    if out is None:
+    if out is None:  # a kept power's object was checked when it was built
+        ms = _as_multiset(fr, a)
         out = {fr.unit: 1}
         for _ in range(n):
-            out = fuse(fr, out, _as_multiset(a))
+            out = fuse(fr, out, ms)
         if isinstance(a, int):
             fr._powers[(a, n)] = out
     return dict(out)

@@ -208,7 +208,8 @@ def hom_dim_under_forgetful(cd: CenterData, b: int, a: int | ObjectMultiset, n: 
 
 def _theta_root(theta: RootOfUnity, n: int, shift: int) -> RootOfUnity:
     # theta = zeta_q^e in lowest terms; the pinned n-th root is zeta_{nq}^(e + shift q)
-    # (shift selects the alternative root for independence tests)
+    # (rows pin shift 0; a shift is nu_general's root_shift, the other roots that
+    # independence tests compare against)
     return RootOfUnity.make(n * theta.order, theta.exponent + shift * theta.order)
 
 

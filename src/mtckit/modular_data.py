@@ -17,7 +17,6 @@ import functools
 import math
 
 from . import cyclo
-from ._poly import poly_reduce
 from .cyclo import Cyclotomic, RootOfUnity
 
 __all__ = [
@@ -273,12 +272,11 @@ def validate(md: ModularData) -> ValidationReport:
         twists = [t.exponent_at(m) for t in md.theta]
         st = [[cyclo.index_map(c, n, m, 1, e) for c, e in zip(row, twists)] for row in cells]
         st3 = cyclo.matmul(cyclo.matmul((st, den), (st, den), m), (st, den), m)[0]
-        mod, e = cyclo.cyclotomic_polynomial(m), xi.exponent_at(m)
+        e = xi.exponent_at(m)
         rel = _matrix_check(
             "(ST)^3 = xi S^2",
             r,
-            lambda i, j: st3[i][j]
-            == poly_reduce([den * v for v in cyclo.index_map(s2[i][j], n, m, 1, e)], mod),
+            lambda i, j: st3[i][j] == cyclo.mapped([den * v for v in s2[i][j]], n, m, 1, e),
         )
         xi_text = f"xi = {cyclo.format_root(xi)}"
         detail = xi_text if rel.passed else f"{rel.detail}, {xi_text}"

@@ -11,8 +11,9 @@ exponent as RootOfUnity. One routine (_candidate_counts) computes and gates
 every multiplicity: given a twist, n and the terms of the inverse DFT, it
 returns the candidates lambda and their counts. Every term is a field trace
 (arXiv:1611.00071; Ng-Schauenburg, arXiv:0806.2493): with rho = theta_b^(1/n)
-the pinned root of indicators._theta_root and mu = (lambda rho)^-1 = zeta_n^s,
-the Galois orbit {nu_{n,k} : gcd(k, n) = g} sums to one trace, so
+the one root every row pins (indicators._theta_root at shift 0; the counts do
+not depend on that choice) and mu = (lambda rho)^-1 = zeta_n^s, the Galois
+orbit {nu_{n,k} : gcd(k, n) = g} sums to one trace, so
 
     P^b_{n,a}(lambda^-1) = (1/n) [nu_0 + sum_{g | n, g < n} Tr_{Q(zeta_n1)/Q}(mu^g x_g)]
 
@@ -44,7 +45,8 @@ no remainder and not negative. Only a count that fails becomes a field value,
 so that the message shows it in E(n) form, the exact sum computed. The
 candidates of one twist and n, with their offset into the trace slots, are a
 frame built once and kept on the modular data (_candidate_frame); the order
-limit is checked on every call.
+limit is checked once on every call. A center simple outside 0..rank^2-1 or a
+negative center multiplicity is the caller's error, ValueError.
 """
 
 from __future__ import annotations
@@ -105,6 +107,12 @@ class SpectrumReport:
     rows: tuple[SpectrumRow, ...]
 
 
+def _check_index(i: int, count: int, what: str) -> None:
+    # a negative index would wrap around to another object, a large one fail bare
+    if not 0 <= i < count:
+        raise ValueError(f"{what} {i} is outside 0..{count - 1}")
+
+
 def _check_candidates(theta_b: RootOfUnity, n: int) -> None:
     # the row's field holds every candidate, so a too large n fails here, before any work
     if n < 1:
@@ -112,33 +120,20 @@ def _check_candidates(theta_b: RootOfUnity, n: int) -> None:
     cyclo.check_order(n * theta_b.order)
 
 
-def _rotation_candidates(theta_b: RootOfUnity, n: int) -> list[RootOfUnity]:
-    # all lambda = zeta_{n q}^j with lambda^n = theta_b^-1 (q = order of theta_b)
-    _check_candidates(theta_b, n)
-    q = theta_b.order
-    base = (-theta_b.exponent) % q
-    # base + q i < n q grows with i, so the list is already in turn order
-    return [RootOfUnity.make(n * q, base + q * i) for i in range(n)]
-
-
-def _offset(theta: RootOfUnity, n: int, first: RootOfUnity, root_shift: int) -> int:
-    # s0 with (first rho)^-1 = zeta_n^s0, rho = _theta_root(theta, n, root_shift): the
-    # candidate i after first has mu = zeta_n^(s0 - i)
-    order = n * theta.order
-    rho = _theta_root(theta, n, root_shift)
-    return -(first.exponent_at(order) + rho.exponent_at(order)) // theta.order
-
-
 def _candidate_frame(md: ModularData, theta: RootOfUnity, n: int):
-    # (candidates, s0) of one twist and n at the pinned root, built once and kept on
-    # md: it depends on neither b nor a. The order limit is checked on every call,
-    # so a lowered limit refuses a frame built before it
+    # (candidates, s0) of one twist and n, kept on md (it depends on neither b nor a):
+    # all lambda with lambda^n = theta^-1 in turn order, and with rho the pinned root
+    # the candidate i has mu = (lambda rho)^-1 = zeta_n^(s0 - i). The order limit is
+    # checked on every call, so a lowered limit refuses a frame built before it
     _check_candidates(theta, n)
     frames = vars(md).setdefault("_candidate_frames", {})
     frame = frames.get((theta, n))
     if frame is None:
-        cands = tuple(_rotation_candidates(theta, n))
-        frame = frames[theta, n] = cands, _offset(theta, n, cands[0], 0)
+        q = theta.order
+        base = -theta.exponent % q  # lambda_i = zeta_{n q}^(base + q i), i < n
+        cands = tuple(RootOfUnity.make(n * q, base + q * i) for i in range(n))
+        rho_e = _theta_root(theta, n, 0).exponent_at(n * q)  # rho = zeta_{n q}^rho_e
+        frame = frames[theta, n] = cands, -(base + rho_e) // q
     return frame
 
 
@@ -167,40 +162,31 @@ def _trace_entry(md: ModularData, n1: int, b: int, c: int):
     return entry
 
 
-def _row_terms(cd: CenterData, b: int, a, n: int, weight: int, root_shift: int = 0):
+def _row_terms(cd: CenterData, b: int, a, n: int, weight: int):
     # the terms (weight, entry) of P^b_{n,a}: nu_0 at n1 = 1, then for each divisor
-    # g < n one trace entry at n1 = n/g per simple of a^g. The pinned root with shift
-    # sigma multiplies x_g by zeta_{n1}^sigma, which moves its traces by sigma
+    # g < n one trace entry at n1 = n/g per simple of a^g
     yield weight, ((hom_dim_under_forgetful(cd, b, a, n),), 1)
     for g in range(1, n):
         if n % g:
             continue
-        n1 = n // g
-        shift = root_shift % n1
         for c, mult in power_decompose(cd.base.ring, a, g).items():
             if mult:
-                entry = _trace_entry(cd.base, n1, b, c)
-                if shift:
-                    entry = entry[0][shift:] + entry[0][:shift], entry[1]
-                yield weight * mult, entry
+                yield weight * mult, _trace_entry(cd.base, n // g, b, c)
 
 
 def _candidate_counts(
-    md: ModularData, theta: RootOfUnity, n: int, terms, describe, root_shift: int = 0
+    md: ModularData, theta: RootOfUnity, n: int, terms, describe
 ) -> tuple[tuple[RootOfUnity, ...], tuple[int, ...]]:
     # the candidates lambda (lambda^n = theta^-1) and their counts, (1/n) times the sum
     # of its terms, gated with describe(lambda) as its name. A term (weight, (ints, den))
-    # is the entry of x = rho^g nu_{n1,1}, n1 = n/g, rho = _theta_root(theta, n,
-    # root_shift): with mu = (lambda rho)^-1 = zeta_n^s it adds weight Tr(mu^g x) =
-    # weight ints[s mod n1] / den. The n1 = 1 entry, nu_0, is the same for every
-    # lambda. Entries add up as ints over one denominator; terms are only read once
-    # the candidates passed the order check. The candidates and s0 come from md's
-    # frame for (theta, n); a shifted root's s0 is computed here and not kept.
-    # Each count is gated as an int quotient: only a count that is no non-negative
-    # integer becomes a field value, for its message in E(n) form
+    # is the entry of x = rho^g nu_{n1,1}, n1 = n/g, rho = _theta_root(theta, n, 0):
+    # with mu = (lambda rho)^-1 = zeta_n^s it adds weight Tr(mu^g x) = weight
+    # ints[s mod n1] / den. The n1 = 1 entry, nu_0, is the same for every lambda.
+    # Entries add up as ints over one denominator; terms are only read once the
+    # candidates passed the order check. The candidates and s0 come from md's frame
+    # for (theta, n). Each count is gated as an int quotient: only a count that is no
+    # non-negative integer becomes a field value, for its message in E(n) form
     cands, s0 = _candidate_frame(md, theta, n)
-    if root_shift:
-        s0 = _offset(theta, n, cands[0], root_shift)
     den, traced = 1, {}
     for weight, (ints, d) in terms:
         if den % d:
@@ -229,20 +215,19 @@ def rotation_spectrum(
     b: int,
     a: int | ObjectMultiset,
     n: int,
-    root_shift: int = 0,
 ) -> SpectrumRow:
     """Eigenvalues-with-multiplicities of the rotation on Hom(b, a^(x)n).
 
     b is a center simple; candidates are exactly the n-th roots of
     theta_b^-1 and zero-multiplicity candidates are kept in the row.
     """
+    _check_index(b, cd.rank, "center simple")
     eigenvalues, multiplicities = _candidate_counts(
         cd.base,
         cd.theta[b],
         n,
-        _row_terms(cd, b, a, n, 1, root_shift),
+        _row_terms(cd, b, a, n, 1),
         lambda lam: f"multiplicity of {cyclo.format_root(lam)} on Hom({cd.labels[b]}, a^{n})",
-        root_shift,
     )
     return SpectrumRow(label=cd.labels[b], eigenvalues=eigenvalues, multiplicities=multiplicities)
 
@@ -273,9 +258,13 @@ def semisimple_K(
 
     K is linear in b, the sum of mult_c P^c_{n,a}: the simples of one twist share
     their candidates omega (omega^n = theta_c^-1), and other twists' differ.
+    A simple outside 0..cd.rank-1 or a negative mult raises ValueError.
     """
     groups: dict[RootOfUnity, ObjectMultiset] = {}
     for c, mult in b.items():
+        _check_index(c, cd.rank, "center simple")
+        if mult < 0:
+            raise ValueError("center multiplicities must be non-negative")
         if mult:
             groups.setdefault(cd.theta[c], {})[c] = mult
     out = {}
@@ -320,10 +309,11 @@ def braid_jm_spectrum(
         raise ValueError(f"sign must be 'over' or 'under', got {sign!r}")
     cyclo.check_order(n - (l + m))  # each row's field holds the (n-l-m)-th roots of 1
     cd = center_for(md, fr)
+    # a-bar^(l+m) is the dual of a^(l+m), whose decomposition checks a first
+    wrap = {md.dual[c]: mult for c, mult in power_decompose(md.ring, a, l + m).items()}
     n1 = n - (l + m)
     under = sign == "under"
     prefactor = md.theta[a] if under else md.theta[a].inverse()
-    wrap = power_decompose(md.ring, md.dual[a], l + m)
 
     rows = []
     for b in range(md.rank):
@@ -360,11 +350,13 @@ def k2_pairs(
     a value that must be rational. That entry is read from md's trace table,
     which the center's rows share; it is built from indicators.nu_direct on
     first use. The two counts sum to N, since the omega^-1 sum to 0. fr must
-    be md.ring (center.check_ring).
+    be md.ring (center.check_ring); c, b or a outside 0..rank-1 is a ValueError.
     """
     check_ring(md, fr)
-    table, cbar = md.ring.table, md.dual[c]
-    n_hom = sum(table[b][cbar][e] * table[e][a][a] for e in range(md.rank) if table[e][a][a])
+    for i in (c, b):
+        _check_index(i, md.rank, "center simple factor")
+    row = md.ring.table[b][md.dual[c]]  # N^b_{c-bar,e} for each e
+    n_hom = sum(row[e] * mult for e, mult in power_decompose(md.ring, a, 2).items())
     return tuple(zip(*_candidate_counts(
         md,
         md.theta[c] / md.theta[b],

@@ -571,10 +571,13 @@ def sigma_spectrum_n2(md, fr, a, braid="sigma"):
 
 def _candidate_counts_by_k(theta, n, nus, describe):
     from mtckit import cyclo
-    from mtckit.spectra import _require_count, _rotation_candidates
+    from mtckit.cyclo import RootOfUnity
+    from mtckit.spectra import _require_count
 
-    cands = _rotation_candidates(theta, n)
+    # every lambda with lambda^n = theta^-1, in turn order: j / order grows with j
     order = n * theta.order
+    roots = (RootOfUnity.make(order, j) for j in range(order))
+    cands = [lam for lam in roots if lam**n == theta.inverse()]
     rows = ([-k * lam.exponent_at(order) for k in range(n)] for lam in cands)
     values = cyclo.root_sums(nus, rows, order, n)
     return [

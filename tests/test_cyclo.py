@@ -261,6 +261,70 @@ class TestTimesRoot:
                     )
 
 
+class TestMapped:
+    def test_matches_the_reduced_index_map(self):
+        # every k coprime to the order, shifts e past the target and negative, rows of
+        # phi(order) to order numerators, small or past 10^40, into the order or a
+        # multiple of it
+        rng = random.Random(37)
+        for order in range(1, 61):
+            for _ in range(6):
+                target = order * rng.choice((1, 1, 2, 3, 5))
+                k = rng.choice([k for k in range(-order, 2 * order) if math.gcd(k, order) == 1])
+                e = rng.randrange(-2 * target, 2 * target)
+                bits = rng.choice((4, 134))
+                coeffs = [rng.getrandbits(bits) - (1 << (bits - 1))
+                          for _ in range(rng.randint(cyclo.euler_phi(order), order))]
+                want = _poly.poly_reduce(
+                    cyclo.index_map(coeffs, order, target, k, e), cyclo.cyclotomic_polynomial(target)
+                )
+                if target == order and (k - 1) % order == 0 and e % order == 0:
+                    want = coeffs
+                assert cyclo.mapped(coeffs, order, target, k, e) == want, (order, target, k, e)
+
+    def test_identity_returns_the_row(self):
+        row = (3, -1, 4, 1)
+        assert cyclo.mapped(row, 5, 5) is row
+        assert cyclo.mapped(row, 5, 5, 6, -10) is row
+        assert cyclo.mapped(row, 8, 8) is row
+
+    def test_refuses_rows_whose_slots_could_collide(self):
+        with pytest.raises(CycloDomainError):
+            cyclo.mapped([1, 2, 3, 4], 4, 8, 2)  # zeta -> zeta^2 is no automorphism at 4
+        with pytest.raises(CycloDomainError):
+            cyclo.mapped([1, 2, 3, 4, 5], 4, 8)  # five numerators for four slots
+        with pytest.raises(CycloDomainError):
+            cyclo.mapped([1, 2], 3, 8)  # 8 is no multiple of 3
+
+    def test_width_is_tight(self, monkeypatch):
+        # the extreme row of TestMatmul, moved back by zeta -> zeta^k and zeta^e so
+        # that mapped moves it onto itself: its reduced slot k reaches bound times the
+        # growth. The remainder mapped reads (Packing.reduce) unpacks to it at its
+        # width, from a Galois map and from a plain shift; at the width without the
+        # growth factor it does not
+        seen = TestIntegerSums._record_reduce(monkeypatch)
+        for order, e in ((105, 48), (385, 145)):
+            mod = cyclo.cyclotomic_polynomial(order)
+            deg, height = len(mod) - 1, max(map(abs, mod))
+            for bound in (1, 1000, (1 << 40) - 1):
+                row, want, growth = TestMatmul._extreme_row(order, bound)
+                for k in (1, 2):
+                    coeffs = [row[(k * j + e) % order] for j in range(order)]
+                    seen.clear()
+                    assert cyclo.mapped(coeffs, order, order, k, e) == want
+                    ((width, r),) = seen
+                    assert width == (2 * bound * growth + height).bit_length()
+                    narrow = (2 * bound + height).bit_length()
+                    q = _poly.poly_pack(mod, narrow)
+                    r = _poly.poly_pack(row, narrow) % q
+                    r -= q if r > q >> 1 else 0
+                    try:
+                        got = _poly.poly_unpack(r, narrow, deg)
+                    except ValueError:
+                        got = None
+                    assert got != want, (order, bound, k)
+
+
 class TestDescent:
     def test_examples(self):
         minus_one = from_rational(-1).embedded(12)

@@ -93,6 +93,22 @@ def test_negative_multiset_rejected(fixture_data):
         fuse(fr, {0: -1}, 0)
 
 
+def test_object_indices_outside_the_ring_are_refused(fixture_data):
+    # -1 would wrap around to the last simple and rank would fail as a bare IndexError;
+    # both are refused, as a simple or as a multiset key, on either side and at every
+    # power, a^0 included
+    _, fr = fixture_data["semion"]
+    for bad in (-1, fr.rank):
+        for obj in (bad, {bad: 1}, {0: 1, bad: 0}):
+            for call in (
+                lambda: fuse(fr, obj, 0),
+                lambda: fuse(fr, 0, obj),
+                *(lambda n=n: power_decompose(fr, obj, n) for n in (0, 1, 2)),
+            ):
+                with pytest.raises(ValueError, match=f"object index {bad} is outside 0..1"):
+                    call()
+
+
 def test_verlinde_rejects_non_modular(fixture_data):
     md, _ = fixture_data["toric-code"]
     s = [list(row) for row in md.s]

@@ -7,7 +7,8 @@ ModularData.ring, no multiplicity summed or gated outside
 spectra._candidate_counts, no Galois step in spectra outside
 spectra._entry, no indicator in spectra but the closed form that
 spectra._trace_entry reads, no control flow through a caught
-DescentError, and no library name that a hook of the benchmark's tracer
+DescentError, no polynomial kernel reached from outside cyclo and
+fusion_ring, and no library name that a hook of the benchmark's tracer
 (mtcbench/spans.py) wraps gone missing."""
 
 import ast
@@ -341,6 +342,47 @@ def test_rows_read_one_closed_form():
         if isinstance(node, ast.Attribute) and node.attr == "_trace_cache"
     ]
     assert not found, f"a trace table on the center: {found}"
+
+
+def _kernel_uses(tree):
+    """(line, what) for each import from the _poly kernel, relative or by the
+    package name, and each name or attribute poly_reduce."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "_poly":
+            yield node.lineno, "import"
+        elif isinstance(node, ast.Import) and any(
+            alias.name.split(".")[-1] == "_poly" for alias in node.names
+        ):
+            yield node.lineno, "import"
+        elif isinstance(node, ast.alias) and node.name == "poly_reduce":
+            yield node.lineno, "poly_reduce"
+        elif getattr(node, "id", None) == "poly_reduce" or getattr(node, "attr", None) == "poly_reduce":
+            yield node.lineno, "poly_reduce"
+
+
+def test_the_kernel_is_reached_through_cyclo():
+    # every embedding, Galois map and root shift of stored numerators is cyclo.mapped,
+    # so only cyclo and fusion_ring (packed associativity rows) import the kernel, and
+    # only cyclo names poly_reduce
+    found = sorted(
+        f"{path}:{line} {what}"
+        for path, tree in _modules()
+        for line, what in _kernel_uses(tree)
+        if path.name != "_poly.py"
+        and not (path.name == "cyclo.py" or (path.name == "fusion_ring.py" and what == "import"))
+    )
+    assert not found, f"the polynomial kernel used outside cyclo: {found}"
+    source = """
+from ._poly import poly_pack
+from mtckit._poly import poly_reduce
+import mtckit._poly
+row = poly_reduce(p, mod)
+row = cyclo.poly_reduce(p, mod)
+"""
+    assert sorted(_kernel_uses(ast.parse(source))) == [
+        (2, "import"), (3, "import"), (3, "poly_reduce"), (4, "import"),
+        (5, "poly_reduce"), (6, "poly_reduce"),
+    ]
 
 
 def _descent_handlers(tree):

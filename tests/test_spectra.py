@@ -76,6 +76,8 @@ class TestRotation:
         assert sum(row.multiplicities) == 2
 
     def test_root_shift_independence(self, fixture_data, fixture_centers):
+        # the row at the pinned root against the per-k route at the next root, whose
+        # Galois steps (nu_general) take the other theta^(1/n)
         rng = random.Random(41)
         for name in SMALL + ("haagerup-center",):
             cd = fixture_centers[name]
@@ -83,10 +85,9 @@ class TestRotation:
                 b = rng.randrange(cd.rank)
                 a = rng.randrange(cd.base.rank)
                 n = rng.randint(2, 4)
-                r0 = rotation_spectrum(cd, b, a, n, root_shift=0)
-                r1 = rotation_spectrum(cd, b, a, n, root_shift=1)
+                r0 = rotation_spectrum(cd, b, a, n)
                 assert (r0.eigenvalues, r0.multiplicities) == (
-                    r1.eigenvalues, r1.multiplicities,
+                    oracles.rotation_spectrum_by_k(cd, b, a, n, root_shift=1)
                 ), (name, b, a, n)
 
     def test_multiset_object(self, fixture_data, fixture_centers):
@@ -355,6 +356,48 @@ class TestBraids:
             braid_jm_spectrum(md, 0, 2, 0, 0, fr=fixture_data["semion"][1])
 
 
+class TestIndexGuards:
+    # a negative index would wrap around to another simple, and a rank-sized one fail
+    # as a bare IndexError: every entry point refuses both with ValueError
+
+    def test_center_simples(self, fixture_data, fixture_centers):
+        md, fr = fixture_data["semion"]
+        cd = fixture_centers["semion"]
+        for bad in (-1, cd.rank):
+            with pytest.raises(ValueError, match=f"center simple {bad} is outside 0..3"):
+                rotation_spectrum(cd, bad, 1, 2)
+            with pytest.raises(ValueError, match=f"center simple {bad} is outside 0..3"):
+                semisimple_K(cd, {0: 1, bad: 1}, 1, 2)
+        for bad in (-1, md.rank):
+            for c, b in ((bad, 0), (0, bad)):
+                with pytest.raises(ValueError, match=f"factor {bad} is outside 0..1"):
+                    k2_pairs(md, fr, c, b, 0)
+
+    def test_base_objects(self, fixture_data, fixture_centers):
+        md, fr = fixture_data["semion"]
+        cd = fixture_centers["semion"]
+        for bad in (-1, md.rank):
+            for call in (
+                lambda: rotation_spectrum(cd, 0, bad, 2),
+                lambda: rotation_spectrum(cd, 0, {bad: 1}, 2),
+                lambda: rotation_report(cd, bad, 2),
+                lambda: semisimple_K(cd, {0: 1}, bad, 1),
+                lambda: semisimple_K(cd, {0: 1}, bad, 2),
+                lambda: k2_pairs(md, fr, 0, 0, bad),
+                lambda: braid_jm_spectrum(md, bad, 2, 0, 0),
+                lambda: braid_jm_spectrum(md, bad, 3, 1, 0, sign="under"),
+            ):
+                with pytest.raises(ValueError, match=f"object index {bad} is outside 0..1"):
+                    call()
+
+    def test_negative_center_multiplicity(self, fixture_centers):
+        # the caller's fault, not corrupt data: ValueError, never IntegralityError
+        cd = fixture_centers["semion"]
+        for n in (1, 2):
+            with pytest.raises(ValueError, match="center multiplicities must be non-negative"):
+                semisimple_K(cd, {0: -1}, 1, n)
+
+
 class TestIntegralityGuards:
     def test_non_integer_multiplicity_raises(self, fixture_data):
         # swapping two twists while keeping S makes the indicator data
@@ -435,7 +478,8 @@ class TestRendering:
 class TestMultiplicitiesAgainstDot:
     @staticmethod
     def _check_row(cd, b, a, n, root_shift):
-        row = rotation_spectrum(cd, b, a, n, root_shift=root_shift)
+        # the oracle's nu_general values take the root with this shift
+        row = rotation_spectrum(cd, b, a, n)
         for lam, mult in zip(row.eigenvalues, row.multiplicities):
             want = oracles.multiplicity_by_dot(cd, b, a, n, lam, root_shift=root_shift)
             assert cyclo.as_integer(want) == mult, (cd.labels[b], a, n, lam)
@@ -478,7 +522,7 @@ class TestTracesAgainstTheRouteByK:
             for b in range(0, cd.rank, 12 if big else 1):
                 for a in range(cd.base.rank):
                     for root_shift in (0, 1):
-                        row = rotation_spectrum(cd, b, a, n, root_shift=root_shift)
+                        row = rotation_spectrum(cd, b, a, n)
                         want = oracles.rotation_spectrum_by_k(cd, b, a, n, root_shift=root_shift)
                         assert (row.eigenvalues, row.multiplicities) == want, (
                             name, b, a, n, root_shift)
@@ -526,12 +570,14 @@ def test_semion_row_at_n_1200_sums_to_the_hom_dimension(fixture_data, fixture_ce
 
 def test_rows_and_k2_pairs_make_no_field_product(fixture_data, monkeypatch):
     # a warm rotation row, K row or K^2 pair multiplies no field values and reduces
-    # no polynomial: nu_0 is a hom dimension, and every other term is read off the
-    # modular data's trace table as ints. The tables are warmed here, on fresh data,
-    # so the test does not depend on which tests ran before; each entry is built
-    # once, on the first pass
+    # no polynomial, neither as a list (poly_reduce) nor packed (Packing.reduce, the
+    # remainder behind cyclo.mapped and times_root): nu_0 is a hom dimension, and
+    # every other term is read off the modular data's trace table as ints. The tables
+    # are warmed here, on fresh data, so the test does not depend on which tests ran
+    # before; each entry is built once, on the first pass
     products, reductions, built = [], [], []
     mul, reduce, nu_direct = cyclo.Cyclotomic.__mul__, cyclo.poly_reduce, spectra.nu_direct
+    packed_reduce = cyclo.Packing.reduce
 
     def counting_mul(self, other):
         products.append((self, other))
@@ -540,6 +586,10 @@ def test_rows_and_k2_pairs_make_no_field_product(fixture_data, monkeypatch):
     def counting_reduce(p, mod):
         reductions.append(len(p))
         return reduce(p, mod)
+
+    def counting_packed_reduce(self, value):
+        reductions.append(self.order)
+        return packed_reduce(self, value)
 
     def recording_nu(md, n, c, b, a):
         built.append((id(md), n, c, b, a))  # only a trace entry reads nu_{n,1}
@@ -574,6 +624,7 @@ def test_rows_and_k2_pairs_make_no_field_product(fixture_data, monkeypatch):
     monkeypatch.setattr(cyclo.Cyclotomic, "__mul__", counting_mul)
     monkeypatch.setattr(cyclo.Cyclotomic, "__rmul__", counting_mul)
     monkeypatch.setattr(cyclo, "poly_reduce", counting_reduce)
+    monkeypatch.setattr(cyclo.Packing, "reduce", counting_packed_reduce)
     sweep()
     assert products == [] and reductions == [] and len(built) == first
 
@@ -819,8 +870,8 @@ def test_k2_integrality_message_is_pinned(fixture_data):
 
 
 def test_a_shifted_root_leaves_the_unshifted_row_as_it_was(fixture_data):
-    # a row at root_shift = 1 between two root_shift = 0 calls of the same (b, a, n)
-    # changes nothing the second call reads, on data whose rows start fresh
+    # the per-k route at root_shift = 1 between two rows of the same (b, a, n) at the
+    # pinned root changes nothing the second row reads, on data whose rows start fresh
     md, fr = fixture_data["fibonacci"]
     md = dataclasses.replace(md)
     cd = deligne_square(md, fr)
@@ -829,11 +880,9 @@ def test_a_shifted_root_leaves_the_unshifted_row_as_it_was(fixture_data):
         for b in range(cd.rank):
             for a in range(md.rank):
                 first = rotation_spectrum(cd, b, a, n)
-                shifted = rotation_spectrum(cd, b, a, n, root_shift=1)
+                shifted = oracles.rotation_spectrum_by_k(cd, b, a, n, root_shift=1)
                 assert rotation_spectrum(cd, b, a, n) == first, (b, a, n)
-                assert (shifted.eigenvalues, shifted.multiplicities) == (
-                    oracles.rotation_spectrum_by_k(cd, b, a, n, root_shift=1)
-                ) == (first.eigenvalues, first.multiplicities), (b, a, n)
+                assert shifted == (first.eigenvalues, first.multiplicities), (b, a, n)
                 uneven += len(set(first.multiplicities)) > 1
     assert uneven  # a row read with a moved offset would differ
 
