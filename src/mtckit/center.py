@@ -15,7 +15,8 @@ order 4), as (cells, den) matrices of mtckit.cyclo, with the base S lifted
 once per center. apply_s multiplies each factor by its S, one packed matrix
 product each (cyclo.matmul); apply_t shifts row a of R by theta_a^power and
 of R' by theta_a^-power (cyclo.mapped). contract_a applies R (x) R' to the
-forgetful matrix A once, after the whole word.
+forgetful matrix A once, after the whole word: one Contraction over md.ring,
+the packed contraction through the fusion tensor that nu_direct also reads.
 
 center_for keeps the center on its ModularData, and it serves both braidings:
 the center of the reversed braiding, C~ (x) C, is this one with each pair's
@@ -109,34 +110,38 @@ class CenterData:
     def contract_a(self, x: Pair) -> tuple[tuple[Cyclotomic, ...], ...]:
         """(R (x) R') A as Cyclotomic entries at order N; zeros are ZERO.
 
-        Row (a, b), column j is sum_{c,d} R[a][c] R'[b][d] N^j_{c,d}: A's
-        integer entries scale the packed cells of R over c, then one packed
-        product contracts R' over d.
+        Row (a, b), column j is sum_{c,d} R[a][c] N^j_{c,d} R'[b][d], entry (a, b, j).
         """
-        (r_cells, r_den), (q_cells, q_den) = x
-        forget, r, cols = self.a_matrix, self.base.rank, len(self.a_matrix[0])
-        # |y| <= r max|R| max|A| per slot; z stays unfolded, but modulo x^N - 1 (the
-        # bound Packing takes) a slot of z adds r products per coefficient of an R' cell
-        bound = (r * cyclo.max_abs(r_cells) * max(map(max, forget))
-                 * r * len(q_cells[0][0]) * cyclo.max_abs(q_cells))
-        p = cyclo.Packing(self.working_order, bound)
-        # y[a][(d, j)] = sum_c R[a][c] A[(c, d)][j]; a packed A cell is the int itself
-        a_cols = [[forget[c * r + d][j] for c in range(r)] for d in range(r) for j in range(cols)]
-        y = [[sum(map(mul, row, col)) for col in a_cols] for row in p.pack(r_cells)]
-        # z[b][(a, j)] = sum_d R'[b][d] y[a][(d, j)]
-        y_cols = [[y[a][d * cols + j] for d in range(r)] for a in range(r) for j in range(cols)]
-        z = p.contract(p.pack(q_cells), y_cols)
-        del a_cols, y, y_cols  # only z is alive while it is unpacked
-        n, den = self.working_order, r_den * q_den
-        out = []
-        for a in range(r):
-            for b in range(r):
-                row = []
-                for v in z[b][a * cols : (a + 1) * cols]:
-                    v = p.reduce(v)
-                    row.append(Cyclotomic._make(n, p.unpack(v), den) if v else cyclo.ZERO)
-                out.append(tuple(row))
-        return tuple(out)
+        k, r = Contraction(self.base.ring.table, *x, self.working_order), self.base.rank
+        return tuple(tuple(k.entry(a, b, j) for j in range(r)) for a in range(r) for b in range(r))
+
+
+class Contraction:
+    """entry(c, b, a) = sum_{d,e} L[c][d] N^a_{d,e} R[b][e], table[a][d][e] =
+    N^a_{d,e}, for base-rank (cells, den) matrices L, R of reduced cells at one
+    order N: the center's pair R (x) R' (contract_a) and the closed form's (S T^n,
+    S' T^-n) (indicators.nu_direct). Both are packed once; folded modulo x^N - 1,
+    a slot sums at most phi(N) max_a sum_{d,e} N^a_{d,e} max|L| max|R|, the
+    Packing bound. w_d = sum_e N^a_{d,e} R[b][e] is kept per (b, a), and an
+    entry is one packed dot product with row c of L, reduced once.
+    """
+
+    def __init__(self, table, left: Working, right: Working, order: int):
+        (l_cells, l_den), (r_cells, r_den) = left, right
+        n_sum = max(sum(map(sum, mat)) for mat in table)
+        self.packing = p = cyclo.Packing(order, cyclo.euler_phi(order) * n_sum
+                                         * cyclo.max_abs(l_cells) * cyclo.max_abs(r_cells))
+        self._table, self._left, self._right = table, p.pack(l_cells), p.pack(r_cells)
+        self._den = l_den * r_den
+        self._w: dict[tuple[int, int], list[int]] = {}
+
+    def entry(self, c: int, b: int, a: int) -> Cyclotomic:
+        w = self._w.get((b, a))
+        if w is None:
+            w = self._w[b, a] = [sum(map(mul, row, self._right[b])) for row in self._table[a]]
+        p = self.packing
+        value = p.reduce(sum(map(mul, self._left[c], w)))
+        return Cyclotomic._make(p.order, p.unpack(value), self._den) if value else cyclo.ZERO
 
 
 def _content_free(x: Working) -> Working:
@@ -148,6 +153,12 @@ def _content_free(x: Working) -> Working:
     if g == 1:
         return x
     return [[[v // g for v in c] for c in row] for row in cells], den // g
+
+
+def check_index(i: int, count: int, what: str) -> None:
+    """ValueError unless 0 <= i < count: no index wraps around or fails bare."""
+    if not 0 <= i < count:
+        raise ValueError(f"{what} {i} is outside 0..{count - 1}")
 
 
 def check_ring(md: ModularData, fr: FusionRing | None) -> None:

@@ -735,15 +735,7 @@ def galois_apply(x: Cyclotomic, k: int, m: int) -> Cyclotomic:
     k %= m
     if math.gcd(k, m) != 1:
         raise CycloDomainError(f"gcd({k}, {m}) != 1: not a Galois automorphism")
-    n = x.order
-    if n == m:
-        y = x
-    elif m % n == 0:
-        y = x.embedded(m)
-    elif n % m == 0:
-        y = descend(x, m)
-    else:
-        y = descend(x.embedded(math.lcm(n, m)), m)
+    y = descend(x.embedded(math.lcm(x.order, m)), m)
     if y.order == 1 or k == 1:
         return y
     return Cyclotomic(m, tuple(mapped(y._num, m, m, k)), y._den)

@@ -6,6 +6,8 @@ derives nu_{n,k} from the single-rotation column nu_{n,1} by a Galois
 automorphism, after pinning a root theta^(1/n); the two must agree. The
 column nu_{n,1} also has a closed double sum over the base data (nu_direct),
 which builds no SL2(Z) state; it is all that rotation and braid spectra read.
+Route one's last step and the closed form share one packed contraction
+through the fusion tensor (center.Contraction); a bad index is ValueError.
 """
 
 from __future__ import annotations
@@ -13,10 +15,9 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from operator import mul
 
 from . import cyclo
-from .center import CenterData, check_ring
+from .center import CenterData, Contraction, check_index, check_ring
 from .cyclo import Cyclotomic, RootOfUnity
 from .fusion_ring import FusionRing, ObjectMultiset, power_decompose
 from .modular_data import ModularData
@@ -201,6 +202,7 @@ def _gfs_apply(cd: CenterData, m: int, l: int, word: Sl2Word) -> IndicatorTable:
 
 def hom_dim_under_forgetful(cd: CenterData, b: int, a: int | ObjectMultiset, n: int) -> int:
     """dim Hom(b, a^(x)n) for a center simple b and base object a."""
+    check_index(b, cd.rank, "center simple")
     powers = power_decompose(cd.base.ring, a, n)
     arow = cd.a_matrix[b]
     return sum(arow[c] * mult for c, mult in powers.items())
@@ -241,6 +243,7 @@ def nu_general(
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
+    check_index(b, cd.rank, "center simple")
     q, k0 = divmod(k, n)
     prefactor = cd.theta[b].inverse() ** q if q else _ONE_ROOT
 
@@ -262,10 +265,9 @@ def nu_general(
     return cyclo.times_root(result, prefactor * root ** (-k0))
 
 
-def _twisted_rows(md: ModularData, n: int):
+def _twisted_rows(md: ModularData, n: int) -> Contraction:
     # U[c][d] = theta_d^n S_{c,d} and V[b][e] = theta_e^-n S_{b-bar,e}, S lifted once per n
-    # to the order L of S and every theta^n, packed at a width that holds every N^a sum
-    # of md.ring. The last slot keeps nu_direct's w rows, packed at that width too
+    # to the order L of S and every theta^n; their Contraction over md.ring is kept per n
     rows = vars(md).setdefault("_twisted_rows", {})
     kept = rows.get(n)
     if kept is None:
@@ -273,19 +275,10 @@ def _twisted_rows(md: ModularData, n: int):
         order = math.lcm(*(v.order for row in md.s for v in row), *(t.order for t in twists))
         cells, den = cyclo.lift(md.s, order)
         shifts = [t.exponent_at(order) for t in twists]
-        u = [[cyclo.index_map(x, order, order, 1, e) for x, e in zip(row, shifts)]
-             for row in cells]
-        v = [[cyclo.index_map(x, order, order, 1, -e) for x, e in zip(cells[i], shifts)]
+        u = [[cyclo.mapped(x, order, order, 1, e) for x, e in zip(row, shifts)] for row in cells]
+        v = [[cyclo.mapped(x, order, order, 1, -e) for x, e in zip(cells[i], shifts)]
              for i in md.dual]
-        n_sum = max(sum(map(sum, mat)) for mat in md.ring.table)
-        # U and V are kept reduced modulo Phi_L, which can grow each max|.| by the order's
-        # growth G; a slot of U_c[d] w_d sums phi(L) coefficient products, and |w_d| <=
-        # n_sum G max|V|
-        growth = cyclo._order_constants(order).growth
-        p = cyclo.Packing(order, len(cells[0][0]) * n_sum * growth * growth
-                          * cyclo.max_abs(u) * cyclo.max_abs(v))
-        u, v = ([[p.reduce(x) for x in row] for row in p.pack(m)] for m in (u, v))
-        kept = rows[n] = (p, u, v, den * den, {})
+        kept = rows[n] = Contraction(md.ring.table, (u, den), (v, den), order)
     return kept
 
 
@@ -294,16 +287,12 @@ def nu_direct(md: ModularData, n: int, c: int, b: int, a: int) -> Cyclotomic:
 
     sum_{d,e} U_{c,d} N^a_{d,e} V_{b,e}, U_{c,d} = theta_d^n S_{c,d}, V_{b,e} =
     theta_e^-n S_{b-bar,e}, N from md.ring (Ng-Schauenburg, arXiv:0806.2493):
-    gfs_matrix(n, 1) of the center, with no center. With U and V packed once
-    per n, a value is one packed dot product of U_c with w_d = sum_e N^a_{d,e}
-    V_{b,e}, reduced once: no field product. w is kept per (n, b, a).
+    gfs_matrix(n, 1) of the center, with no center: entry (c, b, a) of the
+    Contraction of U and V, kept per n, with no field product.
     """
-    p, u, v, den, ws = _twisted_rows(md, n)
-    w = ws.get((b, a))
-    if w is None:
-        w = ws[b, a] = [sum(map(mul, row, v[b])) for row in md.ring.table[a]]
-    value = p.reduce(sum(map(mul, u[c], w)))
-    return Cyclotomic._make(p.order, p.unpack(value), den) if value else cyclo.ZERO
+    for i, what in ((c, "center simple factor"), (b, "center simple factor"), (a, "object index")):
+        check_index(i, md.rank, what)
+    return _twisted_rows(md, n).entry(c, b, a)
 
 
 def nu2_direct(md: ModularData, fr: FusionRing, c: int, b: int, a: int) -> Cyclotomic:

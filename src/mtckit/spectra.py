@@ -56,7 +56,7 @@ import math
 from fractions import Fraction
 
 from . import cyclo
-from .center import CenterData, center_for, check_ring
+from .center import CenterData, center_for, check_index, check_ring
 from .cyclo import Cyclotomic, RootOfUnity
 from .fusion_ring import FusionRing, ObjectMultiset, power_decompose
 from .indicators import _theta_root, hom_dim_under_forgetful, nu_direct
@@ -105,12 +105,6 @@ class SpectrumReport:
     source: str
     params: tuple[tuple[str, str], ...]
     rows: tuple[SpectrumRow, ...]
-
-
-def _check_index(i: int, count: int, what: str) -> None:
-    # a negative index would wrap around to another object, a large one fail bare
-    if not 0 <= i < count:
-        raise ValueError(f"{what} {i} is outside 0..{count - 1}")
 
 
 def _check_candidates(theta_b: RootOfUnity, n: int) -> None:
@@ -221,7 +215,7 @@ def rotation_spectrum(
     b is a center simple; candidates are exactly the n-th roots of
     theta_b^-1 and zero-multiplicity candidates are kept in the row.
     """
-    _check_index(b, cd.rank, "center simple")
+    check_index(b, cd.rank, "center simple")
     eigenvalues, multiplicities = _candidate_counts(
         cd.base,
         cd.theta[b],
@@ -262,7 +256,7 @@ def semisimple_K(
     """
     groups: dict[RootOfUnity, ObjectMultiset] = {}
     for c, mult in b.items():
-        _check_index(c, cd.rank, "center simple")
+        check_index(c, cd.rank, "center simple")
         if mult < 0:
             raise ValueError("center multiplicities must be non-negative")
         if mult:
@@ -354,7 +348,7 @@ def k2_pairs(
     """
     check_ring(md, fr)
     for i in (c, b):
-        _check_index(i, md.rank, "center simple factor")
+        check_index(i, md.rank, "center simple factor")
     row = md.ring.table[b][md.dual[c]]  # N^b_{c-bar,e} for each e
     n_hom = sum(row[e] * mult for e, mult in power_decompose(md.ring, a, 2).items())
     return tuple(zip(*_candidate_counts(

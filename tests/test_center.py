@@ -9,7 +9,7 @@ from mtckit import cyclo
 from mtckit._poly import poly_pack
 from mtckit.center import CenterData, ConsistencyError, center_for, deligne_square
 from mtckit.cyclo import Cyclotomic, RootOfUnity
-from mtckit.fusion_ring import verlinde
+from mtckit.fusion_ring import FusionRing, verlinde
 from mtckit.indicators import gfs_matrix
 from mtckit.modular_data import ModularData, derive_invariants, validate
 
@@ -192,36 +192,18 @@ def test_identity_pair_gives_the_forgetful_matrix(fixture_centers):
 
 
 def test_contraction_slot_width_is_tight(monkeypatch):
-    # order 1, R all M, row b of R' all +-M', every A entry n: cell ((a, b), j) is
-    # sum_{c,d} M (+-M') n = +-bound with bound = r max|R| max|A| * r phi(1) max|R'|.
-    # One bit less must not decode it.
+    # order 1, R all M, row b of R' all +-M': cell ((a, b), j) is sum_{c,d} M N^j_{c,d}
+    # (+-M') = +-bound at the j with the largest sum, bound = phi(1) max_j sum_{c,d}
+    # N^j_{c,d} max|R| max|R'|. One bit less must not decode it. Every N^j_{c,d} n,
+    # and then n on the diagonal and 1 off it, where r^2 max|A| is wider than the sum
     r, big, big2, n = 3, 5, 7, 2
-    bound = r * big * n * r * big2
-    md = ModularData(
-        labels=("x", "y", "z"),
-        s=((cyclo.ONE,) * r,) * r,
-        theta=(cyclo.RootOfUnity(1, 0),) * r,
-        unit=0,
-        dual=(0, 1, 2),
-    )
-    cd = CenterData(
-        base=md,
-        labels=tuple(str(i) for i in range(r * r)),
-        theta=(cyclo.RootOfUnity(1, 0),) * (r * r),
-        unit=0,
-        dual=tuple(range(r * r)),
-        a_matrix=((n,) * r,) * (r * r),
-        conductor=1,
-    )
+    uniform = (((n,) * r,) * r,) * r
+    diagonal = (tuple(tuple(n if c == d else 1 for d in range(r)) for c in range(r)),) * r
     signs = (1, -1, 1)
     pair = (
         ([[[big]] * r for _ in range(r)], 1),
         ([[[sign * big2]] * r for sign in signs], 1),
     )
-    assert cd.working_order == 1
-    want = tuple(tuple(cyclo.from_rational(signs[i % r] * bound) for _ in range(r))
-                 for i in range(r * r))
-    widths = []
     packing = cyclo.Packing
 
     class Recording(packing):
@@ -229,22 +211,49 @@ def test_contraction_slot_width_is_tight(monkeypatch):
             super().__init__(order, bound)
             widths.append(self.width)
 
-    monkeypatch.setattr(cyclo, "Packing", Recording)
-    assert cd.contract_a(pair) == want
-    assert widths == [bound.bit_length() + 1]
-
     class Narrower(packing):
         def __init__(self, order, bound):
             super().__init__(order, bound)
             self.width -= 1
             self.modulus = poly_pack(cyclo.cyclotomic_polynomial(order), self.width)
 
-    monkeypatch.setattr(cyclo, "Packing", Narrower)
-    try:
-        got = cd.contract_a(pair)
-    except ValueError:
-        got = None
-    assert got != want
+    for table in (uniform, diagonal):
+        md = ModularData(
+            labels=("x", "y", "z"),
+            s=((cyclo.ONE,) * r,) * r,
+            theta=(cyclo.RootOfUnity(1, 0),) * r,
+            unit=0,
+            dual=(0, 1, 2),
+        )
+        # S is no modular data, so its ring is handed over
+        vars(md)["ring"] = FusionRing(rank=r, unit=0, dual=(0, 1, 2), table=table)
+        cd = CenterData(
+            base=md,
+            labels=tuple(str(i) for i in range(r * r)),
+            theta=(cyclo.RootOfUnity(1, 0),) * (r * r),
+            unit=0,
+            dual=tuple(range(r * r)),
+            a_matrix=tuple(tuple(table[j][c][d] for j in range(r))
+                           for c in range(r) for d in range(r)),
+            conductor=1,
+        )
+        assert cd.working_order == 1
+        sums = [sum(map(sum, mat)) for mat in table]
+        bound = big * max(sums) * big2
+        want = tuple(tuple(cyclo.from_rational(signs[i % r] * big * s * big2) for s in sums)
+                     for i in range(r * r))
+        widths = []
+        with monkeypatch.context() as patched:
+            patched.setattr(cyclo, "Packing", Recording)
+            assert cd.contract_a(pair) == want
+        assert widths == [bound.bit_length() + 1]
+        with monkeypatch.context() as patched:
+            patched.setattr(cyclo, "Packing", Narrower)
+            try:
+                got = cd.contract_a(pair)
+            except ValueError:
+                got = None
+        assert got != want
 
 
 def test_second_center_reuses_the_invariants(fixture_data, monkeypatch):

@@ -8,8 +8,9 @@ spectra._candidate_counts, no Galois step in spectra outside
 spectra._entry, no indicator in spectra but the closed form that
 spectra._trace_entry reads, no control flow through a caught
 DescentError, no polynomial kernel reached from outside cyclo and
-fusion_ring, and no library name that a hook of the benchmark's tracer
-(mtcbench/spans.py) wraps gone missing."""
+fusion_ring, no packing in indicators beside center.Contraction, no
+per-order constants read outside cyclo, and no library name that a hook
+of the benchmark's tracer (mtcbench/spans.py) wraps gone missing."""
 
 import ast
 import importlib.util
@@ -383,6 +384,25 @@ row = cyclo.poly_reduce(p, mod)
         (2, "import"), (3, "import"), (3, "poly_reduce"), (4, "import"),
         (5, "poly_reduce"), (6, "poly_reduce"),
     ]
+
+
+def test_one_fusion_contraction():
+    # every contraction through the fusion tensor is center.Contraction: indicators
+    # packs no cells of its own, and only cyclo reads its per-order constants
+    found = [
+        f"{path}:{scope or '<module>'} Packing"
+        for path, tree in _modules()
+        if path.name == "indicators.py"
+        for scope in _calls_by_scope(tree, "Packing")
+    ] + [
+        f"{path}:{getattr(node, 'lineno', '?')} _order_constants"
+        for path, tree in _modules()
+        if path.name != "cyclo.py"
+        for node in ast.walk(tree)
+        if "_order_constants" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                  getattr(node, "name", None))
+    ]
+    assert not found, f"a second fusion contraction or packing bound: {found}"
 
 
 def _descent_handlers(tree):

@@ -13,6 +13,7 @@ from mtckit.fusion_ring import FusionRing, power_decompose
 from mtckit.indicators import (
     Sl2Word,
     gfs_matrix,
+    hom_dim_under_forgetful,
     matrix_tokens,
     nu2_direct,
     nu_direct,
@@ -386,7 +387,7 @@ class TestNu2Direct:
             md = made_up(theta)
             assert nu_direct(md, n, 0, 0, 0) == bound
             assert nu_direct(md, n, 0, 1, 0) == -bound
-            width = vars(md)["_twisted_rows"][n][0].width
+            width = vars(md)["_twisted_rows"][n].packing.width
             assert width == bound.bit_length() + 1
             with monkeypatch.context() as patched:
                 patched.setattr(cyclo, "Packing", Narrower)
@@ -396,7 +397,7 @@ class TestNu2Direct:
                         got = nu_direct(narrow, n, 0, b, 0)
                     except ValueError:
                         got = None
-                    assert vars(narrow)["_twisted_rows"][n][0].width == width - 1
+                    assert vars(narrow)["_twisted_rows"][n].packing.width == width - 1
                     assert got != want, (n, b)
         assert nu2_direct(made_up(cyclo.RootOfUnity(1, 0)), fr, 0, 0, 0) == bound
 
@@ -417,6 +418,31 @@ class TestNu2Direct:
             with pytest.raises(ValueError, match="not the fusion ring"):
                 nu2_direct(md, big, 1, 1, a)
         assert [nu2_direct(md, fr, 1, 1, a) for a in range(md.rank)] == want
+
+
+class TestIndexGuards:
+    # a negative index would wrap around to another simple, and a rank-sized one fail
+    # as a bare IndexError: every indicator function refuses both with ValueError
+
+    def test_closed_form(self, fixture_data):
+        md, fr = fixture_data["fibonacci"]
+        for bad in (-1, md.rank):
+            for args, what in (((bad, 0, 0), "center simple factor"),
+                               ((0, bad, 0), "center simple factor"),
+                               ((0, 0, bad), "object index")):
+                for call in (lambda: nu_direct(md, 2, *args), lambda: nu_direct(md, 3, *args),
+                             lambda: nu2_direct(md, fr, *args)):
+                    with pytest.raises(ValueError, match=f"{what} {bad} is outside 0..1"):
+                        call()
+
+    def test_center_simples(self, fixture_centers):
+        cd = fixture_centers["fibonacci"]
+        for bad in (-1, cd.rank):
+            for call in (lambda: nu_general(cd, bad, 2, 0, 0), lambda: nu_general(cd, bad, 2, 1, 0),
+                         lambda: nu_general(cd, bad, 3, 2, 1),
+                         lambda: hom_dim_under_forgetful(cd, bad, 0, 2)):
+                with pytest.raises(ValueError, match=f"center simple {bad} is outside 0..3"):
+                    call()
 
 
 class TestCrossRoute:
