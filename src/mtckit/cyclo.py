@@ -289,12 +289,7 @@ class Cyclotomic:
         if den < 0:
             den = -den
             num = [-c for c in num]
-        g = den
-        for c in num:
-            if c:
-                g = math.gcd(g, c)
-                if g == 1:
-                    break
+        g = math.gcd(den, *num) if den > 1 else 1
         if g > 1:
             den //= g
             num = [c // g for c in num]
@@ -882,7 +877,8 @@ class RootOfUnity:
         return RootOfUnity.make(self.order, -self.exponent)
 
     def __truediv__(self, other: "RootOfUnity") -> "RootOfUnity":
-        return self * other.inverse()
+        n = math.lcm(self.order, other.order)
+        return RootOfUnity.make(n, self.exponent_at(n) - other.exponent_at(n))
 
     def is_one(self) -> bool:
         return self.order == 1

@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from operator import mul
 
 from . import cyclo
 from .center import CenterData, Contraction, check_index, check_ring
@@ -204,8 +205,7 @@ def hom_dim_under_forgetful(cd: CenterData, b: int, a: int | ObjectMultiset, n: 
     """dim Hom(b, a^(x)n) for a center simple b and base object a."""
     check_index(b, cd.rank, "center simple")
     powers = power_decompose(cd.base.ring, a, n)
-    arow = cd.a_matrix[b]
-    return sum(arow[c] * mult for c, mult in powers.items())
+    return sum(map(mul, map(cd.a_matrix[b].__getitem__, powers), powers.values()))
 
 
 def _theta_root(theta: RootOfUnity, n: int, shift: int) -> RootOfUnity:
@@ -268,7 +268,7 @@ def nu_general(
 def _twisted_rows(md: ModularData, n: int) -> Contraction:
     # U[c][d] = theta_d^n S_{c,d} and V[b][e] = theta_e^-n S_{b-bar,e}, S lifted once per n
     # to the order L of S and every theta^n; their Contraction over md.ring is kept per n
-    rows = vars(md).setdefault("_twisted_rows", {})
+    rows = vars(md).get("_twisted_rows") or vars(md).setdefault("_twisted_rows", {})
     kept = rows.get(n)
     if kept is None:
         twists = [t**n for t in md.theta]
@@ -290,8 +290,12 @@ def nu_direct(md: ModularData, n: int, c: int, b: int, a: int) -> Cyclotomic:
     gfs_matrix(n, 1) of the center, with no center: entry (c, b, a) of the
     Contraction of U and V, kept per n, with no field product.
     """
-    for i, what in ((c, "center simple factor"), (b, "center simple factor"), (a, "object index")):
-        check_index(i, md.rank, what)
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    r = md.rank
+    if not (0 <= c < r and 0 <= b < r and 0 <= a < r):
+        for i, what in ((c, "center simple factor"), (b, "center simple factor"), (a, "object index")):
+            check_index(i, r, what)
     return _twisted_rows(md, n).entry(c, b, a)
 
 

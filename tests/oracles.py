@@ -639,3 +639,74 @@ def k2_pairs_by_k(md, fr, c, b, a):
         (n_hom, nu2_direct(md, fr, c, b, a)),
         lambda omega: f"K^(2) at omega = {cyclo.format_root(omega)}",
     ))
+
+
+# ---------------------------------------------------------------------------
+# trace entries by the descent route: the value x = rho nu shifted to the order of
+# rho nu, descended to Q(zeta_n1) and traced there. The library reads the same
+# ints off nu's coordinates in the subspace V of Q(zeta_L) where rho nu lies in
+# Q(zeta_n1) (mtckit.spectra._trace_field); this is the route it replaced.
+
+
+def trace_entry_by_descent(md, n1, b, c, nu=None):
+    """spectra's entry (n1, b, c), b = left rank + right, as (ints, den): the traces
+    Tr(zeta_n1^s x), s < n1, of x = rho nu with rho the pinned root theta_b^(1/n1) and
+    nu = nu^{left (x) right~}_{n1,1}(c) (nu_direct) unless given, by cyclo.times_root,
+    galois_apply and traces. A value off Q(zeta_n1) raises the DescentError that the
+    library's entries repeat."""
+    from mtckit import cyclo
+    from mtckit.indicators import _theta_root, nu_direct
+
+    left, right = divmod(b, md.rank)
+    if nu is None:
+        nu = nu_direct(md, n1, left, right, c)
+    root = _theta_root(md.theta[left] / md.theta[right], n1, 0)
+    return cyclo.traces(cyclo.galois_apply(cyclo.times_root(nu, root), 1, n1))
+
+
+def _rank(rows) -> int:
+    # the rank over Q of int rows, by fraction-free elimination
+    work, rank = [row for row in rows if any(row)], 0
+    while work:
+        row = work.pop()
+        col = next(k for k, x in enumerate(row) if x)
+        rest = []
+        for other in work:
+            if other[col]:
+                other = [row[col] * x - other[col] * y for x, y in zip(other, row)]
+                if any(other):
+                    g = math.gcd(*other)
+                    rest.append([x // g for x in other])
+            else:
+                rest.append(other)
+        work, rank = rest, rank + 1
+    return rank
+
+
+def trace_field_dim_by_galois(theta, n1, order):
+    """dim_Q {nu in Q(zeta_L) : rho nu in Q(zeta_n1)}, L = order and rho the pinned
+    root theta^(1/n1): phi(L) less the rank of nu -> (sigma_k(rho nu) - rho nu)_k over
+    generators k of Gal(Q(zeta_M)/Q(zeta_n1)), M = lcm(L, n1, ord rho), each sigma_k by
+    cyclo.galois_apply at order M on the power basis of Q(zeta_L)."""
+    from mtckit import cyclo
+    from mtckit.indicators import _theta_root
+
+    rho = _theta_root(theta, n1, 0)
+    big = math.lcm(order, n1, rho.order)
+    fixing = [k for k in range(1, big) if math.gcd(k, big) == 1 and k % n1 == 1 % n1]
+    gens, reached = [], {1}
+    for k in fixing:
+        if k not in reached:
+            gens.append(k)
+            while True:  # close the generated subgroup under products
+                more = {x * y % big for x in reached for y in gens} - reached
+                if not more:
+                    break
+                reached |= more
+    phi, rows = cyclo.euler_phi(order), []
+    for j in range(phi):
+        unit = cyclo.Cyclotomic._make(order, [int(i == j) for i in range(phi)], 1)
+        x = cyclo.times_root(unit, rho).embedded(big)
+        moved = ((cyclo.galois_apply(x, k, big) - x).embedded(big) for k in gens)
+        rows.append([c for y in moved for c in y._num])
+    return phi - _rank(rows)

@@ -4,9 +4,9 @@ at the order-1 zero, no root-of-unity sum built from field products, no
 root of unity entering indicators or spectra as a field value, no
 module-level cache beyond the ones that exist, no verlinde call outside
 ModularData.ring, no multiplicity summed or gated outside
-spectra._candidate_counts, no Galois step in spectra outside
-spectra._entry, no indicator in spectra but the closed form that
-spectra._trace_entry reads, no control flow through a caught
+spectra._candidate_counts, no root shift or Galois step in spectra
+outside the failure path spectra._off_field, no indicator in spectra but
+the closed form that spectra._entry reads, no control flow through a caught
 DescentError, no polynomial kernel reached from outside cyclo and
 fusion_ring, no packing in indicators beside center.Contraction, no
 per-order constants read outside cyclo, and no library name that a hook
@@ -319,23 +319,27 @@ def test_one_routine_sums_and_gates_every_multiplicity():
 
 
 def test_only_trace_entries_take_a_galois_step():
-    # every term of a rotation row, K row or K^2 pair is a trace entry; only
-    # _entry checks a value's field, once per entry
+    # every term of a rotation row, K row or K^2 pair is a trace entry, read off
+    # nu's coordinates in its trace field with no root shift and no descent; only
+    # _off_field, which rebuilds an entry that failed that check, shifts by a root
+    # and descends, for the DescentError's order, target and witness
     tree = ast.parse((SRC / "spectra.py").read_text())
-    scopes = list(_calls_by_scope(tree, "galois_apply"))
-    assert scopes == ["_entry"], f"galois_apply called from {scopes}"
+    for name in ("galois_apply", "times_root", "descend"):
+        scopes = list(_calls_by_scope(tree, name))
+        assert scopes == ([] if name == "descend" else ["_off_field"]), (
+            f"{name} called from {scopes}")
 
 
 def test_rows_read_one_closed_form():
     # every trace entry of a rotation row, K row, braid or K^2 pair is built from
-    # indicators.nu_direct in _trace_entry, and kept in one table on the modular
-    # data: spectra reaches neither SL2(Z) route, and the center keeps no entries
+    # indicators.nu_direct in _entry, and kept in one table on the modular data:
+    # spectra reaches neither SL2(Z) route, and the center keeps no entries
     tree = ast.parse((SRC / "spectra.py").read_text())
     for name in ("nu_general", "gfs_matrix", "nu2_direct"):
         scopes = list(_calls_by_scope(tree, name))
         assert scopes == [], f"{name} called from {scopes}"
     scopes = list(_calls_by_scope(tree, "nu_direct"))
-    assert scopes == ["_trace_entry"], f"nu_direct called from {scopes}"
+    assert scopes == ["_entry"], f"nu_direct called from {scopes}"
     found = [
         f"{path}:{node.lineno}"
         for path, tree in _modules()

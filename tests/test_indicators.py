@@ -654,3 +654,15 @@ def test_indicators_are_congruence_invariant(name, pairs, fixture_centers):
         assert tables[0] == tables[1] == tables[2], (name, m, l)
         checked += 1
     assert checked >= 2, name
+
+
+def test_nu_direct_refuses_a_non_positive_n(fixture_data):
+    # n = 0, -1 and -2 once returned 1 on fibonacci, each building and keeping one more
+    # contraction on the data; they are refused as nu_general refuses them
+    md = dataclasses.replace(fixture_data["fibonacci"][0])
+    for n in (0, -1, -2):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            nu_direct(md, n, 0, 0, 0)
+    assert "_twisted_rows" not in vars(md)
+    nu_direct(md, 1, 0, 0, 0)
+    assert list(vars(md)["_twisted_rows"]) == [1]
