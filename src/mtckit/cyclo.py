@@ -25,7 +25,7 @@ import os
 from fractions import Fraction
 from operator import mul
 
-from ._poly import poly_mulmod, poly_pack, poly_reduce, poly_unpack, slot_width
+from ._poly import poly_mulmod, poly_pack, poly_reduce, poly_unpack
 
 __all__ = [
     "Cyclotomic",
@@ -38,7 +38,6 @@ __all__ = [
     "zeta",
     "from_rational",
     "dot",
-    "index_map",
     "mapped",
     "root_sums",
     "times_root",
@@ -49,7 +48,7 @@ __all__ = [
     "inverse",
     "galois_apply",
     "descend",
-    "traces",
+    "ramanujan_sums",
     "recognize",
     "euler_phi",
     "set_order_limit",
@@ -444,12 +443,6 @@ class Cyclotomic:
         a, b = self._common(o)
         return a._num == b._num and a._den == b._den
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        if eq is NotImplemented:
-            return eq
-        return not eq
-
     def __hash__(self):
         h = self._hash
         if h is None:
@@ -482,29 +475,16 @@ ZERO = Cyclotomic(1, (0,), 1)
 ONE = Cyclotomic(1, (1,), 1)
 
 
-def index_map(coeffs, order: int, target: int, k: int = 1, e: int = 0) -> list[int]:
-    """Numerators at order, mapped zeta_order^j -> zeta_target^(k j target/order + e).
-
-    target is a multiple of order; the result has target entries, unreduced.
-    This embeds (k = 1), applies the Galois map zeta -> zeta^k (gcd(k, order)
-    = 1) and multiplies by the root zeta_target^e, in any combination.
-    """
-    s = target // order
-    p = [0] * target
-    for j, c in enumerate(coeffs):
-        if c:
-            p[(k * j * s + e) % target] += c
-    return p
-
-
 def mapped(coeffs, order: int, target: int, k: int = 1, e: int = 0) -> list[int]:
-    """Numerators at order moved as index_map moves them, reduced modulo Phi_target:
-    the coordinates at target of zeta_target^e sigma_k(x), x the value they hold.
+    """Numerators at order moved by zeta_order^j -> zeta_target^(k j target/order + e)
+    and reduced modulo Phi_target: the coordinates at target of zeta_target^e
+    sigma_k(x), x the value they hold.
 
-    Every embedding, Galois map and root-of-unity shift of stored numerators
-    takes this one route. target is a multiple of order, coeffs holds at most
-    order numerators and gcd(k, order) = 1, so no two land in one slot modulo
-    x^target - 1; other input raises CycloDomainError. The identity map
+    Every embedding (k = 1), Galois map and root-of-unity shift of stored
+    numerators, in any combination, takes this one route. target is a multiple
+    of order, coeffs holds at most order numerators and gcd(k, order) = 1, so
+    no two land in one slot modulo x^target - 1; other input raises
+    CycloDomainError. The identity map
     (target = order, k = 1 and e = 0 modulo them) returns coeffs itself, and
     a row moved (k = 1) below slot phi(target) is already reduced; any other
     row is packed (Packing) with its largest |numerator| as the bound and
@@ -608,8 +588,8 @@ def root_sums(values, exponent_rows, order: int, den: int = 1) -> list[Cyclotomi
 
 # ---------------------------------------------------------------------------
 # matrices at one order N: (cells, den), where cell (i, j) holds the integer
-# numerators of entry (i, j) over the shared den, unreduced (up to N long)
-# after an index map such as a root of unity or conjugation. A product packs
+# numerators of entry (i, j) over the shared den, reduced modulo Phi_N (lift,
+# mapped). A product packs
 # each cell into one int (mtckit._poly): an output cell is one dot product of
 # ints, reduced modulo Phi_N by one int remainder (Packing.reduce).
 
@@ -736,29 +716,17 @@ def galois_apply(x: Cyclotomic, k: int, m: int) -> Cyclotomic:
     return Cyclotomic(m, tuple(mapped(y._num, m, m, k)), y._den)
 
 
-def traces(x: Cyclotomic) -> tuple[tuple[int, ...], int]:
-    """The traces Tr_{Q(zeta_n)/Q}(zeta_n^s x) for s = 0..n-1, n the order of
-    x, as ints over x's denominator.
+def ramanujan_sums(n: int) -> list[int]:
+    """The Ramanujan sums c_n(j) = Tr_{Q(zeta_n)/Q}(zeta_n^j) for j = 0..n-1.
 
-    Tr(zeta_n^j) is the Ramanujan sum c_n(j) = mu(n/d) phi(n)/phi(n/d) with
-    d = gcd(j, n) (von Sterneck), so each trace is the integer functional
-    sum_j num_j c_n(s + j) of x's coordinates. All n of them come from one
-    Kronecker product: the coordinates packed in reverse order times the
-    packed c_n(0), ..., c_n(n + phi(n) - 2), whose slot phi(n) - 1 + s is
-    trace s. Each slot sums at most phi(n) products of at most
-    max|num| phi(n).
+    c_n(j) = mu(n/d) phi(n)/phi(n/d) with d = gcd(j, n) (von Sterneck): mu(n/d)
+    is 0 unless n/d is a product of distinct primes p of n, and then
+    phi(n)/phi(n/d) = phi(n) / prod(p - 1).
     """
-    n, num = x.order, x._num
-    phi = len(num)
-    # c_n(j) by d = gcd(j, n): mu(n/d) is 0 unless n/d = m is squarefree, a product of
-    # distinct primes p of n, and then phi(n)/phi(m) = phi(n) / prod(p - 1)
-    sums = {n: phi}
+    sums = {n: euler_phi(n)}
     for p in _factorize(n):
         sums.update({d // p: -c // (p - 1) for d, c in sums.items()})
-    ramanujan = [sums.get(math.gcd(j, n), 0) for j in range(n)]
-    width = slot_width(phi, phi, max(map(abs, num)))
-    product = poly_pack(num[::-1], width) * poly_pack(ramanujan + ramanujan[: phi - 1], width)
-    return tuple(poly_unpack(product, width, n + 2 * phi - 2)[phi - 1 : phi - 1 + n]), x._den
+    return [sums.get(math.gcd(j, n), 0) for j in range(n)]
 
 
 def _prime_step(num: list[int], n: int, p: int) -> tuple[list[int], bool]:

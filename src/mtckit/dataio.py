@@ -109,6 +109,8 @@ class _Scanner:
             self.pos += 1
         if self.pos == digits:
             raise ExprSyntaxError(self.text, start, "an integer")
+        if self.pos - digits > MAX_DIGITS:
+            raise ExprSyntaxError(self.text, digits, f"an integer of at most {MAX_DIGITS} digits")
         return int(self.text[start : self.pos])
 
 
@@ -170,6 +172,8 @@ def parse_expr(text: str) -> Cyclotomic:
 # Verlinde grows like rank^4, and a text this long already holds rank-64 data
 MAX_RANK = 64
 MAX_TEXT_CHARS = 4 << 20
+# the longest integer literal: CPython's default limit on converting a string to int
+MAX_DIGITS = 4300
 
 
 def parse_file(text: str) -> ModularData:
@@ -238,6 +242,9 @@ def parse_file(text: str) -> ModularData:
                 raise FileFormatError(line_no, f"rank {rank} exceeds the limit of {MAX_RANK}")
         elif key == "labels":
             labels = rest.split()
+            for label in labels:
+                if not label.isprintable():
+                    raise FileFormatError(line_no, f"label {label!r} is not printable")
         elif key == "unit":
             unit_token = rest.strip()
         elif raw == "S:":
@@ -267,7 +274,7 @@ def parse_file(text: str) -> ModularData:
     if labels is None:
         labels = [str(k + 1) for k in range(rank)]
     if len(labels) != rank:
-        raise FileFormatError(len(lines), f"{len(labels)} labels for rank {rank}")
+        raise FileFormatError(seen["labels"], f"{len(labels)} labels for rank {rank}")
 
     unit = None
     if unit_token is not None:
@@ -276,7 +283,7 @@ def parse_file(text: str) -> ModularData:
         elif unit_token.isdigit() and 1 <= int(unit_token) <= rank:
             unit = int(unit_token) - 1
         else:
-            raise FileFormatError(len(lines), f"unknown unit {unit_token!r}")
+            raise FileFormatError(seen["unit"], f"unknown unit {unit_token!r}")
 
     md = modular_data.construct(labels, s_rows, t_row, unit=unit)
     if not md.report.ok:

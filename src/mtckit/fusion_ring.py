@@ -103,12 +103,12 @@ def verlinde(md: ModularData) -> FusionRing:
     r, u, s = md.rank, md.unit, md.s
     cells, den, n = _lift(s)
     inv, inv_den = cyclo.lift([[cyclo.inverse(s[u][e]) for e in range(r)]], n)
+    conj = [[cyclo.mapped(c, n, n, -1) for c in row] for row in cells]
     deg, s_max = len(cells[0][0]), cyclo.max_abs(cells)
     # a cell product sums at most phi(N) terms into a slot, an entry r * N
-    p = cyclo.Packing(n, r * n * (deg * s_max) ** 2 * s_max * cyclo.max_abs(inv))
+    p = cyclo.Packing(n, r * n * (deg * s_max) ** 2 * cyclo.max_abs(conj) * cyclo.max_abs(inv))
     packed, (p_inv,) = p.pack(cells), p.pack(inv)
-    conj = p.pack([[cyclo.index_map(c, n, n, -1) for c in row] for row in cells])
-    ratio = [[poly_fold(x * y, p.width, n) for x, y in zip(row, p_inv)] for row in conj]
+    ratio = [[poly_fold(x * y, p.width, n) for x, y in zip(row, p_inv)] for row in p.pack(conj)]
     total = den**3 * inv_den
     table = [[[0] * r for _ in range(r)] for _ in range(r)]
     for c in range(r):

@@ -157,23 +157,18 @@ class IndicatorTable:
     values: tuple[tuple[Cyclotomic, ...], ...]
 
 
-def gfs_matrix(cd: CenterData, m: int, l: int, word: Sl2Word | None = None) -> IndicatorTable:
+def gfs_matrix(cd: CenterData, m: int, l: int) -> IndicatorTable:
     """The indicator table via the center's SL2(Z) representation: pi(g) A.
 
     Requires gcd(m, l) = 1. Valid because the center is anomaly-free
-    (xi = 1, asserted at construction), so the word choice cannot matter;
-    a custom word for the same (m, l) must produce the same table. The word
-    runs on the two base-rank factors of pi(g) = R (x) R', one center call
-    per s token and per run of t / t^-1 tokens, and A is contracted once, so
-    a table's cost hardly depends on how many s tokens its word has.
+    (xi = 1, asserted at construction), so the choice of the word g =
+    sl2_word(m, l) cannot matter. The word runs on the two base-rank factors
+    of pi(g) = R (x) R', one center call per s token and per run of t / t^-1
+    tokens, and A is contracted once, so a table's cost hardly depends on
+    how many s tokens its word has.
     """
     if math.gcd(m, l) != 1:
         raise ValueError(f"gcd({m}, {l}) != 1")
-    if word is not None:
-        if (word.m, word.l) != (m, l):
-            raise ValueError(f"word targets ({word.m}, {word.l}), not ({m}, {l})")
-        word.verify()
-        return _gfs_apply(cd, m, l, word)
     cached = cd._gfs_cache.get((m, l))
     if cached is not None:
         return cached

@@ -236,7 +236,7 @@ def validate(md: ModularData) -> ValidationReport:
     one = [den * den] + [0] * (len(cells[0][0]) - 1)
     zero = [0] * len(one)
     # S-bar^T: conjugation zeta -> zeta^-1 is an index map on the cells
-    conj_t = [[cyclo.index_map(row[i], n, n, -1) for row in cells] for i in range(r)]
+    conj_t = [[cyclo.mapped(row[i], n, n, -1) for row in cells] for i in range(r)]
     prod = cyclo.matmul((cells, den), (conj_t, den), n)[0]
     checks.append(
         _matrix_check("S unitary", r, lambda i, j: prod[i][j] == (one if i == j else zero))
@@ -270,7 +270,7 @@ def validate(md: ModularData) -> ValidationReport:
         # twist and xi are index maps on lifted cells
         m = math.lcm(n, inv.conductor, xi.order)
         twists = [t.exponent_at(m) for t in md.theta]
-        st = [[cyclo.index_map(c, n, m, 1, e) for c, e in zip(row, twists)] for row in cells]
+        st = [[cyclo.mapped(c, n, m, 1, e) for c, e in zip(row, twists)] for row in cells]
         st3 = cyclo.matmul(cyclo.matmul((st, den), (st, den), m), (st, den), m)[0]
         e = xi.exponent_at(m)
         rel = _matrix_check(

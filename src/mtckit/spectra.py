@@ -155,7 +155,7 @@ def _trace_field(md: ModularData, n1: int, theta: RootOfUnity):
                 r, sign = (r + m * (r % 2)) // 2, 1 - 2 * (r % 2)
             e = r * pow(m // order, -1, m // n1) % (m // n1)
             a, g = (r - e * (m // order)) // (m // n1), math.gcd(n1, order)
-            one = cyclo.traces(Cyclotomic._make(n1, [1] + [0] * (cyclo.euler_phi(n1) - 1), 1))[0]
+            one = cyclo.ramanujan_sums(n1)
             for j in range(cyclo.euler_phi(g)):  # Tr(zeta_n1^k) = one[k], one Ramanujan sum
                 k = a + j * n1 // g
                 rows.append([*cyclo.mapped((1,), 1, order, 1, j * order // g - e),
@@ -356,9 +356,11 @@ def braid_jm_spectrum(
         center_ms: ObjectMultiset = {
             cd.pair_index(*((b, c) if under else (c, b))): mult for c, mult in wrap.items() if mult
         }
-        # the eigenvalues prefactor * omega are distinct, so their turn order fixes the row
-        k_row = semisimple_K(cd, center_ms, a, n1).items()
-        row = sorted(((prefactor * omega, k) for omega, k in k_row), key=lambda p: p[0].turn())
+        # the eigenvalues prefactor * omega are distinct, so their turn order fixes the
+        # row: exponent / order, compared as ints at the lcm L of the row's orders
+        row = [(prefactor * omega, k) for omega, k in semisimple_K(cd, center_ms, a, n1).items()]
+        big = math.lcm(*(ev.order for ev, _ in row))
+        row.sort(key=lambda p: p[0].exponent * (big // p[0].order))
         rows.append(SpectrumRow(md.labels[b], tuple(ev for ev, _ in row), tuple(k for _, k in row)))
     return SpectrumReport(
         kind="braid-jm",

@@ -642,6 +642,35 @@ def k2_pairs_by_k(md, fr, c, b, a):
 
 
 # ---------------------------------------------------------------------------
+# index maps and traces term by term: the unreduced row that cyclo.mapped
+# reduces by one packed remainder, and every trace of a value from the Ramanujan
+# sums (cyclo.ramanujan_sums), one integer functional per trace
+
+
+def index_map(coeffs, order, target, k=1, e=0):
+    """Numerators at order, mapped zeta_order^j -> zeta_target^(k j target/order + e):
+    target entries, unreduced. With gcd(k, order) = 1 this embeds (k = 1), applies
+    the Galois map zeta -> zeta^k and multiplies by zeta_target^e, in any combination."""
+    s = target // order
+    p = [0] * target
+    for j, c in enumerate(coeffs):
+        if c:
+            p[(k * j * s + e) % target] += c
+    return p
+
+
+def traces(x):
+    """(ints, den): Tr_{Q(zeta_n)/Q}(zeta_n^s x) for s = 0..n-1, n the order of x,
+    as ints over x's denominator. Tr(zeta_n^j) = c_n(j), so trace s is
+    sum_j num_j c_n(s + j)."""
+    from mtckit import cyclo
+
+    n, sums = x.order, cyclo.ramanujan_sums(x.order)
+    return tuple(sum(c * sums[(s + j) % n] for j, c in enumerate(x._num))
+                 for s in range(n)), x._den
+
+
+# ---------------------------------------------------------------------------
 # trace entries by the descent route: the value x = rho nu shifted to the order of
 # rho nu, descended to Q(zeta_n1) and traced there. The library reads the same
 # ints off nu's coordinates in the subspace V of Q(zeta_L) where rho nu lies in
@@ -652,7 +681,7 @@ def trace_entry_by_descent(md, n1, b, c, nu=None):
     """spectra's entry (n1, b, c), b = left rank + right, as (ints, den): the traces
     Tr(zeta_n1^s x), s < n1, of x = rho nu with rho the pinned root theta_b^(1/n1) and
     nu = nu^{left (x) right~}_{n1,1}(c) (nu_direct) unless given, by cyclo.times_root,
-    galois_apply and traces. A value off Q(zeta_n1) raises the DescentError that the
+    galois_apply and traces above. A value off Q(zeta_n1) raises the DescentError that the
     library's entries repeat."""
     from mtckit import cyclo
     from mtckit.indicators import _theta_root, nu_direct
@@ -661,7 +690,7 @@ def trace_entry_by_descent(md, n1, b, c, nu=None):
     if nu is None:
         nu = nu_direct(md, n1, left, right, c)
     root = _theta_root(md.theta[left] / md.theta[right], n1, 0)
-    return cyclo.traces(cyclo.galois_apply(cyclo.times_root(nu, root), 1, n1))
+    return traces(cyclo.galois_apply(cyclo.times_root(nu, root), 1, n1))
 
 
 def _rank(rows) -> int:

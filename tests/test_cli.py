@@ -243,6 +243,19 @@ def test_off_field_indicator_value_exits_three(tmp_path, capsys, monkeypatch):
         assert err.startswith("error: value of order ") and f"does not descend to {field}" in err
 
 
+def test_over_long_integer_is_usage_error(tmp_path, capsys):
+    # CPython's own int() limit used to escape the file error, losing the line
+    from mtckit import dataio
+
+    text = dataio.format_modular_data(dataio.catalog("semion"))
+    path = tmp_path / "long.mtc"
+    path.write_text(text.replace("T:\n1, ", "T:\n" + "1" * 5000 + ", "))
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 8: bad expression '111") and err.count("\n") == 1
+    assert f"expected an integer of at most {dataio.MAX_DIGITS} digits" in err
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "validate", "no/such/file.mtc")
     assert code == 2

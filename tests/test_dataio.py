@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from mtckit import cyclo
+from mtckit import cyclo, dataio
 from mtckit.dataio import (
     CATALOG_NAMES,
     ExprSyntaxError,
@@ -172,6 +172,39 @@ class TestParseFile:
         assert info.value.line_no == lines + 1
         assert str(info.value) == (
             f"line {lines + 1}: directive {directive!r} repeats the one on line {first}")
+
+    @pytest.mark.parametrize("old, new, message", (
+        ("unit 1\n", "unit 5\n", "line 3: unknown unit '5'"),
+        ("labels 1 s\n", "labels 1 s x\n", "line 2: 3 labels for rank 2"),
+    ))
+    def test_a_bad_unit_or_label_count_names_its_directive(self, fixture_data, old, new, message):
+        # semion's 8-line text: the error used to name its last line
+        text = format_modular_data(fixture_data["semion"][0])
+        with pytest.raises(FileFormatError) as info:
+            parse_file(text.replace(old, new))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("label", ("a\x00", "\x1bx", "s\x7f"))
+    def test_a_label_with_a_control_character_is_refused(self, fixture_data, label):
+        text = format_modular_data(fixture_data["semion"][0])
+        with pytest.raises(FileFormatError) as info:
+            parse_file(text.replace("labels 1 s\n", f"labels {label} s\n"))
+        assert str(info.value) == f"line 2: label {label!r} is not printable"
+
+    def test_an_over_long_integer_names_its_line(self, fixture_data):
+        text = format_modular_data(fixture_data["semion"][0])
+        at_limit = "1" * dataio.MAX_DIGITS
+        md = parse_file(text.replace("T:\n1, ", f"T:\n{at_limit}/{at_limit}, "))
+        assert md.theta == fixture_data["semion"][0].theta
+        over = at_limit + "1"
+        with pytest.raises(FileFormatError) as info:
+            parse_file(text.replace("T:\n1, ", f"T:\n{over}, "))
+        assert info.value.line_no == 8
+        assert str(info.value).endswith(
+            f"at position 0: expected an integer of at most {dataio.MAX_DIGITS} digits "
+            f"in {over!r}")
+        with pytest.raises(ExprSyntaxError, match="at position 2: expected an integer of at most"):
+            parse_expr(f"1/{over}")
 
 
 class TestCatalog:

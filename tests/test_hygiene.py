@@ -9,11 +9,13 @@ outside the failure path spectra._off_field, no indicator in spectra but
 the closed form that spectra._entry reads, no control flow through a caught
 DescentError, no polynomial kernel reached from outside cyclo and
 fusion_ring, no packing in indicators beside center.Contraction, no
-per-order constants read outside cyclo, and no library name that a hook
+per-order constants read outside cyclo, no second index-map or trace route
+in cyclo, no word argument to gfs_matrix, and no library name that a hook
 of the benchmark's tracer (mtcbench/spans.py) wraps gone missing."""
 
 import ast
 import importlib.util
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -441,6 +443,17 @@ except:
     pass
 """
     assert list(_descent_handlers(ast.parse(source))) == [4, 6]
+
+
+def test_one_route_per_job_in_the_library():
+    # index maps and traces have one library route each (cyclo.mapped, and the
+    # Ramanujan sums the trace fields read); their term-by-term forms are test
+    # oracles, and gfs_matrix runs sl2_word(m, l) only
+    from mtckit import cyclo
+    from mtckit.indicators import gfs_matrix
+
+    assert not hasattr(cyclo, "index_map") and not hasattr(cyclo, "traces")
+    assert list(inspect.signature(gfs_matrix).parameters) == ["cd", "m", "l"]
 
 
 def test_every_benchmark_hook_resolves():

@@ -6,7 +6,7 @@ import random
 import pytest
 
 import oracles
-from mtckit import cyclo
+from mtckit import cyclo, indicators
 from mtckit._poly import poly_pack
 from mtckit.center import CenterData, deligne_square
 from mtckit.fusion_ring import FusionRing, power_decompose
@@ -104,9 +104,7 @@ class TestGfsMatrix:
                 w2 = Sl2Word(tokens=matrix_tokens(g2), m=m, l=l)
                 w2.verify()
                 assert w2.matrix() != g
-                t1 = gfs_matrix(cd, m, l)
-                t2 = gfs_matrix(cd, m, l, word=w2)
-                assert t1.values == t2.values, (name, m, l)
+                assert gfs_matrix(cd, m, l).values == oracles.gfs_by_dot(cd, w2), (name, m, l)
 
     @pytest.mark.parametrize("name", SMALL)
     def test_matches_dot_oracle(self, name, fixture_data):
@@ -122,12 +120,13 @@ class TestGfsMatrix:
 
     def test_custom_word_matches_dot_oracle(self, fixture_data):
         # s^4 = 1 and t t^-1 = 1: a longer word for the same (m, l), with a
-        # t/T run that folds to the zero power
+        # t/T run that folds to the zero power, gives the table of sl2_word(3, 2)
         md, fr = fixture_data["fibonacci"]
         cd = deligne_square(md, fr)
         tokens = ("s", "s", "t", "T", "s", "s") + sl2_word(3, 2).tokens
         word = Sl2Word(tokens=tokens, m=3, l=2)
-        got = gfs_matrix(cd, 3, 2, word=word)
+        word.verify()
+        got = gfs_matrix(cd, 3, 2)
         want = oracles.gfs_by_dot(cd, word)
         assert got.values == want
         assert _texts(got.values) == _texts(want)
@@ -165,9 +164,11 @@ class TestGfsMatrix:
         for (m, l), core in classes.items():
             assert "".join(sl2_word(m, l).tokens).lstrip("tT") == core
             _assert_table_matches_oracle(cd, m, l)
-        # a five-s word for (8, 3) gives the same table
+        # a five-s word for (8, 3) gives the same table, run on the center as
+        # gfs_matrix runs its own word (the dot oracle takes seconds per word here)
         word = Sl2Word(tokens=tuple("TsTTsTTTsssTT"), m=8, l=3)
-        got = gfs_matrix(cd, 8, 3, word=word)
+        word.verify()
+        got = indicators._gfs_apply(cd, 8, 3, word)
         want = gfs_matrix(cd, 8, 3)
         assert got.values == want.values
         assert _texts(got.values) == _texts(want.values)
@@ -219,11 +220,6 @@ class TestGfsMatrix:
         assert len(powers) == runs == 1
         assert powers == [2001]
         assert got.values == oracles.gfs_by_dot(cd, word)
-
-    def test_mismatched_word_rejected(self, fixture_centers):
-        cd = fixture_centers["semion"]
-        with pytest.raises(ValueError):
-            gfs_matrix(cd, 2, 1, word=sl2_word(3, 1))
 
     def test_gcd_requirement(self, fixture_centers):
         with pytest.raises(ValueError):

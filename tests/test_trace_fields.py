@@ -53,7 +53,7 @@ def test_field_bases_match_a_brute_force_descent(fixture_data, name):
             rho = _theta_root(theta, n1, 0)
             for row, tr in zip(basis, traced):
                 x = cyclo.times_root(cyclo.Cyclotomic._make(order, row, 1), rho)
-                assert cyclo.traces(cyclo.galois_apply(x, 1, n1)) == (tuple(tr), 1)
+                assert oracles.traces(cyclo.galois_apply(x, 1, n1)) == (tuple(tr), 1)
             assert len(basis) == oracles.trace_field_dim_by_galois(theta, n1, order), (n1, theta)
             dims.add(len(basis))
     assert 1 in dims
