@@ -484,11 +484,10 @@ def mapped(coeffs, order: int, target: int, k: int = 1, e: int = 0) -> list[int]
     numerators, in any combination, takes this one route. target is a multiple
     of order, coeffs holds at most order numerators and gcd(k, order) = 1, so
     no two land in one slot modulo x^target - 1; other input raises
-    CycloDomainError. The identity map
-    (target = order, k = 1 and e = 0 modulo them) returns coeffs itself, and
-    a row moved (k = 1) below slot phi(target) is already reduced; any other
-    row is packed (Packing) with its largest |numerator| as the bound and
-    reduced by one remainder.
+    CycloDomainError. The identity map (target = order, k = 1 and e = 0 modulo
+    them) returns coeffs itself, and a row moved (k = 1) below slot
+    phi(target) is already reduced; any other row is packed (Packing) with its
+    largest |numerator| as the bound and reduced by one remainder.
     """
     if target % order or target < order or len(coeffs) > order or math.gcd(k, order) != 1:
         raise CycloDomainError(f"cannot map {len(coeffs)} numerators at order {order} "
@@ -589,9 +588,9 @@ def root_sums(values, exponent_rows, order: int, den: int = 1) -> list[Cyclotomi
 # ---------------------------------------------------------------------------
 # matrices at one order N: (cells, den), where cell (i, j) holds the integer
 # numerators of entry (i, j) over the shared den, reduced modulo Phi_N (lift,
-# mapped). A product packs
-# each cell into one int (mtckit._poly): an output cell is one dot product of
-# ints, reduced modulo Phi_N by one int remainder (Packing.reduce).
+# mapped). A product packs each cell into one int (mtckit._poly): an output
+# cell is one dot product of ints, reduced modulo Phi_N by one int remainder
+# (Packing.reduce).
 
 
 def lift(matrix, order: int) -> tuple[list[list[list[int]]], int]:

@@ -357,7 +357,7 @@ def braid_jm_spectrum(
             cd.pair_index(*((b, c) if under else (c, b))): mult for c, mult in wrap.items() if mult
         }
         # the eigenvalues prefactor * omega are distinct, so their turn order fixes the
-        # row: exponent / order, compared as ints at the lcm L of the row's orders
+        # row: exponent / order, compared as ints at the lcm of the row's orders
         row = [(prefactor * omega, k) for omega, k in semisimple_K(cd, center_ms, a, n1).items()]
         big = math.lcm(*(ev.order for ev, _ in row))
         row.sort(key=lambda p: p[0].exponent * (big // p[0].order))

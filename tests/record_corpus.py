@@ -35,7 +35,7 @@ SOURCES = (
     ("catalog:toric-code", "e"),
     ("catalog:fibonacci", "tau"),
     ("catalog:haagerup-center", "x6"),
-    ("relabeled.mtc", "f2"),
+    ("relabeled.mtc", "y2"),
     ("product.mtc", "s.tau"),
 )
 INDICATOR_PAIRS = ((1, 0), (2, 1), (3, 2), (5, 3), (7, -2), (4, 2), (0, 1))
@@ -52,11 +52,12 @@ def _semion_with(old: str, new: str) -> str:
 def inputs() -> dict[str, str]:
     """File name -> .mtc text of every file input the corpus reads."""
     toric = dataio.catalog("toric-code")
+    semion, fibonacci = (dataio.catalog(name) for name in ("semion", "fibonacci"))
     return {
         "relabeled.mtc": dataio.format_modular_data(
-            families.relabeled(toric, [1, 0, 3, 2], ["e1", "u", "f2", "m3"])),
+            families.relabeled(toric, toric.ring, [1, 0, 3, 2])[0]),
         "product.mtc": dataio.format_modular_data(
-            families.deligne_product(dataio.catalog("semion"), dataio.catalog("fibonacci"))),
+            families.deligne_product((semion, semion.ring), (fibonacci, fibonacci.ring))[0]),
         # exit 1: toric-code with the twists of another theory
         "broken.mtc": dataio.format_modular_data(toric).replace(
             "T:\n1, 1, 1, -1", "T:\n1, -1, -1, 1"),

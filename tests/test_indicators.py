@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import families
 import oracles
 from mtckit import cyclo, indicators
 from mtckit._poly import poly_pack
@@ -140,7 +141,7 @@ class TestGfsMatrix:
 
     def test_deligne_product_matches_dot_oracle(self, fixture_data):
         # semion x fibonacci: S at order 40, center twists at order 20
-        md, fr = _deligne_product(fixture_data["semion"], fixture_data["fibonacci"])
+        md, fr = families.deligne_product(fixture_data["semion"], fixture_data["fibonacci"])
         assert validate(md).ok
         cd = deligne_square(md, fr)
         assert (cd.conductor, cd.working_order) == (20, 40)
@@ -175,7 +176,7 @@ class TestGfsMatrix:
 
     def test_deligne_product_three_s_words(self, fixture_data):
         # semion x fibonacci at order 40: the three-s words sssTT and TsTTsTTstt
-        md, fr = _deligne_product(fixture_data["semion"], fixture_data["fibonacci"])
+        md, fr = families.deligne_product(fixture_data["semion"], fixture_data["fibonacci"])
         cd = deligne_square(md, fr)
         for m, l in ((2, -1), (8, 3)):
             _assert_table_matches_oracle(cd, m, l)
@@ -237,52 +238,6 @@ def _assert_table_matches_oracle(cd, m, l):
     assert _texts(got.values) == _texts(want), (m, l)
 
 
-def _deligne_product(left, right):
-    """The Deligne product of two fixtures: S and T are tensor products."""
-    (m1, f1), (m2, f2) = left, right
-    pairs = [(a, b) for a in range(m1.rank) for b in range(m2.rank)]
-    index = {p: i for i, p in enumerate(pairs)}
-    md = ModularData(
-        labels=tuple(f"{m1.labels[a]}.{m2.labels[b]}" for a, b in pairs),
-        s=tuple(tuple(m1.s[a][c] * m2.s[b][d] for c, d in pairs) for a, b in pairs),
-        theta=tuple(m1.theta[a] * m2.theta[b] for a, b in pairs),
-        unit=index[(m1.unit, m2.unit)],
-        dual=tuple(index[(m1.dual[a], m2.dual[b])] for a, b in pairs),
-    )
-    fr = FusionRing(
-        rank=len(pairs),
-        unit=md.unit,
-        dual=md.dual,
-        table=tuple(
-            tuple(
-                tuple(f1.table[c][a][a2] * f2.table[d][b][b2] for a2, b2 in pairs)
-                for a, b in pairs
-            )
-            for c, d in pairs
-        ),
-    )
-    return md, fr
-
-
-def _relabeled(md, fr, perm):
-    """The same data with simple i renamed y<i> and moved from index perm[i] to i."""
-    where = {old: new for new, old in enumerate(perm)}
-    md2 = ModularData(
-        labels=tuple(f"y{i}" for i in range(md.rank)),
-        s=tuple(tuple(md.s[i][j] for j in perm) for i in perm),
-        theta=tuple(md.theta[i] for i in perm),
-        unit=where[md.unit],
-        dual=tuple(where[md.dual[i]] for i in perm),
-    )
-    fr2 = FusionRing(
-        rank=fr.rank,
-        unit=md2.unit,
-        dual=md2.dual,
-        table=tuple(tuple(tuple(fr.table[c][a][b] for b in perm) for a in perm) for c in perm),
-    )
-    return md2, fr2
-
-
 def _assert_nu2_matches(md, fr, oracle, where=""):
     # every (c, b, a): oracle(c, b, a) is the dot-product value
     r = md.rank
@@ -314,13 +269,13 @@ class TestNu2Direct:
         md, fr = fixture_data["haagerup-center"]
         perm = list(range(md.rank))
         random.Random(12).shuffle(perm)
-        md2, fr2 = _relabeled(md, fr, perm)
+        md2, fr2 = families.relabeled(md, fr, perm)
         assert validate(md2).ok and md2.unit != md.unit
         _assert_nu2_matches(md2, fr2, lambda *t: haagerup_nu2_oracle[tuple(perm[i] for i in t)])
 
     def test_matches_dot_oracle_on_a_deligne_product(self, fixture_data):
         # semion x fibonacci: S at order 40 with theta^2 of orders 1, 2, 5 and 10
-        md, fr = _deligne_product(fixture_data["semion"], fixture_data["fibonacci"])
+        md, fr = families.deligne_product(fixture_data["semion"], fixture_data["fibonacci"])
         assert {v.order for row in md.s for v in row} == {40}
         assert {(t**2).order for t in md.theta} == {1, 2, 5, 10}
         _assert_nu2_matches(md, fr, lambda *t: oracles.nu2_by_dot(md, fr, *t))
@@ -445,7 +400,7 @@ class TestCrossRoute:
     def test_nu2_direct_equals_gfs(self, fixture_data, fixture_centers):
         # the closed form nu_direct(n) against gfs_matrix(n, 1) on every (c, b, a):
         # n = 1..8 on the small fixtures and semion x fibonacci, 1..6 on haagerup-center
-        product = _deligne_product(fixture_data["semion"], fixture_data["fibonacci"])
+        product = families.deligne_product(fixture_data["semion"], fixture_data["fibonacci"])
         cases = [(*fixture_data[name], fixture_centers[name], 8) for name in SMALL]
         cases.append((*fixture_data["haagerup-center"], fixture_centers["haagerup-center"], 6))
         cases.append((*product, deligne_square(*product), 8))
