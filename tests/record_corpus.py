@@ -73,6 +73,11 @@ def inputs() -> dict[str, str]:
         "labels3.mtc": _semion_with("labels 1 s\n", "labels 1 s x\n"),
         "nul.mtc": _semion_with("labels 1 s\n", "labels a\x00 s\n"),
         "longint.mtc": _semion_with("T:\n1, ", "T:\n" + "1" * 5000 + "/" + "1" * 5000 + ", "),
+        # a superscript digit passes str.isdigit() but not int()
+        "superscript.mtc": _semion_with("S:\n1/2*E(8) - 1/2*E(8)^3, ", "S:\n\u00b2, "),
+        "unit2sup.mtc": _semion_with("unit 1\n", "unit \u00b2\n"),
+        # the digit label "1" is not the first object, so "unit 1" would be ambiguous
+        "shadow.mtc": _semion_with("labels 1 s\n", "labels s 1\n"),
     }
 
 
@@ -103,10 +108,11 @@ def corpus_argvs() -> list[list[str]]:
         ["validate", "no/such/file.mtc"],
         *(["validate", name] for name in (
             "syntax.mtc", "rank0.mtc", "rank65.mtc", "twice.mtc", "unit5.mtc", "labels3.mtc",
-            "nul.mtc", "longint.mtc")),
+            "nul.mtc", "longint.mtc", "superscript.mtc", "unit2sup.mtc", "shadow.mtc")),
         ["fusion", "nul.mtc"],
         ["fusion", "catalog:semion", "--object", "s", "--object", "1", "--object", "s"],
         ["fusion", "catalog:semion", "--object", "7"],
+        ["rotation", "catalog:semion", "--object", "\u00b2", "--n", "2"],
         ["report", "catalog:vec", "--braid-sigma", "--object", "zz"],
         ["rotation", "catalog:semion", "--object", "s", "--n", "2", "--b", "s"],
         ["rotation", "catalog:semion", "--object", "s", "--n", "2", "--b", "s,q"],
