@@ -6,16 +6,16 @@ forgetful functor sends (a, b) to a (x) b, so its multiplicity matrix A is
 read off the base fusion ring.
 
 No rank^2 x rank^2 matrix is ever materialized. The center's SL2(Z)
-representation factors over the pairs (Ng-Schauenburg): S_Z = S (x) S' with
-S'_{b,d} = S_{b-bar,d}, and T_Z = T (x) T^-1, so pi(g) = R (x) R' for
-two base-rank matrices. Both factors live in one field per center,
-Q(zeta_N) with N the lcm of the conductor and the orders of the base S
-entries (the semion S lies in Q(zeta_8) while its center twists have
-order 4), as (cells, den) matrices of mtckit.cyclo, with the base S lifted
-once per center. apply_s multiplies each factor by its S, one packed matrix
-product each (cyclo.matmul); apply_t shifts row a of R by theta_a^power and
-of R' by theta_a^-power (cyclo.mapped). contract_a applies R (x) R' to the
-forgetful matrix A once, after the whole word: one Contraction over md.ring,
+representation factors over the pairs (Ng-Schauenburg): S_Z = S (x) S-bar,
+since S_{b-bar,d} is the conjugate of S_{b,d}, and T_Z = T (x) T-bar, so
+pi(g) = R (x) R-bar for one base-rank matrix R. R lives in one field per
+center, Q(zeta_N) with N the lcm of the conductor and the orders of the
+base S entries (the semion S lies in Q(zeta_8) while its center twists
+have order 4), as a (cells, den) matrix of mtckit.cyclo, with the base S
+lifted once per center. apply_s multiplies R by S, one packed matrix
+product (cyclo.matmul); apply_t shifts row a of R by theta_a^power
+(cyclo.mapped). contract_a conjugates R once, after the whole word, and
+applies R (x) R-bar to the forgetful matrix A: one Contraction over md.ring,
 the packed contraction through the fusion tensor that nu_direct also reads.
 
 center_for keeps the center on its ModularData, and it serves both braidings:
@@ -40,8 +40,6 @@ __all__ = ["CenterData", "ConsistencyError", "deligne_square"]
 # (cells, den): cells[i][j] holds the integer numerators of entry (i, j) at
 # the working order, and den is the denominator they share
 Working = tuple[list[list[list[int]]], int]
-# (R, R'): pi(g) = R (x) R' on the pairs (a, b), two base-rank factors
-Pair = tuple[Working, Working]
 
 
 @dataclasses.dataclass
@@ -54,9 +52,6 @@ class CenterData:
     a_matrix: tuple[tuple[int, ...], ...]
     conductor: int
 
-    def __post_init__(self):
-        self._gfs_cache: dict[tuple[int, int], object] = {}
-
     @property
     def rank(self) -> int:
         return len(self.labels)
@@ -67,7 +62,7 @@ class CenterData:
     def pair_of(self, i: int) -> tuple[int, int]:
         return divmod(i, self.base.rank)
 
-    # -- SL2(Z) generator action on the factor pair ---------------------------
+    # -- SL2(Z) generator action on the factor R of pi(g) = R (x) R-bar --------
 
     @functools.cached_property
     def working_order(self) -> int:
@@ -75,10 +70,9 @@ class CenterData:
         return math.lcm(self.conductor, *(v.order for row in self.base.s for v in row))
 
     @functools.cached_property
-    def _working_s(self) -> tuple[Working, Working]:
-        # the base S lifted to order N, and S' with S'_{b,d} = S_{b-bar,d}
-        rows, den = cyclo.lift(self.base.s, self.working_order)
-        return (rows, den), ([rows[b] for b in self.base.dual], den)
+    def _working_s(self) -> Working:
+        # the base S lifted to order N
+        return cyclo.lift(self.base.s, self.working_order)
 
     @functools.cached_property
     def _twist_exponents(self) -> tuple[int, ...]:
@@ -86,41 +80,39 @@ class CenterData:
         n = self.working_order
         return tuple(t.exponent_at(n) for t in self.base.theta)
 
-    def identity(self) -> Pair:
-        """The factor pair of the empty word: two base-rank identities at order N."""
+    def identity(self) -> Working:
+        """The factor R of the empty word: the base-rank identity at order N."""
         r = self.base.rank
-        one = cyclo.lift([[int(i == j) for j in range(r)] for i in range(r)], self.working_order)
-        return one, one
+        return cyclo.lift([[int(i == j) for j in range(r)] for i in range(r)], self.working_order)
 
-    def apply_t(self, x: Pair, power: int) -> Pair:
-        """T^power: row a of R times theta_a^power and of R' times theta_a^-power,
-        each an index shift at order N (cyclo.mapped)."""
-        n = self.working_order
-        return tuple(
-            ([[cyclo.mapped(c, n, n, 1, sign * t) for c in row]
-              for row, t in zip(cells, self._twist_exponents)], den)
-            for (cells, den), sign in zip(x, (power, -power))
-        )
+    def apply_t(self, x: Working, power: int) -> Working:
+        """T^power: row a of R times theta_a^power, an index shift at order N
+        (cyclo.mapped)."""
+        n, (cells, den) = self.working_order, x
+        return [[cyclo.mapped(c, n, n, 1, power * t) for c in row]
+                for row, t in zip(cells, self._twist_exponents)], den
 
-    def apply_s(self, x: Pair) -> Pair:
-        """S: (R, R') -> (S R, S' R'), one packed product each (cyclo.matmul)."""
-        n = self.working_order
-        return tuple(_content_free(cyclo.matmul(s, f, n)) for s, f in zip(self._working_s, x))
+    def apply_s(self, x: Working) -> Working:
+        """S: R -> S R, one packed product (cyclo.matmul)."""
+        return _content_free(cyclo.matmul(self._working_s, x, self.working_order))
 
-    def contract_a(self, x: Pair) -> tuple[tuple[Cyclotomic, ...], ...]:
-        """(R (x) R') A as Cyclotomic entries at order N; zeros are ZERO.
+    def contract_a(self, x: Working) -> tuple[tuple[Cyclotomic, ...], ...]:
+        """(R (x) R-bar) A as Cyclotomic entries at order N; zeros are ZERO.
 
-        Row (a, b), column j is sum_{c,d} R[a][c] N^j_{c,d} R'[b][d], entry (a, b, j).
+        Row (a, b), column j is sum_{c,d} R[a][c] N^j_{c,d} R-bar[b][d], entry
+        (a, b, j); R-bar is R conjugated cell by cell (cyclo.mapped with k = -1).
         """
-        k, r = Contraction(self.base.ring.table, *x, self.working_order), self.base.rank
+        n, (cells, den) = self.working_order, x
+        conjugate = [[cyclo.mapped(c, n, n, -1) for c in row] for row in cells], den
+        k, r = Contraction(self.base.ring.table, x, conjugate, n), self.base.rank
         return tuple(tuple(k.entry(a, b, j) for j in range(r)) for a in range(r) for b in range(r))
 
 
 class Contraction:
     """entry(c, b, a) = sum_{d,e} L[c][d] N^a_{d,e} R[b][e], table[a][d][e] =
     N^a_{d,e}, for base-rank (cells, den) matrices L, R of reduced cells at one
-    order N: the center's pair R (x) R' (contract_a) and the closed form's (S T^n,
-    S' T^-n) (indicators.nu_direct). Both are packed once; folded modulo x^N - 1,
+    order N: the center's R (x) R-bar (contract_a) and the closed form's (S T^n,
+    S-bar T^-n) (indicators.nu_direct). Both are packed once; folded modulo x^N - 1,
     a slot sums at most phi(N) max_a sum_{d,e} N^a_{d,e} max|L| max|R|, the
     Packing bound. w_d = sum_e N^a_{d,e} R[b][e] is kept per (b, a), and an
     entry is one packed dot product with row c of L, reduced once.

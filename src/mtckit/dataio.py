@@ -105,7 +105,7 @@ class _Scanner:
         if signed and self.pos < len(self.text) and self.text[self.pos] == "-":
             self.pos += 1
         digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == digits:
             raise ExprSyntaxError(self.text, start, "an integer")
@@ -242,9 +242,12 @@ def parse_file(text: str) -> ModularData:
                 raise FileFormatError(line_no, f"rank {rank} exceeds the limit of {MAX_RANK}")
         elif key == "labels":
             labels = rest.split()
-            for label in labels:
+            for k, label in enumerate(labels, 1):
                 if not label.isprintable():
                     raise FileFormatError(line_no, f"label {label!r} is not printable")
+                # unit and --object read digits as a 1-based index: "1" is object 1
+                if label.isdecimal() and label != str(k):
+                    raise FileFormatError(line_no, f"digit label {label!r} is not its index {k}")
         elif key == "unit":
             unit_token = rest.strip()
         elif raw == "S:":
@@ -280,7 +283,7 @@ def parse_file(text: str) -> ModularData:
     if unit_token is not None:
         if unit_token in labels:
             unit = labels.index(unit_token)
-        elif unit_token.isdigit() and 1 <= int(unit_token) <= rank:
+        elif unit_token.isdecimal() and 1 <= int(unit_token) <= rank:
             unit = int(unit_token) - 1
         else:
             raise FileFormatError(seen["unit"], f"unknown unit {unit_token!r}")

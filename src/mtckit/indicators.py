@@ -1,13 +1,13 @@
 """Generalized Frobenius-Schur indicators, by two independent routes.
 
-Route one evaluates the SL2(Z) representation of the center on a word g
-with (1,0) g^-1 = (m,l) and multiplies the forgetful matrix A. Route two
-derives nu_{n,k} from the single-rotation column nu_{n,1} by a Galois
-automorphism, after pinning a root theta^(1/n); the two must agree. The
-column nu_{n,1} also has a closed double sum over the base data (nu_direct),
-which builds no SL2(Z) state; it is all that rotation and braid spectra read.
-Route one's last step and the closed form share one packed contraction
-through the fusion tensor (center.Contraction); a bad index is ValueError.
+Route one (gfs_matrix) evaluates the SL2(Z) representation of the center on
+a word g with (1,0) g^-1 = (m,l) and multiplies the forgetful matrix A. Route
+two (nu_general) derives nu_{n,k} from the single-rotation column nu_{n,1} by
+a Galois automorphism, after pinning a root theta^(1/n); the two must agree.
+It reads nu_{n,1} off its closed double sum over the base data (nu_direct),
+which builds no SL2(Z) state, as rotation and braid spectra do. Route one's
+last step and the closed form share one packed contraction through the
+fusion tensor (center.Contraction); a bad index is ValueError.
 """
 
 from __future__ import annotations
@@ -162,23 +162,18 @@ def gfs_matrix(cd: CenterData, m: int, l: int) -> IndicatorTable:
 
     Requires gcd(m, l) = 1. Valid because the center is anomaly-free
     (xi = 1, asserted at construction), so the choice of the word g =
-    sl2_word(m, l) cannot matter. The word runs on the two base-rank factors
-    of pi(g) = R (x) R', one center call per s token and per run of t / t^-1
+    sl2_word(m, l) cannot matter. The word runs on the base-rank factor R of
+    pi(g) = R (x) R-bar, one center call per s token and per run of t / t^-1
     tokens, and A is contracted once, so a table's cost hardly depends on
     how many s tokens its word has.
     """
     if math.gcd(m, l) != 1:
         raise ValueError(f"gcd({m}, {l}) != 1")
-    cached = cd._gfs_cache.get((m, l))
-    if cached is not None:
-        return cached
-    table = _gfs_apply(cd, m, l, sl2_word(m, l))
-    cd._gfs_cache[(m, l)] = table
-    return table
+    return _gfs_apply(cd, m, l, sl2_word(m, l))
 
 
 def _gfs_apply(cd: CenterData, m: int, l: int, word: Sl2Word) -> IndicatorTable:
-    # pi(g) = R (x) R' is built on the base-rank factor pair, tokens applied right
+    # pi(g) = R (x) R-bar is built on the base-rank factor R, tokens applied right
     # to left, each run of t / t^-1 tokens as one power of T; A is contracted once
     x = cd.identity()
     for is_s, run in itertools.groupby(reversed(word.tokens), key=lambda tok: tok == "s"):
@@ -224,13 +219,14 @@ def nu_general(
     factor theta_b^-1). k = 0 is the hom dimension; otherwise, with
     g = gcd(k, n), the value is theta_b^{-k/n} applied to the Galois image
     alpha_{k/g, n/g} of theta_b^{g/n} nu^b_{n/g,1}(a^g), the inner indicator
-    expanding additively over the decomposition of a^g.
+    expanding additively over the decomposition of a^g into closed-form
+    values nu_direct(cd.base, n/g, *cd.pair_of(b), c).
 
     No two field values are multiplied. The root-of-unity factors
     (theta_b^-q, the pinned root's powers) are exponent arithmetic on
     RootOfUnity, and each enters as an index shift (cyclo.times_root); the
-    sum over a^g is an int-weighted cyclo.dot of table entries, which takes
-    no field product either. The Galois step is cyclo.galois_apply, so a
+    sum over a^g is an int-weighted cyclo.dot of closed-form values, which
+    takes no field product either. The Galois step is cyclo.galois_apply, so a
     value outside Q(zeta_{n/g}) fails its descent check with DescentError.
 
     Rotation and K rows (mtckit.spectra) do not read this route: they take
@@ -248,9 +244,8 @@ def nu_general(
 
     g = math.gcd(k0, n)
     n1, k1 = n // g, k0 // g
-    table = gfs_matrix(cd, n1, 1)
     a_pow = power_decompose(cd.base.ring, a, g)
-    nu1 = cyclo.dot(a_pow.values(), (table.values[b][c] for c in a_pow))
+    nu1 = cyclo.dot(a_pow.values(), (nu_direct(cd.base, n1, *cd.pair_of(b), c) for c in a_pow))
 
     if k1 == 1:
         # theta^{-k0/n} * theta^{g/n} = 1 when k0 == g

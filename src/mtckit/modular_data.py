@@ -55,7 +55,7 @@ class ModularData:
             return obj - 1
         if obj in self.labels:
             return self.labels.index(obj)
-        if obj.isdigit():
+        if obj.isdecimal():
             return self.index_of(int(obj))
         raise ModularDataError(f"unknown object {obj!r}; labels are {', '.join(self.labels)}")
 

@@ -182,8 +182,8 @@ def product_fusion_ring(fr):
 #
 # Unlike the oracles above, these use the library's field arithmetic.
 # center_modular_data builds the full S-matrix of a center entry by entry,
-# which the library never does (it applies S through two base-rank
-# contractions). gfs_by_dot walks an SL2(Z) word with one Cyclotomic product
+# which the library never does (it applies S to the one base-rank factor R
+# of R (x) R-bar). gfs_by_dot walks an SL2(Z) word with one Cyclotomic product
 # per term: each token is a pass of Cyclotomic products and cyclo.dot
 # sums, where the library works on packed integer rows at one field order.
 # dims_check evaluates the dimension homomorphism directly. matmul is the

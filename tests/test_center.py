@@ -7,9 +7,9 @@ import pytest
 import oracles
 from mtckit import cyclo
 from mtckit._poly import poly_pack
-from mtckit.center import CenterData, ConsistencyError, center_for, deligne_square
+from mtckit.center import ConsistencyError, Contraction, center_for, deligne_square
 from mtckit.cyclo import Cyclotomic, RootOfUnity
-from mtckit.fusion_ring import FusionRing, verlinde
+from mtckit.fusion_ring import verlinde
 from mtckit.indicators import gfs_matrix
 from mtckit.modular_data import ModularData, derive_invariants, validate
 
@@ -110,7 +110,7 @@ def test_product_ring_matches_center_verlinde(fixture_data, fixture_centers):
 
 
 def test_apply_s_matches_matrix_product(fixture_data, fixture_centers):
-    # pi(s) A from the factor pair (S, S') against the center's full S times A
+    # pi(s) A from the factor R = S of S (x) S-bar against the center's full S times A
     for name in ("semion", "toric-code", "fibonacci"):
         md, _ = fixture_data[name]
         cd = fixture_centers[name]
@@ -169,7 +169,7 @@ def test_indicator_table_makes_no_field_products(fixture_data, monkeypatch):
 
 
 def test_apply_t_scales_rows(fixture_centers):
-    # T^+-1 A from the factor pair: row i of A times the center twist theta_i^+-1;
+    # T^+-1 A from the factor R = T^+-1: row i of A times the center twist theta_i^+-1;
     # every row of A is nonzero, so every twist is checked
     for name in ("semion", "toric-code", "fibonacci"):
         cd = fixture_centers[name]
@@ -192,18 +192,17 @@ def test_identity_pair_gives_the_forgetful_matrix(fixture_centers):
 
 
 def test_contraction_slot_width_is_tight(monkeypatch):
-    # order 1, R all M, row b of R' all +-M': cell ((a, b), j) is sum_{c,d} M N^j_{c,d}
-    # (+-M') = +-bound at the j with the largest sum, bound = phi(1) max_j sum_{c,d}
-    # N^j_{c,d} max|R| max|R'|. One bit less must not decode it. Every N^j_{c,d} n,
-    # and then n on the diagonal and 1 off it, where r^2 max|A| is wider than the sum
+    # order 1, L all M, row b of R all +-M': entry (c, b, a) is sum_{d,e} M N^a_{d,e}
+    # (+-M') = +-bound at the a with the largest sum, bound = phi(1) max_a sum_{d,e}
+    # N^a_{d,e} max|L| max|R|. One bit less must not decode it. Every N^a_{d,e} n,
+    # and then n on the diagonal and 1 off it, where r^2 max N is wider than the sum.
+    # R is not the conjugate of L, so the pair goes to Contraction, not contract_a
     r, big, big2, n = 3, 5, 7, 2
     uniform = (((n,) * r,) * r,) * r
     diagonal = (tuple(tuple(n if c == d else 1 for d in range(r)) for c in range(r)),) * r
     signs = (1, -1, 1)
-    pair = (
-        ([[[big]] * r for _ in range(r)], 1),
-        ([[[sign * big2]] * r for sign in signs], 1),
-    )
+    left = ([[[big]] * r for _ in range(r)], 1)
+    right = ([[[sign * big2]] * r for sign in signs], 1)
     packing = cyclo.Packing
 
     class Recording(packing):
@@ -218,39 +217,23 @@ def test_contraction_slot_width_is_tight(monkeypatch):
             self.modulus = poly_pack(cyclo.cyclotomic_polynomial(order), self.width)
 
     for table in (uniform, diagonal):
-        md = ModularData(
-            labels=("x", "y", "z"),
-            s=((cyclo.ONE,) * r,) * r,
-            theta=(cyclo.RootOfUnity(1, 0),) * r,
-            unit=0,
-            dual=(0, 1, 2),
-        )
-        # S is no modular data, so its ring is handed over
-        vars(md)["ring"] = FusionRing(rank=r, unit=0, dual=(0, 1, 2), table=table)
-        cd = CenterData(
-            base=md,
-            labels=tuple(str(i) for i in range(r * r)),
-            theta=(cyclo.RootOfUnity(1, 0),) * (r * r),
-            unit=0,
-            dual=tuple(range(r * r)),
-            a_matrix=tuple(tuple(table[j][c][d] for j in range(r))
-                           for c in range(r) for d in range(r)),
-            conductor=1,
-        )
-        assert cd.working_order == 1
+        def entries():
+            k = Contraction(table, left, right, 1)
+            return [[[k.entry(c, b, a) for a in range(r)] for b in range(r)] for c in range(r)]
+
         sums = [sum(map(sum, mat)) for mat in table]
         bound = big * max(sums) * big2
-        want = tuple(tuple(cyclo.from_rational(signs[i % r] * big * s * big2) for s in sums)
-                     for i in range(r * r))
+        want = [[[cyclo.from_rational(signs[b] * big * s * big2) for s in sums]
+                 for b in range(r)] for _ in range(r)]
         widths = []
         with monkeypatch.context() as patched:
             patched.setattr(cyclo, "Packing", Recording)
-            assert cd.contract_a(pair) == want
+            assert entries() == want
         assert widths == [bound.bit_length() + 1]
         with monkeypatch.context() as patched:
             patched.setattr(cyclo, "Packing", Narrower)
             try:
-                got = cd.contract_a(pair)
+                got = entries()
             except ValueError:
                 got = None
         assert got != want

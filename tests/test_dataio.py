@@ -176,6 +176,10 @@ class TestParseFile:
     @pytest.mark.parametrize("old, new, message", (
         ("unit 1\n", "unit 5\n", "line 3: unknown unit '5'"),
         ("labels 1 s\n", "labels 1 s x\n", "line 2: 3 labels for rank 2"),
+        # a superscript digit passes str.isdigit() but int() refuses it
+        ("unit 1\n", "unit \u00b2\n", "line 3: unknown unit '\u00b2'"),
+        # "1" would name the second object here, and "unit 1" the first
+        ("labels 1 s\n", "labels s 1\n", "line 2: digit label '1' is not its index 2"),
     ))
     def test_a_bad_unit_or_label_count_names_its_directive(self, fixture_data, old, new, message):
         # semion's 8-line text: the error used to name its last line
@@ -190,6 +194,19 @@ class TestParseFile:
         with pytest.raises(FileFormatError) as info:
             parse_file(text.replace("labels 1 s\n", f"labels {label} s\n"))
         assert str(info.value) == f"line 2: label {label!r} is not printable"
+
+    def test_digit_labels_that_are_their_own_index_parse(self, fixture_data):
+        md = parse_file(format_modular_data(fixture_data["semion"][0]).replace(
+            "labels 1 s\n", "labels 1 2\n"))
+        assert md.labels == ("1", "2") and md.index_of("2") == 1
+
+    def test_a_superscript_digit_is_an_expression_error_on_its_line(self, fixture_data):
+        text = format_modular_data(fixture_data["semion"][0])
+        with pytest.raises(FileFormatError) as info:
+            parse_file(text.replace("S:\n1/2*E(8) - 1/2*E(8)^3, ", "S:\n\u00b2, "))
+        assert info.value.line_no == 5
+        with pytest.raises(ExprSyntaxError, match="at position 2: expected an integer"):
+            parse_expr("E(\u00b2)")
 
     def test_an_over_long_integer_names_its_line(self, fixture_data):
         text = format_modular_data(fixture_data["semion"][0])

@@ -520,8 +520,6 @@ def test_nu_general_matches_field_power_formula(name, fixture_centers):
 
 def test_nu_general_takes_no_field_inverse_or_power(fixture_centers, monkeypatch):
     cd = fixture_centers["fibonacci"]
-    for n in range(1, 5):
-        gfs_matrix(cd, n, 1)  # built before the patch: tables may use the field freely
 
     def forbidden(*args):
         raise AssertionError("field inverse or power reached from nu_general")
@@ -539,8 +537,6 @@ def test_nu_general_makes_no_field_product(fixture_centers, monkeypatch):
     # (b, n <= 4, k, a) of fibonacci, k over two periods, both pinned roots;
     # each value has the field route's order, numerators and denominator
     cd = fixture_centers["fibonacci"]
-    for n in range(1, 5):
-        gfs_matrix(cd, n, 1)
     keys = [
         (b, n, k, a, shift)
         for shift in (0, 1) for n in range(1, 5) for k in range(-n, n + 1)
@@ -563,16 +559,58 @@ def test_nu_general_makes_no_field_product(fixture_centers, monkeypatch):
         assert (value.order, value._num, value._den) == (oracle.order, oracle._num, oracle._den), key
 
 
-def test_descent_witness_on_a_corrupted_table(fixture_data):
-    # nu_{3,2} is the Galois image of theta^(1/3) nu_{3,1}; an entry moved out of
-    # the field by zeta_N fails galois_apply's descent check, which names the
-    # order, the target and the first mismatching coordinate
+def test_nu_general_builds_no_sl2_state(fixture_data, monkeypatch):
+    # pi(g) = R (x) R-bar is carried as its one base-rank factor R, and the center keeps
+    # no tables: nu_general reads the closed form, so over every (b, n <= 4, k, a) of a
+    # fresh fibonacci center it builds no gfs_matrix table and applies no generator
+    md = dataclasses.replace(fixture_data["fibonacci"][0])
+    cd = deligne_square(md)
+    cells, den = cd.identity()
+    assert isinstance(den, int) and len(cells) == md.rank
+    assert all(len(row) == md.rank for row in cells)
+    assert not hasattr(cd, "_gfs_cache")
+    calls = []
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+
+        return counted
+
+    for owner, name in ((indicators, "gfs_matrix"), (CenterData, "apply_s"),
+                        (CenterData, "apply_t")):
+        monkeypatch.setattr(owner, name, counting(owner, name))
+    for n in range(1, 5):
+        for k in range(-n, 2 * n):
+            for b in range(cd.rank):
+                for a in range(md.rank):
+                    nu_general(cd, b, n, k, a)
+    assert calls == []
+    indicators.gfs_matrix(cd, 3, 1)  # the patched names do count the SL2(Z) route
+    assert set(calls) == {"gfs_matrix", "apply_s", "apply_t"}
+
+
+def test_descent_witness_on_a_corrupted_table(fixture_data, monkeypatch):
+    # nu_{3,2} is the Galois image of theta^(1/3) nu_{3,1}; a closed-form value moved
+    # out of the field by zeta_L, L the order of nu_direct's contraction at n = 3,
+    # fails galois_apply's descent check, which names the order, the target and the
+    # first mismatching coordinate. On fibonacci L is the center's working order 20
+    # (S has order 20 and theta^3 order 5), so the witness is the one the center's
+    # table gave before nu_general read the closed form
     md, fr = fixture_data["fibonacci"]
     cd = deligne_square(md, fr)
-    table = gfs_matrix(cd, 3, 1)
-    values = [list(row) for row in table.values]
-    values[3][1] = values[3][1] + cyclo.zeta(cd.working_order)
-    cd._gfs_cache[(3, 1)] = dataclasses.replace(table, values=tuple(map(tuple, values)))
+    order = indicators._twisted_rows(md, 3).packing.order
+    assert order == cd.working_order == 20
+    direct = indicators.nu_direct
+
+    def corrupted(md, n, c, b, a):
+        value = direct(md, n, c, b, a)
+        return value + cyclo.zeta(order) if (n, c, b, a) == (3, *cd.pair_of(3), 1) else value
+
+    monkeypatch.setattr(indicators, "nu_direct", corrupted)
     with pytest.raises(cyclo.DescentError) as exc:
         nu_general(cd, 3, 3, 2, 1)
     assert (exc.value.order, exc.value.target, exc.value.witness_index) == (60, 3, 3)

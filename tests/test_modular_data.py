@@ -212,6 +212,9 @@ def test_index_of_addressing(fixture_data):
         md.index_of("nope")
     with pytest.raises(ModularDataError):
         md.index_of(13)
+    # a superscript digit passes str.isdigit(), but it is no index
+    with pytest.raises(ModularDataError, match="unknown object"):
+        md.index_of("\u00b2")
 
 
 def test_validate_reuses_the_square_construct_made(fixture_data, monkeypatch):

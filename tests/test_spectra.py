@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from mtckit import cyclo, spectra
+from mtckit import cyclo, indicators, spectra
 from mtckit.center import center_for, deligne_square
 from mtckit.cyclo import RootOfUnity
 from mtckit.fusion_ring import FusionRing, power_decompose, verlinde
-from mtckit.indicators import gfs_matrix, hom_dim_under_forgetful, nu2_direct
+from mtckit.indicators import hom_dim_under_forgetful, nu2_direct
 from mtckit.modular_data import ModularData
 from mtckit.spectra import (
     IntegralityError,
@@ -198,7 +198,7 @@ class TestBraids:
     def test_k2_pairs_equal_the_center_route(self, fixture_data, fixture_centers):
         # each K^2 triple is the n = 2 K row of the one center simple c (x) b~. K^2
         # pairs and the center's rows read one table of closed-form entries, so the
-        # row comes from the per-k route, through nu_general and gfs_matrix(2, 1)
+        # row comes from the per-k route, through nu_general's Galois step
         for name, (md, fr) in fixture_data.items():
             cd = fixture_centers[name]
             for c in range(md.rank):
@@ -699,13 +699,19 @@ def test_n2_entries_are_one_table_on_the_modular_data(fixture_data, monkeypatch)
     fr, r = md.ring, md.rank
     cd = center_for(md, fr)
     closed, direct = [], spectra.nu_direct
+    tables, table = [], indicators.gfs_matrix
 
     def counting(md, n, c, b, a):
         if n == 2:
             closed.append((c, b, a))
         return direct(md, n, c, b, a)
 
+    def counting_tables(cd, m, l):
+        tables.append((m, l))
+        return table(cd, m, l)
+
     monkeypatch.setattr(spectra, "nu_direct", counting)
+    monkeypatch.setattr(indicators, "gfs_matrix", counting_tables)
     for b in range(cd.rank):
         for a in range(r):
             rotation_spectrum(cd, b, a, 2)
@@ -721,7 +727,7 @@ def test_n2_entries_are_one_table_on_the_modular_data(fixture_data, monkeypatch)
         for sign in ("over", "under"):
             for n, l, m in ((2, 0, 0), (3, 1, 0), (3, 0, 1)):
                 braid_jm_spectrum(md, a, n, l, m, sign=sign, fr=fr)
-    assert closed == [] and cd._gfs_cache == {}
+    assert closed == [] and tables == []
 
     # a ring that is not md.ring (here every N^a_{d,e} doubled) is refused, by K^2
     # pairs and by the closed form alike
@@ -740,22 +746,23 @@ def test_n2_entries_are_one_table_on_the_modular_data(fixture_data, monkeypatch)
 
 def test_rows_build_no_sl2_state(fixture_data, monkeypatch):
     # on fresh data, a rotation report, a K row and both braid signs read the closed
-    # form only: no gfs_matrix table is kept and no SL2(Z) generator is applied
+    # form only: no gfs_matrix table is built and no SL2(Z) generator is applied
     from mtckit.center import CenterData
 
     applied = []
 
-    def counting(name):
-        real = getattr(CenterData, name)
+    def counting(owner, name):
+        real = getattr(owner, name)
 
-        def counted(self, *args):
+        def counted(*args):
             applied.append(name)
-            return real(self, *args)
+            return real(*args)
 
         return counted
 
-    for name in ("apply_s", "apply_t"):
-        monkeypatch.setattr(CenterData, name, counting(name))
+    for owner, name in ((CenterData, "apply_s"), (CenterData, "apply_t"),
+                        (indicators, "gfs_matrix")):
+        monkeypatch.setattr(owner, name, counting(owner, name))
     for name in ("fibonacci", "haagerup-center"):
         md = dataclasses.replace(fixture_data[name][0])
         cd = center_for(md)
@@ -765,9 +772,9 @@ def test_rows_build_no_sl2_state(fixture_data, monkeypatch):
         for sign in ("over", "under"):
             for n, l, m in ((2, 0, 0), (3, 1, 0), (4, 1, 0)):
                 braid_jm_spectrum(md, a, n, l, m, sign=sign)
-        assert cd._gfs_cache == {} and applied == [], name
-    gfs_matrix(cd, 3, 1)  # the patched generators do count the SL2(Z) route
-    assert applied
+        assert applied == [], name
+    indicators.gfs_matrix(cd, 3, 1)  # the patched names do count the SL2(Z) route
+    assert set(applied) == {"gfs_matrix", "apply_s", "apply_t"}
 
 
 def test_every_ring_argument_is_the_data_ring(fixture_data):
