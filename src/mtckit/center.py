@@ -86,8 +86,7 @@ class CenterData:
         return cyclo.lift([[int(i == j) for j in range(r)] for i in range(r)], self.working_order)
 
     def apply_t(self, x: Working, power: int) -> Working:
-        """T^power: row a of R times theta_a^power, an index shift at order N
-        (cyclo.mapped)."""
+        """T^power: row a of R times theta_a^power, an index shift at order N (cyclo.mapped)."""
         n, (cells, den) = self.working_order, x
         return [[cyclo.mapped(c, n, n, 1, power * t) for c in row]
                 for row, t in zip(cells, self._twist_exponents)], den

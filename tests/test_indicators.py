@@ -502,6 +502,18 @@ class TestNuGeneral:
         with pytest.raises(ValueError):
             nu_general(fixture_centers["vec"], 0, 0, 1, 0)
 
+    def test_an_n_above_the_order_limit(self, fixture_centers):
+        # nu_general spells no SL2(Z) word: nu_{n,1} is the closed form, which reads n
+        # only through theta^n (fibonacci's twists have order 5), and only a Galois
+        # step whose field order passes the limit is refused
+        cd = fixture_centers["fibonacci"]
+        n = 5 * cyclo.get_order_limit() + 2
+        for b in range(cd.rank):
+            for a in range(cd.base.rank):
+                assert nu_general(cd, b, n, 1, a) == nu_general(cd, b, 2, 1, a), (b, a)
+        with pytest.raises(cyclo.CycloDomainError, match="exceeds the configured limit"):
+            nu_general(cd, 3, n, 3, 1)
+
 
 @pytest.mark.parametrize("name", ("semion", "toric-code", "fibonacci"))
 def test_nu_general_matches_field_power_formula(name, fixture_centers):
