@@ -216,11 +216,11 @@ def test_contraction_slot_width_is_tight(monkeypatch):
             self.width -= 1
             self.modulus = poly_pack(cyclo.cyclotomic_polynomial(order), self.width)
 
-    for table in (uniform, diagonal):
-        def entries():
-            k = Contraction(table, left, right, 1)
-            return [[[k.entry(c, b, a) for a in range(r)] for b in range(r)] for c in range(r)]
+    def entries(table):
+        k = Contraction(table, left, right, 1)
+        return [[[k.entry(c, b, a) for a in range(r)] for b in range(r)] for c in range(r)]
 
+    for table in (uniform, diagonal):
         sums = [sum(map(sum, mat)) for mat in table]
         bound = big * max(sums) * big2
         want = [[[cyclo.from_rational(signs[b] * big * s * big2) for s in sums]
@@ -228,12 +228,12 @@ def test_contraction_slot_width_is_tight(monkeypatch):
         widths = []
         with monkeypatch.context() as patched:
             patched.setattr(cyclo, "Packing", Recording)
-            assert entries() == want
+            assert entries(table) == want
         assert widths == [bound.bit_length() + 1]
         with monkeypatch.context() as patched:
             patched.setattr(cyclo, "Packing", Narrower)
             try:
-                got = entries()
+                got = entries(table)
             except ValueError:
                 got = None
         assert got != want
