@@ -76,6 +76,8 @@ def inputs() -> dict[str, str]:
         # a superscript digit passes str.isdigit() but not int()
         "superscript.mtc": _semion_with("S:\n1/2*E(8) - 1/2*E(8)^3, ", "S:\n\u00b2, "),
         "unit2sup.mtc": _semion_with("unit 1\n", "unit \u00b2\n"),
+        # an index longer than int() converts
+        "unitlong.mtc": _semion_with("unit 1\n", "unit " + "1" * 5000 + "\n"),
         # the digit label "1" is not the first object, so "unit 1" would be ambiguous
         "shadow.mtc": _semion_with("labels 1 s\n", "labels s 1\n"),
     }
@@ -108,10 +110,12 @@ def corpus_argvs() -> list[list[str]]:
         ["validate", "no/such/file.mtc"],
         *(["validate", name] for name in (
             "syntax.mtc", "rank0.mtc", "rank65.mtc", "twice.mtc", "unit5.mtc", "labels3.mtc",
-            "nul.mtc", "longint.mtc", "superscript.mtc", "unit2sup.mtc", "shadow.mtc")),
+            "nul.mtc", "longint.mtc", "superscript.mtc", "unit2sup.mtc", "shadow.mtc",
+            "unitlong.mtc")),
         ["fusion", "nul.mtc"],
         ["fusion", "catalog:semion", "--object", "s", "--object", "1", "--object", "s"],
         ["fusion", "catalog:semion", "--object", "7"],
+        ["fusion", "catalog:semion", "--object", "1" * 5000],
         ["rotation", "catalog:semion", "--object", "\u00b2", "--n", "2"],
         ["report", "catalog:vec", "--braid-sigma", "--object", "zz"],
         ["rotation", "catalog:semion", "--object", "s", "--n", "2", "--b", "s"],
