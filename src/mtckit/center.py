@@ -17,6 +17,10 @@ product (cyclo.matmul); apply_t shifts row a of R by theta_a^power
 (cyclo.mapped). contract_a conjugates R once, after the whole word, and
 applies R (x) R-bar to the forgetful matrix A: one Contraction over md.ring,
 the packed contraction through the fusion tensor that nu_direct also reads.
+Its table (R N^j R-bar^T)_{a,b} is Hermitian, as N^j is symmetric, so only the
+rows (a, b) with a <= b are contracted, and row (b, a) is row (a, b)
+conjugated, once per distinct value. A Contraction builds each distinct value
+once: equal entries are one object.
 
 center_for keeps the center on its ModularData, and it serves both braidings:
 the center of the reversed braiding, C~ (x) C, is this one with each pair's
@@ -100,11 +104,18 @@ class CenterData:
 
         Row (a, b), column j is sum_{c,d} R[a][c] N^j_{c,d} R-bar[b][d], entry
         (a, b, j); R-bar is R conjugated cell by cell (cyclo.mapped with k = -1).
+        As N^j_{c,d} = N^j_{d,c}, entry (b, a, j) is the conjugate of entry (a, b, j):
+        only the r (r + 1) / 2 rows with a <= b are contracted, and the others are
+        their conjugates (Contraction.conjugates). Equal entries are one object.
         """
         n, (cells, den) = self.working_order, x
         conjugate = [[cyclo.mapped(c, n, n, -1) for c in row] for row in cells], den
         k, r = Contraction(self.base.ring.table, x, conjugate, n), self.base.rank
-        return tuple(tuple(k.entry(a, b, j) for j in range(r)) for a in range(r) for b in range(r))
+        half = {(a, b): tuple(k.entry(a, b, j) for j in range(r))
+                for a in range(r) for b in range(a, r)}
+        bar = k.conjugates()
+        return tuple(half[a, b] if a <= b else tuple(bar[id(v)] for v in half[b, a])
+                     for a in range(r) for b in range(r))
 
 
 class Contraction:
@@ -115,6 +126,11 @@ class Contraction:
     a slot sums at most phi(N) max_a sum_{d,e} N^a_{d,e} max|L| max|R|, the
     Packing bound. w_d = sum_e N^a_{d,e} R[b][e] is kept per (b, a), and an
     entry is one packed dot product with row c of L, reduced once.
+
+    Each distinct value is built once. The width and the denominator are fixed
+    here, and a reduced packed value decodes uniquely (Packing), so a dict maps it
+    to its Cyclotomic: a repeated value is the kept object, with no unpack and no
+    normalization. Zero is the shared cyclo.ZERO.
     """
 
     def __init__(self, table, left: Working, right: Working, order: int):
@@ -125,14 +141,40 @@ class Contraction:
         self._table, self._left, self._right = table, p.pack(l_cells), p.pack(r_cells)
         self._den = l_den * r_den
         self._w: dict[tuple[int, int], list[int]] = {}
+        self._values: dict[int, Cyclotomic] = {}  # reduced packed value -> its entry
 
     def entry(self, c: int, b: int, a: int) -> Cyclotomic:
         w = self._w.get((b, a))
         if w is None:
             w = self._w[b, a] = [sum(map(mul, row, self._right[b])) for row in self._table[a]]
-        p = self.packing
-        value = p.reduce(sum(map(mul, self._left[c], w)))
-        return Cyclotomic._make(p.order, p.unpack(value), self._den) if value else cyclo.ZERO
+        value = self.packing.reduce(sum(map(mul, self._left[c], w)))
+        if not value:
+            return cyclo.ZERO
+        x = self._values.get(value)
+        if x is None:
+            p = self.packing
+            x = self._values[value] = Cyclotomic._make(p.order, p.unpack(value), self._den)
+        return x
+
+    def conjugates(self) -> dict[int, Cyclotomic]:
+        """id(x) -> the conjugate of x, for ZERO and every entry x built so far.
+
+        Each distinct value is conjugated once (Cyclotomic.conjugate), and its
+        conjugate is kept like an entry: an entry equal to it is the same object.
+        The conjugate's coordinates are bounded as an entry's are (conjugation
+        permutes the slots folded modulo x^N - 1), so it packs into the width.
+        When R is L conjugated cell by cell and every N^a is symmetric
+        (contract_a), the conjugate of entry (c, b, a) is entry (b, c, a).
+        """
+        p, bar, kept = self.packing, {id(cyclo.ZERO): cyclo.ZERO}, list(self._values.items())
+        n = p.order
+        (keys,) = p.pack([[cyclo.mapped(p.unpack(value), n, n, -1) for value, _ in kept]])
+        for (_, x), key in zip(kept, keys):
+            y = self._values.get(key)
+            if y is None:
+                y = self._values[key] = x.conjugate()
+            bar[id(x)] = y
+        return bar
 
 
 def _content_free(x: Working) -> Working:

@@ -119,9 +119,8 @@ def _cmd_indicators(args) -> int:
     else:
         lines = [f"indicator table m={args.m} l={args.l}"]
         lines.append("columns: " + " ".join(table.col_labels))
-        for label, row in zip(table.row_labels, table.values):
-            vals = ", ".join(dataio.format_expr(v) for v in row)
-            lines.append(f"{label}: {vals}")
+        for label, row in zip(table.row_labels, dataio.format_values(table.values)):
+            lines.append(f"{label}: {', '.join(row)}")
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

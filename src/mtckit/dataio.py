@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import cyclo, modular_data
 from .cyclo import Cyclotomic
 from .fusion_ring import FusionRing
-from .modular_data import ModularData, ValidationReport
+from .modular_data import MAX_DIGITS, ModularData, ValidationReport
 
 __all__ = [
     "ExprSyntaxError",
@@ -32,6 +32,7 @@ __all__ = [
     "ValidationFailedError",
     "parse_expr",
     "format_expr",
+    "format_values",
     "parse_file",
     "format_modular_data",
     "catalog",
@@ -41,6 +42,12 @@ __all__ = [
 ]
 
 format_expr = cyclo.format_expr
+
+
+def format_values(rows) -> list[list[str]]:
+    """format_expr of every value in rows; equal values are rendered once."""
+    text: dict[Cyclotomic, str] = {}
+    return [[text.get(v) or text.setdefault(v, format_expr(v)) for v in row] for row in rows]
 
 
 class ExprSyntaxError(ValueError):
@@ -172,8 +179,6 @@ def parse_expr(text: str) -> Cyclotomic:
 # Verlinde grows like rank^4, and a text this long already holds rank-64 data
 MAX_RANK = 64
 MAX_TEXT_CHARS = 4 << 20
-# the longest integer literal: CPython's default limit on converting a string to int
-MAX_DIGITS = 4300
 
 
 def parse_file(text: str) -> ModularData:
@@ -283,7 +288,8 @@ def parse_file(text: str) -> ModularData:
     if unit_token is not None:
         if unit_token in labels:
             unit = labels.index(unit_token)
-        elif unit_token.isdecimal() and 1 <= int(unit_token) <= rank:
+        elif unit_token.isdecimal() and len(unit_token) <= MAX_DIGITS \
+                and 1 <= int(unit_token) <= rank:
             unit = int(unit_token) - 1
         else:
             raise FileFormatError(seen["unit"], f"unknown unit {unit_token!r}")
@@ -465,9 +471,9 @@ def serialize_report(obj) -> str:
         lines.append(f"l: {obj.l}")
         lines.append("columns: " + " ".join(obj.col_labels))
         lines.append(f"rows: {len(obj.row_labels)}")
-        for label, row in zip(obj.row_labels, obj.values):
+        for label, row in zip(obj.row_labels, format_values(obj.values)):
             lines.append(f"row {label}")
-            lines.append("  values: " + "; ".join(format_expr(v) for v in row))
+            lines.append("  values: " + "; ".join(row))
     elif isinstance(obj, ValidationReport):
         lines.append("kind: validation")
         lines.append(f"ok: {'yes' if obj.ok else 'no'}")

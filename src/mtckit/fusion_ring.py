@@ -95,14 +95,15 @@ def verlinde(md: ModularData) -> FusionRing:
 
     Every entry must be a non-negative integer; anything else proves the
     input is not modular data and raises ModularityError naming the first
-    offending (c, d >= c, a). Each S_1e is inverted once; S_ce S_de and
+    offending (c, d >= c, a). Each distinct S_1e is inverted once; S_ce S_de and
     conj(S)_ae / S_1e are packed cells, and each entry is one packed dot
     product over e, reduced once: an integer iff it is constant and the
     common denominator divides it.
     """
     r, u, s = md.rank, md.unit, md.s
     cells, den, n = _lift(s)
-    inv, inv_den = cyclo.lift([[cyclo.inverse(s[u][e]) for e in range(r)]], n)
+    inverses = {v: cyclo.inverse(v) for v in set(s[u])}
+    inv, inv_den = cyclo.lift([[inverses[v] for v in s[u]]], n)
     conj = [[cyclo.mapped(c, n, n, -1) for c in row] for row in cells]
     deg, s_max = len(cells[0][0]), cyclo.max_abs(cells)
     # a cell product sums at most phi(N) terms into a slot, an entry r * N

@@ -31,6 +31,11 @@ __all__ = [
 ]
 
 
+# the longest integer literal or decimal index: CPython's default limit on
+# converting a string to int
+MAX_DIGITS = 4300
+
+
 class ModularDataError(ValueError):
     """The supplied matrices do not form (or cannot be completed to) modular data."""
 
@@ -55,7 +60,7 @@ class ModularData:
             return obj - 1
         if obj in self.labels:
             return self.labels.index(obj)
-        if obj.isdecimal():
+        if obj.isdecimal() and len(obj) <= MAX_DIGITS:
             return self.index_of(int(obj))
         raise ModularDataError(f"unknown object {obj!r}; labels are {', '.join(self.labels)}")
 

@@ -1,19 +1,22 @@
 import dataclasses
 import gc
+import itertools
 import weakref
 
 import pytest
 
+import families
 import oracles
 from mtckit import cyclo
 from mtckit._poly import poly_pack
 from mtckit.center import ConsistencyError, Contraction, center_for, deligne_square
 from mtckit.cyclo import Cyclotomic, RootOfUnity
 from mtckit.fusion_ring import verlinde
-from mtckit.indicators import gfs_matrix
+from mtckit.indicators import gfs_matrix, nu_direct, sl2_word
 from mtckit.modular_data import ModularData, derive_invariants, validate
 
 SMALL = ("vec", "semion", "toric-code", "fibonacci")
+HERMITIAN_PAIRS = ((2, 1), (3, 2), (7, -2), (5, 3))
 
 
 def test_center_modular_data_validates(fixture_data, fixture_centers):
@@ -189,6 +192,64 @@ def test_identity_pair_gives_the_forgetful_matrix(fixture_centers):
         assert got == tuple(tuple(cyclo.from_rational(v) for v in row) for row in cd.a_matrix)
         # zero cells are the shared ZERO, not one object per cell
         assert all(v is cyclo.ZERO for row in got for v in row if not v), name
+
+
+def _data(name, fixture_data):
+    # a catalog fixture, a relabeled toric code or the semion x fibonacci product
+    if name == "relabeled toric-code":
+        return families.relabeled(*fixture_data["toric-code"], [1, 0, 3, 2])
+    if name == "semion x fibonacci":
+        return families.deligne_product(fixture_data["semion"], fixture_data["fibonacci"])
+    return fixture_data[name]
+
+
+@pytest.mark.parametrize("name", SMALL + ("haagerup-center", "relabeled toric-code",
+                                          "semion x fibonacci"))
+def test_row_b_a_is_the_conjugate_of_row_a_b(name, fixture_data):
+    # pi(g) A = (R N^j R-bar^T)_{a,b} is Hermitian in (a, b), as N^j is symmetric:
+    # contract_a contracts the rows a <= b only, and the table still equals the oracle
+    md, fr = _data(name, fixture_data)
+    cd = deligne_square(md, fr)
+    for m, l in HERMITIAN_PAIRS:
+        values = gfs_matrix(cd, m, l).values
+        for a, b, j in itertools.product(range(md.rank), repeat=3):
+            want = values[cd.pair_index(a, b)][j].conjugate()
+            assert values[cd.pair_index(b, a)][j] == want, (m, l, a, b, j)
+        assert values == oracles.gfs_by_dot(cd, sl2_word(m, l)), (m, l)
+
+
+def test_contract_a_contracts_half_the_rows(fixture_data, monkeypatch):
+    # r r (r + 1) / 2 entries, the rows (a, b) with a <= b, where every row is r^3
+    entry, calls = Contraction.entry, []
+
+    def counting(self, c, b, a):
+        calls.append((c, b, a))
+        return entry(self, c, b, a)
+
+    monkeypatch.setattr(Contraction, "entry", counting)
+    for name in ("fibonacci", "haagerup-center"):
+        cd = deligne_square(*fixture_data[name])
+        r = cd.base.rank
+        for m, l in ((2, 1), (7, -2)):
+            calls.clear()
+            gfs_matrix(cd, m, l)
+            assert len(calls) == r * r * (r + 1) // 2, (name, m, l)
+            assert all(c <= b for c, b, _ in calls)
+    assert len(calls) == 936
+
+
+def test_equal_entries_are_one_object(fixture_data):
+    # each distinct value of a table, or of one n of nu_direct, is built once
+    md, fr = fixture_data["haagerup-center"]
+    cd = deligne_square(md, fr)
+    for m, l in HERMITIAN_PAIRS:
+        values = [v for row in gfs_matrix(cd, m, l).values for v in row]
+        assert len({id(v) for v in values}) == len(set(values)) < 40, (m, l)
+        assert all(v is cyclo.ZERO for v in values if not v), (m, l)
+    fresh = dataclasses.replace(md)
+    values = [nu_direct(fresh, 3, c, b, a) for c, b, a in itertools.product(range(12), repeat=3)]
+    assert len({id(v) for v in values}) == len(set(values)) <= 36
+    assert all(v is cyclo.ZERO for v in values if not v)
 
 
 def test_contraction_slot_width_is_tight(monkeypatch):

@@ -9,6 +9,7 @@ from mtckit import cyclo, dataio
 from mtckit.dataio import (
     CATALOG_NAMES,
     ExprSyntaxError,
+    MAX_DIGITS,
     FileFormatError,
     ValidationFailedError,
     catalog,
@@ -195,6 +196,16 @@ class TestParseFile:
             parse_file(text.replace("labels 1 s\n", f"labels {label} s\n"))
         assert str(info.value) == f"line 2: label {label!r} is not printable"
 
+    def test_a_unit_index_longer_than_int_converts_is_an_unknown_unit(self, fixture_data):
+        # the longest index int() converts parses; one digit more is refused before int()
+        text = format_modular_data(fixture_data["semion"][0])
+        md = parse_file(text.replace("unit 1\n", "unit " + "0" * (MAX_DIGITS - 1) + "1\n"))
+        assert md.unit == 0
+        token = "0" * MAX_DIGITS + "1"
+        with pytest.raises(FileFormatError) as info:
+            parse_file(text.replace("unit 1\n", f"unit {token}\n"))
+        assert str(info.value) == f"line 3: unknown unit {token!r}"
+
     def test_digit_labels_that_are_their_own_index_parse(self, fixture_data):
         md = parse_file(format_modular_data(fixture_data["semion"][0]).replace(
             "labels 1 s\n", "labels 1 2\n"))
@@ -315,6 +326,34 @@ class TestSerializeReport:
         text = serialize_report(table)
         assert text.count("\n  values: ") == 144
         assert made == []
+
+    def test_a_table_renders_each_distinct_value_once(self, fixture_data, monkeypatch, capsys):
+        from mtckit import cli
+        from mtckit.center import deligne_square
+        from mtckit.indicators import gfs_matrix
+
+        table = gfs_matrix(deligne_square(*fixture_data["haagerup-center"]), 7, -2)
+        distinct = len({v for row in table.values for v in row})
+        rendered = []
+
+        def counting(x):
+            rendered.append(x)
+            return format_expr(x)
+
+        monkeypatch.setattr(dataio, "format_expr", counting)
+        text = serialize_report(table)
+        assert len(rendered) == distinct < 40
+        assert text.count("\n  values: ") == 144
+        rendered.clear()
+        assert cli.main(["indicators", "catalog:haagerup-center", "--m", "7", "--l", "-2"]) == 0
+        assert len(rendered) == distinct
+        assert capsys.readouterr().out.count("\n(") == 144
+        # equal values in other representations are one value and one text
+        one = cyclo.from_rational(1)
+        rendered.clear()
+        assert dataio.format_values([[one, one.embedded(8)], [cyclo.ZERO, one]]) == [
+            ["1", "1"], ["0", "1"]]
+        assert len(rendered) == 2
 
     def test_validation_report(self, fixture_data):
         md, _ = fixture_data["vec"]

@@ -4,6 +4,7 @@ import oracles
 from mtckit import cyclo
 from mtckit.cyclo import RootOfUnity
 from mtckit.modular_data import (
+    MAX_DIGITS,
     ModularData,
     ModularDataError,
     construct,
@@ -215,6 +216,10 @@ def test_index_of_addressing(fixture_data):
     # a superscript digit passes str.isdigit(), but it is no index
     with pytest.raises(ModularDataError, match="unknown object"):
         md.index_of("\u00b2")
+    # the longest index int() converts, and one digit more, refused before int()
+    assert md.index_of("0" * (MAX_DIGITS - 1) + "6") == 5
+    with pytest.raises(ModularDataError, match="unknown object"):
+        md.index_of("0" * MAX_DIGITS + "6")
 
 
 def test_validate_reuses_the_square_construct_made(fixture_data, monkeypatch):
